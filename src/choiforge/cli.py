@@ -3,15 +3,13 @@
 Exit codes: 0 success, 2 parse/validation failure, 3 complete-positivity
 violation, 4 check failure, 5 configuration error. Every failing path writes
 a JSON diagnostic to stderr; every exit-0 path writes a JSON payload to
-stdout. The CHOIFORGE_THREADS environment variable caps sampling parallelism
-without changing any output byte.
+stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -49,6 +47,7 @@ from .serialize import (
 )
 from .tomography import (
     EXACT,
+    SAMPLER_VERSION,
     NotMaximumSchmidtError,
     OpaqueChannel,
     SchmidtConditioningError,
@@ -63,7 +62,6 @@ EXIT_NOT_CP = 3
 EXIT_CHECK = 4
 EXIT_CONFIG = 5
 
-THREADS_ENV_VAR = "CHOIFORGE_THREADS"
 DEFAULT_COMPARE_TOL = 1e-6
 
 
@@ -86,16 +84,6 @@ def _load_doc(path: str) -> dict:
     except OSError as err:
         raise FileFormatError(f"cannot read {path}: {err.strerror}") from err
     return load_document(text)
-
-
-def _max_workers() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _channel_to_choi(channel: ChannelObject) -> ChoiMatrix:
@@ -149,6 +137,7 @@ def _result_doc(result: TomographyResult, config: TomographyConfig) -> dict:
         "shots_used": result.shots_used,
         "shots": "exact" if config.shots is EXACT else config.shots,
         "seed": config.seed,
+        "sampler": SAMPLER_VERSION,
     }
 
 
@@ -242,7 +231,7 @@ def cmd_tomograph(args) -> int:
         return _fail(EXIT_PARSE, str(err))
 
     try:
-        result = run_tomography(channel, config, max_workers=_max_workers())
+        result = run_tomography(channel, config)
     except (NotMaximumSchmidtError, SchmidtConditioningError) as err:
         return _fail(EXIT_CONFIG, str(err))
     except NotCompletelyPositiveError as err:

@@ -10,7 +10,6 @@ is an opaque evaluator; nothing here looks at its internals.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,6 +32,7 @@ EXACT = None  # shot-budget sentinel: infinite-shot idealization
 PSD_TOL = 1e-8
 MIN_SCHMIDT_COEFFICIENT = 1e-6
 UNITARITY_TOL = 1e-10
+SAMPLER_VERSION = 2  # bumped whenever the fixed-seed sampling stream changes
 
 
 class NotMaximumSchmidtError(ValueError):
@@ -220,73 +220,23 @@ def joint_output_state(channel: OpaqueChannel, input_vector) -> np.ndarray:
     return out
 
 
-def hermitian_operator_basis(dim: int) -> list[np.ndarray]:
-    """Orthonormal Hermitian operator basis of size dim**2.
-
-    Scaled identity first, then the generalized Gell-Mann family: symmetric
-    and antisymmetric pair matrices followed by the diagonal ladder, all with
-    unit Hilbert-Schmidt norm.
-    """
-    mats = [np.eye(dim, dtype=complex) / math.sqrt(dim)]
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for k in range(1, dim):
-        for j in range(k):
-            sym = np.zeros((dim, dim), dtype=complex)
-            sym[j, k] = sym[k, j] = inv_sqrt2
-            mats.append(sym)
-            asym = np.zeros((dim, dim), dtype=complex)
-            asym[j, k] = -1j * inv_sqrt2
-            asym[k, j] = 1j * inv_sqrt2
-            mats.append(asym)
-    for level in range(1, dim):
-        diag = np.zeros((dim, dim), dtype=complex)
-        diag[np.arange(level), np.arange(level)] = 1.0
-        diag[level, level] = -float(level)
-        mats.append(diag / math.sqrt(level * (level + 1)))
-    return mats
-
-
-def _operator_rng(seed: int, index: int) -> np.random.Generator:
-    # one derived stream per basis operator: results do not depend on the
-    # order (or thread) in which operators are sampled
-    return np.random.default_rng(
-        np.random.SeedSequence(_normalize_seed(seed), spawn_key=(index,))
-    )
-
-
-def _sampled_coefficient(
-    basis_op: np.ndarray,
-    rho_conditional: np.ndarray,
-    success_prob: float,
-    shots: int,
-    seed: int,
-    index: int,
-) -> float:
-    rng = _operator_rng(seed, index)
-    successes = int(rng.binomial(shots, success_prob))
-    if successes == 0:
-        return 0.0
-    mu, w = np.linalg.eigh(basis_op)
-    probs = np.einsum("ix,ij,jx->x", w.conj(), rho_conditional, w).real
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    probs = probs / total if total > 0 else np.full(mu.size, 1.0 / mu.size)
-    counts = rng.multinomial(successes, probs)
-    return float(mu @ counts) / shots
-
-
-def simulate_state_tomography(
-    rho, shots: int | None, seed: int, *, max_workers: int = 1
-) -> np.ndarray:
+def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
     """Estimate a (possibly subnormalized) density matrix from simulated counts.
 
-    The state is expanded in the orthonormal Hermitian operator basis. Every
-    basis operator receives `shots` fresh preparations; each preparation
-    succeeds with probability Tr(rho) (trace-decreasing channels lose shots
-    here) and successful ones are measured projectively in the operator's
-    eigenbasis. Linear inversion of the outcome frequencies gives a Hermitian
-    unbiased estimate that is generally not positive. ``shots=EXACT`` returns
-    rho unchanged.
+    The state is expanded in the orthonormal Hermitian operator basis of the
+    scaled identity and the generalized Gell-Mann matrices, ``d**2``
+    operators in all. Every operator receives ``shots`` fresh preparations;
+    each preparation succeeds with probability Tr(rho) (trace-decreasing
+    channels lose shots here) and successful ones are measured projectively
+    in the operator's eigenbasis. Each operator has at most three distinct
+    eigenvalues (+/-1/sqrt(2) and 0 for a pair operator, two ladder values
+    and 0 for a diagonal one), so merging degenerate outcomes turns every
+    measurement into a three-outcome one whose Born probabilities are read
+    directly off rho without building the basis. All success counts are one
+    batched binomial draw and all outcome counts one batched multinomial
+    draw from a single generator seeded by ``seed``. Linear inversion of the
+    outcome frequencies, entry by entry, gives a Hermitian unbiased estimate
+    that is generally not positive. ``shots=EXACT`` returns rho unchanged.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -306,25 +256,46 @@ def simulate_state_tomography(
     shots = int(shots)
 
     dim = rho.shape[0]
-    success_prob = float(np.clip(trace, 0.0, 1.0))
-    rho_conditional = rho / trace if trace > 0 else rho
-    basis = hermitian_operator_basis(dim)
-
-    def coefficient(index: int) -> float:
-        return _sampled_coefficient(
-            basis[index], rho_conditional, success_prob, shots, seed, index
-        )
-
-    indices = range(len(basis))
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            coefficients = list(pool.map(coefficient, indices))
-    else:
-        coefficients = [coefficient(i) for i in indices]
-
     estimate = np.zeros((dim, dim), dtype=complex)
-    for c, op in zip(coefficients, basis):
-        estimate += c * op
+    success_prob = float(np.clip(trace, 0.0, 1.0))
+    if success_prob == 0.0:
+        return estimate
+
+    # one row of (first, second, zero) outcome probabilities per operator:
+    # the identity, the symmetric pairs, the antisymmetric pairs, the ladder
+    rho_conditional = rho / trace
+    diag = rho_conditional.diagonal().real
+    rows, cols = np.triu_indices(dim, 1)
+    pair_mass = (diag[rows] + diag[cols]) / 2
+    off = rho_conditional[rows, cols]
+    below = np.cumsum(diag)
+    first = np.concatenate(([1.0], pair_mass + off.real, pair_mass - off.imag, below[:-1]))
+    second = np.concatenate(([0.0], pair_mass - off.real, pair_mass + off.imag, diag[1:]))
+    zero = np.concatenate(([0.0], 1.0 - 2 * pair_mass, 1.0 - 2 * pair_mass, 1.0 - below[1:]))
+    probs = np.clip(np.stack((first, second, zero), axis=1), 0.0, None)
+    probs /= probs.sum(axis=1, keepdims=True)
+
+    rng = np.random.default_rng(_normalize_seed(seed))
+    successes = rng.binomial(shots, success_prob, size=dim * dim)
+    counts = rng.multinomial(successes, probs)
+
+    # invert: pair (j, k) gives entry (j, k); the identity and the ladder give
+    # the diagonal, each ladder level l spreading over entries 0..l
+    contrast = counts[:, 0] - counts[:, 1]
+    n_pairs = rows.size
+    sym = contrast[1 : 1 + n_pairs]
+    asym = contrast[1 + n_pairs : 1 + 2 * n_pairs]
+    upper = (sym - 1j * asym) / (2 * shots)
+    estimate[rows, cols] = upper
+    estimate[cols, rows] = upper.conj()
+
+    levels = np.arange(1, dim)
+    ladder = counts[1 + 2 * n_pairs :]
+    weights = (ladder[:, 0] - levels * ladder[:, 1]) / (levels * (levels + 1) * shots)
+    diagonal = np.full(dim, counts[0, 0] / (dim * shots))
+    diagonal[:-1] += np.cumsum(weights[::-1])[::-1]
+    diagonal[1:] -= levels * weights
+    np.fill_diagonal(estimate, diagonal)
     return estimate
 
 
@@ -415,12 +386,10 @@ def reconstruct_from_schmidt(
     return choi, kraus
 
 
-def run_tomography(
-    channel: OpaqueChannel, config: TomographyConfig, *, max_workers: int = 1
-) -> TomographyResult:
+def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> TomographyResult:
     """Full pipeline: prepare, evolve once, estimate, project, reconstruct.
 
-    Deterministic for a fixed (seed, shots) pair regardless of thread count.
+    Deterministic for a fixed (seed, shots) pair.
     """
     n1, n2 = channel.input_dim, channel.output_dim
     if isinstance(config.input_kind, SchmidtInput):
@@ -436,9 +405,7 @@ def run_tomography(
         input_vector = prepare_max_entangled(n1)
 
     rho_out = joint_output_state(channel, input_vector)
-    raw_estimate = simulate_state_tomography(
-        rho_out, config.shots, config.seed, max_workers=max_workers
-    )
+    raw_estimate = simulate_state_tomography(rho_out, config.shots, config.seed)
 
     working = raw_estimate
     negativity_removed = 0.0

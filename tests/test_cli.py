@@ -7,6 +7,7 @@ import pytest
 from choiforge.channels import ChoiMatrix, KrausSet, kraus_to_choi, zoo_channel
 from choiforge.cli import main
 from choiforge.serialize import channel_to_doc, dump_document
+from choiforge.tomography import SAMPLER_VERSION
 
 I2 = np.eye(2, dtype=complex)
 
@@ -189,6 +190,7 @@ class TestTomograph:
         assert main(["tomograph", exp, "--output", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+        assert json.loads(out1.read_text())["sampler"] == SAMPLER_VERSION
 
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         exp = write_doc(
@@ -270,23 +272,6 @@ class TestTomograph:
         code, out, _ = run(capsys, ["tomograph", exp])
         assert code == 0
         assert json.loads(out)["success_trace"] == pytest.approx(0.5)
-
-    def test_thread_env_var_does_not_change_bytes(self, tmp_path, capsys, monkeypatch):
-        exp = write_doc(
-            tmp_path / "exp.json",
-            experiment_doc(
-                {"name": "amplitude_damping", "params": [0.4], "dims": [2, 2]},
-                shots=3000,
-                seed=9,
-            ),
-        )
-        out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        monkeypatch.delenv("CHOIFORGE_THREADS", raising=False)
-        assert main(["tomograph", exp, "--output", str(out1)]) == 0
-        monkeypatch.setenv("CHOIFORGE_THREADS", "4")
-        assert main(["tomograph", exp, "--output", str(out2)]) == 0
-        capsys.readouterr()
-        assert out1.read_bytes() == out2.read_bytes()
 
 
 class TestCompare:

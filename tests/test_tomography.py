@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import hermitian_operator_basis, random_density
 from choiforge.channels import (
     KrausSet,
     check_cp_tp,
@@ -20,7 +20,6 @@ from choiforge.tomography import (
     SchmidtInput,
     TomographyConfig,
     default_kraus_threshold,
-    hermitian_operator_basis,
     joint_output_state,
     prepare_max_entangled,
     prepare_schmidt_input,
@@ -173,11 +172,45 @@ class TestSimulateStateTomography:
         b = simulate_state_tomography(rho, 5000, seed=123)
         assert np.array_equal(a, b)
 
-    def test_thread_count_does_not_change_output(self):
-        rho = random_density(3, np.random.default_rng(7))
-        serial = simulate_state_tomography(rho, 4000, seed=11, max_workers=1)
-        threaded = simulate_state_tomography(rho, 4000, seed=11, max_workers=4)
-        assert np.array_equal(serial, threaded)
+    @pytest.mark.parametrize("trace", [1.0, 0.8])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matches_dense_basis_statistics(self, dim, trace):
+        # every basis coefficient is (eigenvalues . counts) / shots of a
+        # projective measurement in that operator's eigenbasis, so its mean
+        # and variance follow from the dense oracle basis in closed form
+        rho = trace * random_density(dim, np.random.default_rng(40 + dim))
+        shots, n_seeds = 100, 400
+        basis = np.array(hermitian_operator_basis(dim))
+        samples = np.array(
+            [simulate_state_tomography(rho, shots, seed=s) for s in range(n_seeds)]
+        )
+
+        mean = samples.mean(axis=0)
+        for part in (np.real, np.imag):
+            stderr = part(samples).std(axis=0, ddof=1) / np.sqrt(n_seeds)
+            assert np.all(np.abs(part(mean) - part(rho)) <= 5 * stderr + 1e-12)
+
+        expected_var = []
+        for op in basis:
+            mu, w = np.linalg.eigh(op)
+            probs = np.einsum("ix,ij,jx->x", w.conj(), rho / trace, w).real
+            first, second = trace * probs @ mu, trace * probs @ mu**2
+            expected_var.append((second - first**2) / shots)
+        coefficients = np.einsum("bij,nji->nb", basis, samples).real
+        assert np.allclose(
+            coefficients.var(axis=0, ddof=1), expected_var, rtol=0.35, atol=1e-15
+        )
+
+    def test_zero_trace_state_gives_zero_estimate(self):
+        est = simulate_state_tomography(np.zeros((3, 3)), 500, seed=4)
+        assert np.array_equal(est, np.zeros((3, 3)))
+
+    def test_diagonal_pure_state_with_zero_probabilities(self):
+        rho = np.diag([0.0, 0.0, 1.0, 0.0]).astype(complex)
+        est = simulate_state_tomography(rho, 1000, seed=8)
+        assert np.all(np.isfinite(est))
+        assert np.array_equal(est, est.conj().T)
+        assert np.trace(est).real == pytest.approx(1.0, abs=1e-12)
 
     def test_subnormalized_state_estimated_with_success_scaling(self):
         rho = np.diag([0.3, 0.2]).astype(complex)  # trace 0.5
@@ -195,6 +228,34 @@ class TestSimulateStateTomography:
     def test_bad_shot_count_rejected(self):
         with pytest.raises(ValueError, match="positive integer"):
             simulate_state_tomography(I2 / 2, 0, seed=0)
+
+
+class TestLargeDimensions:
+    def test_n1_8_finite_shot_run(self):
+        channel = OpaqueChannel.from_kraus(random_cptp(8, 8, 3, seed=5))
+        config = TomographyConfig(shots=10**4, seed=21)
+        first = run_tomography(channel, config)
+        second = run_tomography(channel, config)
+        choi = first.estimated_choi.matrix
+        assert choi.shape == (64, 64)
+        assert np.max(np.abs(choi - choi.conj().T)) < 1e-12
+        assert np.linalg.eigvalsh(choi)[0] > -1e-10
+        assert first.success_trace == pytest.approx(1.0)
+        assert first.shots_used == 10**4 * 64**2
+        assert choi.tobytes() == second.estimated_choi.matrix.tobytes()
+        assert first.raw_state_estimate.tobytes() == second.raw_state_estimate.tobytes()
+        assert [op.tobytes() for op in first.kraus.operators] == [
+            op.tobytes() for op in second.kraus.operators
+        ]
+
+    def test_d_256_state_estimate(self):
+        # E||est - rho||_F^2 <= d Tr(rho) / shots for an orthonormal basis
+        dim, shots = 256, 10**6
+        rho = random_density(dim, np.random.default_rng(256))
+        est = simulate_state_tomography(rho, shots, seed=3)
+        assert np.array_equal(est, est.conj().T)
+        assert np.trace(est).real == pytest.approx(1.0)
+        assert frobenius_distance(est, rho) < 2 * np.sqrt(dim / shots)
 
 
 class TestProjectToPsd:

@@ -21,6 +21,8 @@ import numpy as np
 
 from .linalg import (
     HERMITICITY_TOL,
+    PSD_TOL,
+    UNITARITY_TOL,
     NotHermitianError,
     frobenius_distance,
     hermitian_eig,
@@ -30,8 +32,6 @@ from .linalg import (
 )
 
 KRAUS_DROP_THRESHOLD = 1e-10
-PSD_TOL = 1e-8
-MODEL_TOL = 1e-10
 
 ZOO_CHANNEL_NAMES = (
     "identity",
@@ -160,24 +160,24 @@ class StinespringModel:
         u = _frozen_complex(self.unitary, "unitary")
         if u.shape != (n, n):
             raise ValueError(f"unitary has shape {u.shape}, expected {(n, n)}")
-        if np.max(np.abs(u.conj().T @ u - np.eye(n))) > MODEL_TOL:
+        if np.max(np.abs(u.conj().T @ u - np.eye(n))) > UNITARITY_TOL:
             raise ValueError("unitary fails U^dag U = I beyond tolerance 1e-10")
         rho = _frozen_complex(self.ancilla_state, "ancilla state")
         na = self.ancilla_dim
         if rho.shape != (na, na):
             raise ValueError(f"ancilla state has shape {rho.shape}, expected {(na, na)}")
-        if hermiticity_deviation(rho) > MODEL_TOL:
+        if hermiticity_deviation(rho) > UNITARITY_TOL:
             raise ValueError("ancilla state is not Hermitian to 1e-10")
         eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-        if eigs[0] < -MODEL_TOL:
+        if eigs[0] < -UNITARITY_TOL:
             raise ValueError(f"ancilla state has negative eigenvalue {eigs[0]:.3e}")
-        if abs(np.trace(rho).real - 1.0) > MODEL_TOL:
+        if abs(np.trace(rho).real - 1.0) > UNITARITY_TOL:
             raise ValueError("ancilla state trace differs from 1 beyond 1e-10")
         p = _frozen_complex(self.projector, "projector")
         no = self.trace_dim
         if p.shape != (no, no):
             raise ValueError(f"projector has shape {p.shape}, expected {(no, no)}")
-        if hermiticity_deviation(p) > MODEL_TOL or np.max(np.abs(p @ p - p)) > MODEL_TOL:
+        if hermiticity_deviation(p) > UNITARITY_TOL or np.max(np.abs(p @ p - p)) > UNITARITY_TOL:
             raise ValueError("projector fails P = P^dag = P^2 beyond tolerance 1e-10")
         object.__setattr__(self, "unitary", u)
         object.__setattr__(self, "ancilla_state", rho)
@@ -209,19 +209,14 @@ def apply_kraus(kraus: KrausSet, m) -> np.ndarray:
     return out
 
 
-def _vec(op: np.ndarray) -> np.ndarray:
-    # segment i of the vector is column i of the operator
-    return op.T.reshape(-1)
-
-
 def kraus_to_choi(kraus: KrausSet) -> ChoiMatrix:
-    """Assemble the unnormalized Choi matrix J = sum_k vec(A_k) vec(A_k)^dagger."""
+    """Assemble the unnormalized Choi matrix J = V V^dagger.
+
+    Column k of V is vec(A_k), whose segment i is column i of A_k.
+    """
     d = kraus.input_dim * kraus.output_dim
-    j = np.zeros((d, d), dtype=complex)
-    for op in kraus.operators:
-        v = _vec(op)
-        j += np.outer(v, v.conj())
-    return ChoiMatrix(kraus.input_dim, kraus.output_dim, j)
+    v = np.stack(kraus.operators).transpose(0, 2, 1).reshape(-1, d).T
+    return ChoiMatrix(kraus.input_dim, kraus.output_dim, v @ v.conj().T)
 
 
 def choi_to_kraus(
@@ -264,16 +259,17 @@ def apply_stinespring(model: StinespringModel, m) -> np.ndarray:
 
 
 def stinespring_to_choi(model: StinespringModel) -> ChoiMatrix:
-    """Choi matrix of a system-ancilla model, assembled block by block."""
+    """Choi matrix of a system-ancilla model in one contraction.
+
+    With U indexed as U[(o t), (i a)] (output o, traced-out t, system i,
+    ancilla a), J[(i o), (j p)] = sum U[o t i a] rho_a[a b] conj(U[p s j b]) P[s t].
+    """
     n1, n2 = model.system_dim, model.output_dim
-    j = np.zeros((n1 * n2, n1 * n2), dtype=complex)
-    for i in range(n1):
-        for k in range(n1):
-            unit = np.zeros((n1, n1), dtype=complex)
-            unit[i, k] = 1.0
-            j[i * n2 : (i + 1) * n2, k * n2 : (k + 1) * n2] = apply_stinespring(
-                model, unit
-            )
+    u = model.unitary.reshape(n2, model.trace_dim, n1, model.ancilla_dim)
+    left = np.einsum("otia,ab->iotb", u, model.ancilla_state)
+    right = np.einsum("psjb,st->jptb", u.conj(), model.projector)
+    d = n1 * n2
+    j = left.reshape(d, -1) @ right.reshape(d, -1).T
     return ChoiMatrix(n1, n2, (j + j.conj().T) / 2)
 
 

@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
-
-import numpy as np
 
 from .channels import (
     ChoiMatrix,
@@ -32,27 +30,25 @@ from .channels import (
 )
 from .metrics import choi_distance, process_fidelity, resource_report
 from .serialize import (
-    FORMAT_VERSION,
     ChannelObject,
     FileFormatError,
     ZooSpec,
     channel_to_doc,
     doc_to_channel,
+    doc_to_result_kraus,
     dump_document,
     load_document,
-    matrix_to_payload,
     parse_experiment_channel,
     parse_experiment_config,
-    payload_to_matrix,
+    result_to_doc,
 )
+
+# Not called here; kept as cli names so that perfbench/spans.py can trace them.
+from .serialize import matrix_to_payload, payload_to_matrix  # noqa: F401
 from .tomography import (
-    EXACT,
-    SAMPLER_VERSION,
     NotMaximumSchmidtError,
     OpaqueChannel,
     SchmidtConditioningError,
-    TomographyConfig,
-    TomographyResult,
     run_tomography,
 )
 
@@ -99,21 +95,8 @@ def _load_channel_for_compare(path: str) -> ChoiMatrix:
     doc = _load_doc(path)
     if "representation" in doc:
         return _channel_to_choi(doc_to_channel(doc))
-    if "kraus" in doc and "dims" in doc:
-        dims = doc["dims"]
-        if (
-            not isinstance(dims, list)
-            or len(dims) != 2
-            or not all(isinstance(d, int) for d in dims)
-        ):
-            raise FileFormatError("result file: dims must be two integers")
-        ops = doc["kraus"]
-        if not isinstance(ops, list) or not ops:
-            raise FileFormatError("result file: kraus must be a non-empty list")
-        matrices = tuple(
-            payload_to_matrix(op, f"kraus[{k}]") for k, op in enumerate(ops)
-        )
-        return kraus_to_choi(KrausSet(dims[0], dims[1], matrices))
+    if "kraus" in doc:
+        return kraus_to_choi(doc_to_result_kraus(doc))
     raise FileFormatError(
         f"{path}: neither a channel file nor a tomography result file"
     )
@@ -121,24 +104,6 @@ def _load_channel_for_compare(path: str) -> ChoiMatrix:
 
 def _verdict_doc(verdict: CpTpVerdict) -> dict:
     return asdict(verdict)
-
-
-def _result_doc(result: TomographyResult, config: TomographyConfig) -> dict:
-    choi = result.estimated_choi
-    eigenvalues = np.linalg.eigvalsh(choi.matrix)[::-1]
-    return {
-        "format_version": FORMAT_VERSION,
-        "dims": [choi.input_dim, choi.output_dim],
-        "estimated_choi": matrix_to_payload(choi.matrix),
-        "choi_eigenvalues": [float(v) for v in eigenvalues],
-        "kraus": [matrix_to_payload(op) for op in result.kraus.operators],
-        "negativity_removed": result.negativity_removed,
-        "success_trace": result.success_trace,
-        "shots_used": result.shots_used,
-        "shots": "exact" if config.shots is EXACT else config.shots,
-        "seed": config.seed,
-        "sampler": SAMPLER_VERSION,
-    }
 
 
 def cmd_convert(args) -> int:
@@ -202,13 +167,7 @@ def cmd_tomograph(args) -> int:
         return _fail(EXIT_CONFIG, str(err))
 
     if args.seed is not None:
-        config = TomographyConfig(
-            shots=config.shots,
-            seed=args.seed,
-            input_kind=config.input_kind,
-            kraus_threshold=config.kraus_threshold,
-            psd_projection=config.psd_projection,
-        )
+        config = replace(config, seed=args.seed)
 
     try:
         if isinstance(channel_spec, ZooSpec):
@@ -239,7 +198,7 @@ def cmd_tomograph(args) -> int:
     except ValueError as err:
         return _fail(EXIT_CONFIG, str(err))
 
-    _emit(_result_doc(result, config), args.output)
+    _emit(result_to_doc(result, config), args.output)
     return EXIT_OK
 
 
@@ -301,21 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None, help="also write the payload to this file")
-    common.add_argument(
-        "--format", choices=["json"], default="json", help="output format (json only)"
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="override the run seed (consumed by tomograph; other commands are seed-free)",
-    )
-    common.add_argument(
-        "--tol",
-        type=float,
-        default=DEFAULT_COMPARE_TOL,
-        help="equivalence threshold on Choi distance (consumed by compare)",
-    )
 
     p_convert = subparsers.add_parser(
         "convert", parents=[common], help="convert a channel file between representations"
@@ -334,6 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
         "tomograph", parents=[common], help="run a tomography experiment file"
     )
     p_tomo.add_argument("input")
+    p_tomo.add_argument(
+        "--seed", type=int, default=None, help="override the experiment file's seed"
+    )
     p_tomo.set_defaults(handler=cmd_tomograph)
 
     p_compare = subparsers.add_parser(
@@ -341,6 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compare.add_argument("file_a")
     p_compare.add_argument("file_b")
+    p_compare.add_argument(
+        "--tol",
+        type=float,
+        default=DEFAULT_COMPARE_TOL,
+        help="equivalence threshold on Choi distance",
+    )
     p_compare.set_defaults(handler=cmd_compare)
 
     p_zoo = subparsers.add_parser(

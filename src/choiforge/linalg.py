@@ -13,7 +13,8 @@ from typing import Literal
 import numpy as np
 
 HERMITICITY_TOL = 1e-8
-UNIT_NORM_TOL = 1e-8
+PSD_TOL = 1e-8  # most negative eigenvalue still accepted as positive semidefinite
+UNITARITY_TOL = 1e-10  # max |U^dag U - I|; also bounds P^2 = P and Tr rho = 1 of a model
 
 
 class NotHermitianError(ValueError):
@@ -33,33 +34,6 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
-
-
-def _as_vector(v, name: str = "vector") -> np.ndarray:
-    arr = np.asarray(v, dtype=complex)
-    if arr.ndim == 2 and 1 in arr.shape:
-        arr = arr.reshape(-1)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
-def multiply(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = _as_matrix(a, "left factor")
-    b = _as_matrix(b, "right factor")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"cannot multiply shapes {a.shape} and {b.shape}: inner dimensions differ"
-        )
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_matrix(a).conj().T.copy()
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -100,11 +74,6 @@ class HermitianEigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        """Reassemble V diag(w) V^dagger."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
 
 def hermitian_eig(m, tol: float = HERMITICITY_TOL) -> HermitianEigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
@@ -120,44 +89,6 @@ def hermitian_eig(m, tol: float = HERMITICITY_TOL) -> HermitianEigenDecompositio
         raise NotHermitianError(deviation)
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
     return HermitianEigenDecomposition(w[::-1].copy(), v[:, ::-1].copy())
-
-
-@dataclass(frozen=True, eq=False)
-class SchmidtDecomposition:
-    """Coefficients (nonnegative, descending) and local unitary bases of a bipartite vector."""
-
-    coefficients: np.ndarray
-    left_basis: np.ndarray
-    right_basis: np.ndarray
-
-    def reassemble(self) -> np.ndarray:
-        """Rebuild sum_i alpha_i (U|i>) tensor (V|i>)."""
-        u, v = self.left_basis, self.right_basis
-        out = np.zeros(u.shape[0] * v.shape[0], dtype=complex)
-        for k, alpha in enumerate(self.coefficients):
-            out += alpha * np.kron(u[:, k], v[:, k])
-        return out
-
-
-def schmidt_decompose(
-    state, dim_a: int, dim_b: int, *, norm_tol: float = UNIT_NORM_TOL
-) -> SchmidtDecomposition:
-    """Schmidt decomposition of a unit bipartite vector.
-
-    Computed from the singular value decomposition of the (dim_a, dim_b)
-    reshaping of the state.
-    """
-    v = _as_vector(state, "state")
-    if v.shape[0] != dim_a * dim_b:
-        raise ValueError(
-            f"state length {v.shape[0]} does not match dims ({dim_a}, {dim_b})"
-        )
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > norm_tol:
-        raise ValueError(f"state must be a unit vector, got norm {norm:.12f}")
-    u, s, vh = np.linalg.svd(v.reshape(dim_a, dim_b), full_matrices=True)
-    # right factor k of the state is row k of vh, i.e. column k of vh.T
-    return SchmidtDecomposition(s.copy(), u, vh.T.copy())
 
 
 def frobenius_distance(a, b) -> float:

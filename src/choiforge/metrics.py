@@ -7,9 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChoiMatrix
-from .linalg import frobenius_distance, hermitian_eig
+from .linalg import PSD_TOL, frobenius_distance, hermitian_eig
 
-PSD_TOL = 1e-8
 TRACE_TOL = 1e-6
 
 

@@ -1,4 +1,4 @@
-"""JSON file formats for channels and tomography experiments.
+"""JSON file formats for channels, tomography experiments and tomography results.
 
 Complex entries are stored as [re, im] pairs in row-major nested arrays.
 Floats go through Python's shortest round-trip repr, so
@@ -14,7 +14,14 @@ from typing import Any
 import numpy as np
 
 from .channels import ChoiMatrix, KrausSet, StinespringModel
-from .tomography import EXACT, MaxEntangled, SchmidtInput, TomographyConfig
+from .tomography import (
+    EXACT,
+    SAMPLER_VERSION,
+    MaxEntangled,
+    SchmidtInput,
+    TomographyConfig,
+    TomographyResult,
+)
 
 FORMAT_VERSION = 1
 
@@ -120,6 +127,12 @@ def _parse_dims(doc: dict, context: str) -> tuple[int, int]:
     return dims[0], dims[1]
 
 
+def _check_version(doc: dict, context: str) -> None:
+    version = _require(doc, "format_version", context)
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise FileFormatError(f"{context}: unsupported format_version {version!r}")
+
+
 def doc_to_channel(doc: dict) -> ChannelObject:
     """Parse a channel-file document into a channel object.
 
@@ -127,9 +140,7 @@ def doc_to_channel(doc: dict) -> ChannelObject:
     representation's own invariants (non-Hermitian Choi, non-unitary
     interaction, bad shapes) surface as ValueError from the constructors.
     """
-    version = _require(doc, "format_version", "channel file")
-    if version != FORMAT_VERSION:
-        raise FileFormatError(f"channel file: unsupported format_version {version!r}")
+    _check_version(doc, "channel file")
     n1, n2 = _parse_dims(doc, "channel file")
     representation = _require(doc, "representation", "channel file")
     payload = _require(doc, "payload", "channel file")
@@ -258,10 +269,37 @@ def parse_experiment_config(doc: dict) -> TomographyConfig:
     )
 
 
-def parse_experiment(doc: dict) -> tuple[ChannelObject | ZooSpec, TomographyConfig]:
-    """Parse an experiment document into its channel and run configuration."""
-    channel = parse_experiment_channel(_require(doc, "channel", "experiment"))
-    return channel, parse_experiment_config(doc)
+def result_to_doc(result: TomographyResult, config: TomographyConfig) -> dict:
+    """Serialize a tomography run to a result-file document."""
+    choi = result.estimated_choi
+    eigenvalues = np.linalg.eigvalsh(choi.matrix)[::-1]
+    return {
+        "format_version": FORMAT_VERSION,
+        "dims": [choi.input_dim, choi.output_dim],
+        "estimated_choi": matrix_to_payload(choi.matrix),
+        "choi_eigenvalues": [float(v) for v in eigenvalues],
+        "kraus": [matrix_to_payload(op) for op in result.kraus.operators],
+        "negativity_removed": result.negativity_removed,
+        "success_trace": result.success_trace,
+        "shots_used": result.shots_used,
+        "shots": "exact" if config.shots is EXACT else config.shots,
+        "seed": config.seed,
+        "sampler": SAMPLER_VERSION,
+    }
+
+
+def doc_to_result_kraus(doc: dict) -> KrausSet:
+    """Parse a result-file document into its reconstructed Kraus set.
+
+    The other fields are diagnostics of the run and are not read back.
+    """
+    _check_version(doc, "result file")
+    n1, n2 = _parse_dims(doc, "result file")
+    ops = _require(doc, "kraus", "result file")
+    if not isinstance(ops, list) or not ops:
+        raise FileFormatError("result file: kraus must be a non-empty list")
+    matrices = [payload_to_matrix(op, f"kraus[{k}]") for k, op in enumerate(ops)]
+    return KrausSet(n1, n2, tuple(matrices))
 
 
 def dump_document(doc: dict) -> str:

@@ -21,18 +21,22 @@ from .channels import (
     KrausSet,
     StinespringModel,
     _normalize_seed,
-    apply_kraus,
-    apply_stinespring,
     choi_to_kraus,
     kraus_to_choi,
+    stinespring_to_choi,
 )
-from .linalg import hermitian_eig, hermiticity_deviation, tensor_product
+from .linalg import (
+    HERMITICITY_TOL,
+    PSD_TOL,
+    UNITARITY_TOL,
+    hermitian_eig,
+    hermiticity_deviation,
+    tensor_product,
+)
 
 EXACT = None  # shot-budget sentinel: infinite-shot idealization
-PSD_TOL = 1e-8
 MIN_SCHMIDT_COEFFICIENT = 1e-6
-UNITARITY_TOL = 1e-10
-SAMPLER_VERSION = 2  # bumped whenever the fixed-seed sampling stream changes
+SAMPLER_VERSION = 3  # bumped whenever the fixed-seed sampling stream changes
 
 
 class NotMaximumSchmidtError(ValueError):
@@ -57,36 +61,43 @@ class OpaqueChannel:
     evaluator: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
-    def from_apply_fn(
-        cls,
-        apply_fn: Callable[[np.ndarray], np.ndarray],
-        input_dim: int,
-        output_dim: int,
-    ) -> "OpaqueChannel":
-        """Wrap a density-matrix map into a blockwise (identity tensor E) evaluator."""
-
-        def evaluator(bipartite: np.ndarray) -> np.ndarray:
-            n1, n2 = input_dim, output_dim
-            out = np.zeros((n1 * n2, n1 * n2), dtype=complex)
-            for i in range(n1):
-                for j in range(n1):
-                    block = bipartite[i * n1 : (i + 1) * n1, j * n1 : (j + 1) * n1]
-                    out[i * n2 : (i + 1) * n2, j * n2 : (j + 1) * n2] = apply_fn(block)
-            return out
-
-        return cls(input_dim, output_dim, evaluator)
-
-    @classmethod
     def from_kraus(cls, kraus: KrausSet) -> "OpaqueChannel":
-        return cls.from_apply_fn(
-            lambda m: apply_kraus(kraus, m), kraus.input_dim, kraus.output_dim
+        return cls(
+            kraus.input_dim, kraus.output_dim, _choi_evaluator(lambda: kraus_to_choi(kraus))
         )
 
     @classmethod
     def from_stinespring(cls, model: StinespringModel) -> "OpaqueChannel":
-        return cls.from_apply_fn(
-            lambda m: apply_stinespring(model, m), model.system_dim, model.output_dim
+        return cls(
+            model.system_dim,
+            model.output_dim,
+            _choi_evaluator(lambda: stinespring_to_choi(model)),
         )
+
+
+def _choi_evaluator(make_choi: Callable[[], ChoiMatrix]) -> Callable[[np.ndarray], np.ndarray]:
+    """Evaluator out[i o, j p] = sum_ab rho[i a, j b] J[a o, b p].
+
+    One matrix product of the realigned input, rows (i, j) and columns
+    (a, b), with the realigned Choi matrix, rows (a, b) and columns (o, p).
+    The Choi matrix is built by ``make_choi`` inside each call, so wrapping
+    a channel costs nothing until it is used.
+    """
+
+    def evaluator(bipartite: np.ndarray) -> np.ndarray:
+        choi = make_choi()
+        n1, n2 = choi.input_dim, choi.output_dim
+        rho = np.asarray(bipartite, dtype=complex)
+        if rho.shape != (n1 * n1, n1 * n1):
+            raise ValueError(
+                f"bipartite input has shape {rho.shape}, expected {(n1 * n1, n1 * n1)}"
+            )
+        rho_r = rho.reshape(n1, n1, n1, n1).transpose(0, 2, 1, 3).reshape(n1 * n1, -1)
+        j_r = choi.matrix.reshape(n1, n2, n1, n2).transpose(0, 2, 1, 3).reshape(n1 * n1, -1)
+        out = (rho_r @ j_r).reshape(n1, n1, n2, n2).transpose(0, 2, 1, 3)
+        return out.reshape(n1 * n2, n1 * n2)
+
+    return evaluator
 
 
 @dataclass(frozen=True)
@@ -96,7 +107,14 @@ class MaxEntangled:
 
 @dataclass(frozen=True, eq=False)
 class SchmidtInput:
-    """Generalized input sum_i alpha_i (U|i>) tensor (V|i>)."""
+    """Generalized input sum_i alpha_i (U|i>) tensor (V|i>).
+
+    Construction checks everything the recipe needs of the input: every
+    coefficient strictly positive (maximum Schmidt number), squared
+    coefficients summing to one, both bases unitary, and every coefficient
+    at least ``MIN_SCHMIDT_COEFFICIENT`` so that block rescaling stays
+    stable. A bad input therefore fails before the channel is used.
+    """
 
     alphas: np.ndarray
     left_unitary: np.ndarray
@@ -104,14 +122,26 @@ class SchmidtInput:
 
     def __post_init__(self):
         a = np.asarray(self.alphas, dtype=float).copy()
-        if a.ndim != 1 or a.size < 2:
-            raise ValueError("alphas must be a vector of at least two coefficients")
+        if a.ndim != 1 or a.size < 2 or not np.all(np.isfinite(a)):
+            raise ValueError("alphas must be a finite vector of at least two coefficients")
+        if np.any(a <= 0.0):
+            raise NotMaximumSchmidtError(
+                "not maximum Schmidt number: all coefficients must be strictly positive"
+            )
+        if abs(float(np.sum(a**2)) - 1.0) > 1e-10:
+            raise ValueError("squared Schmidt coefficients must sum to 1")
+        n = a.size
         u = np.asarray(self.left_unitary, dtype=complex).copy()
         v = np.asarray(self.right_unitary, dtype=complex).copy()
-        n = a.size
-        if u.shape != (n, n) or v.shape != (n, n):
-            raise ValueError(
-                f"unitaries must be {n}x{n} to match {n} Schmidt coefficients"
+        for label, mat in (("left", u), ("right", v)):
+            if mat.shape != (n, n):
+                raise ValueError(f"{label} unitary has shape {mat.shape}, expected {(n, n)}")
+            if not np.allclose(mat.conj().T @ mat, np.eye(n), rtol=0.0, atol=UNITARITY_TOL):
+                raise ValueError(f"{label} basis matrix is not unitary to 1e-10")
+        if np.any(a < MIN_SCHMIDT_COEFFICIENT):
+            raise SchmidtConditioningError(
+                f"schmidt coefficient below {MIN_SCHMIDT_COEFFICIENT:g}: "
+                "block rescaling would amplify noise unboundedly"
             )
         for arr in (a, u, v):
             arr.setflags(write=False)
@@ -175,33 +205,9 @@ def prepare_max_entangled(dim: int) -> np.ndarray:
     return v
 
 
-def prepare_schmidt_input(alphas, left_unitary, right_unitary) -> np.ndarray:
-    """Unit vector sum_i alpha_i (U|i>) tensor (V|i>).
-
-    Every coefficient must be strictly positive (maximum Schmidt number) and
-    the squared coefficients must sum to one.
-    """
-    a = np.asarray(alphas, dtype=float)
-    if a.ndim != 1 or a.size < 2:
-        raise ValueError("alphas must be a vector of at least two coefficients")
-    if np.any(a <= 0.0):
-        raise NotMaximumSchmidtError(
-            "not maximum Schmidt number: all coefficients must be strictly positive"
-        )
-    if abs(float(np.sum(a**2)) - 1.0) > 1e-10:
-        raise ValueError("squared Schmidt coefficients must sum to 1")
-    n = a.size
-    u = np.asarray(left_unitary, dtype=complex)
-    v = np.asarray(right_unitary, dtype=complex)
-    for label, mat in (("left", u), ("right", v)):
-        if mat.shape != (n, n):
-            raise ValueError(f"{label} unitary has shape {mat.shape}, expected {(n, n)}")
-        if np.max(np.abs(mat.conj().T @ mat - np.eye(n))) > UNITARITY_TOL:
-            raise ValueError(f"{label} basis matrix is not unitary to 1e-10")
-    state = np.zeros(n * n, dtype=complex)
-    for i in range(n):
-        state += a[i] * np.kron(u[:, i], v[:, i])
-    return state
+def prepare_schmidt_input(spec: SchmidtInput) -> np.ndarray:
+    """Unit vector sum_i alpha_i (U|i>) tensor (V|i>)."""
+    return ((spec.left_unitary * spec.alphas) @ spec.right_unitary.T).reshape(-1)
 
 
 def joint_output_state(channel: OpaqueChannel, input_vector) -> np.ndarray:
@@ -241,7 +247,7 @@ def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"state must be a square matrix, got shape {rho.shape}")
-    if hermiticity_deviation(rho) > PSD_TOL:
+    if hermiticity_deviation(rho) > HERMITICITY_TOL:
         raise ValueError("state estimate input is not Hermitian to 1e-8")
     eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
     if eigs[0] < -PSD_TOL:
@@ -304,7 +310,7 @@ def project_to_psd(m) -> tuple[np.ndarray, float]:
 
     Returns the projected matrix and the total magnitude that was clipped.
     """
-    eig = hermitian_eig(m, tol=PSD_TOL)
+    eig = hermitian_eig(m)
     w = eig.eigenvalues
     clipped_mass = float(-np.sum(w[w < 0.0])) if np.any(w < 0.0) else 0.0
     v = eig.eigenvectors
@@ -322,68 +328,46 @@ def default_kraus_threshold(shots: int | None, input_dim: int) -> float:
 
 def reconstruct_from_max_entangled(
     rho_est, input_dim: int, output_dim: int, threshold: float = KRAUS_DROP_THRESHOLD
-) -> tuple[ChoiMatrix, KrausSet]:
+) -> KrausSet:
     """Rescale a joint-state estimate by n1 and extract Kraus operators.
 
     `rho_est` is the (optionally positivity-projected) estimate of the joint
-    output for the maximally entangled input. Returns the full rescaled Choi
-    matrix and the Kraus set extracted above `threshold`.
+    output for the maximally entangled input. Returns the Kraus set extracted
+    above `threshold` from the rescaled Choi matrix.
     """
     rho_est = np.asarray(rho_est, dtype=complex)
     choi = ChoiMatrix(input_dim, output_dim, input_dim * rho_est)
-    return choi, choi_to_kraus(choi, drop_threshold=threshold)
+    return choi_to_kraus(choi, drop_threshold=threshold)
 
 
 def reconstruct_from_schmidt(
     rho_est,
-    alphas,
-    left_unitary,
-    right_unitary,
+    spec: SchmidtInput,
     output_dim: int,
     threshold: float = KRAUS_DROP_THRESHOLD,
-) -> tuple[ChoiMatrix, KrausSet]:
+) -> KrausSet:
     """Reconstruct from the joint output of a general maximum-Schmidt input.
 
     Rotates the estimate by (U^dagger tensor I), divides block (i, j) by
     alpha_i alpha_j, eigendecomposes to intermediate operators, and returns
-    the channel's Kraus operators as (intermediate)V^dagger together with the
-    matching full Choi matrix.
+    the channel's Kraus operators as (intermediate)V^dagger.
     """
-    a = np.asarray(alphas, dtype=float)
-    if a.ndim != 1 or a.size < 2:
-        raise ValueError("alphas must be a vector of at least two coefficients")
-    if np.any(a <= 0.0):
-        raise NotMaximumSchmidtError(
-            "not maximum Schmidt number: all coefficients must be strictly positive"
-        )
-    if np.any(a < MIN_SCHMIDT_COEFFICIENT):
-        raise SchmidtConditioningError(
-            f"schmidt coefficient below {MIN_SCHMIDT_COEFFICIENT:g}: "
-            "block rescaling would amplify noise unboundedly"
-        )
-    n1 = a.size
+    n1 = spec.alphas.size
     n2 = int(output_dim)
-    u = np.asarray(left_unitary, dtype=complex)
-    v = np.asarray(right_unitary, dtype=complex)
     rho_est = np.asarray(rho_est, dtype=complex)
     d = n1 * n2
     if rho_est.shape != (d, d):
         raise ValueError(f"estimate has shape {rho_est.shape}, expected {(d, d)}")
 
+    u = spec.left_unitary
     eye_out = np.eye(n2)
     rotated = tensor_product(u.conj().T, eye_out) @ rho_est @ tensor_product(u, eye_out)
-    inverse = 1.0 / a
+    inverse = 1.0 / spec.alphas
     rotated = rotated * tensor_product(np.outer(inverse, inverse), np.ones((n2, n2)))
 
-    choi_rotated = ChoiMatrix(n1, n2, rotated)
-    intermediate = choi_to_kraus(choi_rotated, drop_threshold=threshold)
-    operators = tuple(op @ v.conj().T for op in intermediate.operators)
-    kraus = KrausSet(n1, n2, operators)
-
-    # undo the right-basis rotation on the Choi matrix itself
-    unrotate = tensor_product(v.conj(), eye_out)
-    choi = ChoiMatrix(n1, n2, unrotate @ rotated @ unrotate.conj().T)
-    return choi, kraus
+    intermediate = choi_to_kraus(ChoiMatrix(n1, n2, rotated), drop_threshold=threshold)
+    v_dag = spec.right_unitary.conj().T
+    return KrausSet(n1, n2, tuple(op @ v_dag for op in intermediate.operators))
 
 
 def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> TomographyResult:
@@ -398,9 +382,7 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
             raise ValueError(
                 f"schmidt input has {spec.alphas.size} coefficients, channel needs {n1}"
             )
-        input_vector = prepare_schmidt_input(
-            spec.alphas, spec.left_unitary, spec.right_unitary
-        )
+        input_vector = prepare_schmidt_input(spec)
     else:
         input_vector = prepare_max_entangled(n1)
 
@@ -418,12 +400,9 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
         else default_kraus_threshold(config.shots, n1)
     )
     if isinstance(config.input_kind, SchmidtInput):
-        spec = config.input_kind
-        _, kraus = reconstruct_from_schmidt(
-            working, spec.alphas, spec.left_unitary, spec.right_unitary, n2, threshold
-        )
+        kraus = reconstruct_from_schmidt(working, config.input_kind, n2, threshold)
     else:
-        _, kraus = reconstruct_from_max_entangled(working, n1, n2, threshold)
+        kraus = reconstruct_from_max_entangled(working, n1, n2, threshold)
 
     shots_used = 0 if config.shots is EXACT else int(config.shots) * (n1 * n2) ** 2
     return TomographyResult(

@@ -18,11 +18,6 @@ def random_density(dim, rng):
     return rho / np.trace(rho).real
 
 
-def random_unit_vector(dim, rng):
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
 def hermitian_operator_basis(dim):
     """Dense reference basis for the state-tomography sampler.
 

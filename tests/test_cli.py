@@ -264,6 +264,14 @@ class TestTomograph:
         result = json.loads(out)
         assert result["success_trace"] == pytest.approx(1.0)
 
+    def test_non_cp_embedded_choi_exits_3_with_eigenvalue(self, tmp_path, capsys):
+        j = ChoiMatrix(2, 2, np.diag([1.0, 1.0, 1.0, -0.1]).astype(complex))
+        exp = write_doc(tmp_path / "exp.json", experiment_doc(channel_to_doc(j)))
+        code, out, err = run(capsys, ["tomograph", exp])
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["min_choi_eigenvalue"] == pytest.approx(-0.1)
+
     def test_trace_decreasing_reports_success_trace(self, tmp_path, capsys):
         exp = write_doc(
             tmp_path / "exp.json",
@@ -325,6 +333,25 @@ class TestCompare:
         assert result["process_fidelity"] is None
         assert result["equivalent"] is True
 
+    @pytest.mark.parametrize(
+        "field,value", [("dims", [True, 2]), ("format_version", 99)]
+    )
+    def test_malformed_result_file_exits_2(self, tmp_path, capsys, field, value):
+        exp = write_doc(
+            tmp_path / "exp.json",
+            experiment_doc({"name": "identity", "params": [], "dims": [2, 2]}),
+        )
+        result_file = tmp_path / "result.json"
+        assert main(["tomograph", exp, "--output", str(result_file)]) == 0
+        capsys.readouterr()
+        doc = json.loads(result_file.read_text())
+        doc[field] = value
+        bad = write_doc(tmp_path / "bad.json", doc)
+        code, out, err = run(capsys, ["compare", bad, bad])
+        assert code == 2
+        assert out == ""
+        assert field in json.loads(err)["error"]
+
     def test_tol_flag(self, tmp_path, capsys):
         a = write_channel(tmp_path / "a.json", zoo_channel("amplitude_damping", [0.5]))
         b = write_channel(tmp_path / "b.json", zoo_channel("amplitude_damping", [0.500001]))
@@ -384,11 +411,15 @@ class TestResources:
 
 
 class TestGlobalFlags:
-    def test_seed_flag_accepted_everywhere(self, tmp_path, capsys):
+    def test_flags_belong_to_their_subcommand(self, tmp_path, capsys):
         src = write_channel(tmp_path / "id.json", KrausSet(2, 2, (I2,)))
-        assert main(["check", src, "--seed", "7"]) == 0
-        assert main(["resources", "--dims", "2", "2", "--seed", "7"]) == 0
-        assert main(["zoo", "--name", "identity", "--seed", "7"]) == 0
+        for argv in (
+            ["check", src, "--seed", "7"],
+            ["zoo", "--name", "identity", "--format", "json"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
         capsys.readouterr()
 
     def test_installed_entry_point_runs(self, tmp_path):

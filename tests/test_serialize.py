@@ -10,13 +10,24 @@ from choiforge.serialize import (
     ZooSpec,
     channel_to_doc,
     doc_to_channel,
+    doc_to_result_kraus,
     dump_document,
     load_document,
     matrix_to_payload,
-    parse_experiment,
+    parse_experiment_channel,
+    parse_experiment_config,
     payload_to_matrix,
+    result_to_doc,
 )
-from choiforge.tomography import EXACT, MaxEntangled, SchmidtInput
+from choiforge.tomography import (
+    EXACT,
+    SAMPLER_VERSION,
+    MaxEntangled,
+    OpaqueChannel,
+    SchmidtInput,
+    TomographyConfig,
+    run_tomography,
+)
 
 
 AWKWARD_VALUES = np.array(
@@ -115,7 +126,8 @@ class TestExperimentFiles:
             "channel": {"name": "depolarizing", "params": [0.3], "dims": [2, 2]},
             "config": {"shots": "exact", "seed": 7},
         }
-        channel, config = parse_experiment(doc)
+        channel = parse_experiment_channel(doc["channel"])
+        config = parse_experiment_config(doc)
         assert channel == ZooSpec("depolarizing", (0.3,), 2, 2)
         assert config.shots is EXACT
         assert config.seed == 7
@@ -127,7 +139,8 @@ class TestExperimentFiles:
             "channel": channel_to_doc(zoo_channel("amplitude_damping", [0.5])),
             "config": {"shots": 1000, "seed": 1, "kraus_threshold": 0.05},
         }
-        channel, config = parse_experiment(doc)
+        channel = parse_experiment_channel(doc["channel"])
+        config = parse_experiment_config(doc)
         assert isinstance(channel, KrausSet)
         assert config.shots == 1000
         assert config.kraus_threshold == 0.05
@@ -147,7 +160,7 @@ class TestExperimentFiles:
                 },
             },
         }
-        _, config = parse_experiment(doc)
+        config = parse_experiment_config(doc)
         assert isinstance(config.input_kind, SchmidtInput)
         assert np.allclose(config.input_kind.alphas, [0.8, 0.6])
 
@@ -157,7 +170,7 @@ class TestExperimentFiles:
             "config": {"shots": "many"},
         }
         with pytest.raises(FileFormatError, match="shots"):
-            parse_experiment(doc)
+            parse_experiment_config(doc)
 
     def test_negative_shots_is_config_error(self):
         doc = {
@@ -165,7 +178,45 @@ class TestExperimentFiles:
             "config": {"shots": -4},
         }
         with pytest.raises(ValueError, match="positive integer"):
-            parse_experiment(doc)
+            parse_experiment_config(doc)
+
+
+class TestResultFiles:
+    def run_result(self):
+        truth = zoo_channel("amplitude_damping", [0.3])
+        config = TomographyConfig(shots=5000, seed=3)
+        return run_tomography(OpaqueChannel.from_kraus(truth), config), config
+
+    def test_roundtrip_preserves_choi(self):
+        result, config = self.run_result()
+        doc = load_document(dump_document(result_to_doc(result, config)))
+        assert doc["sampler"] == SAMPLER_VERSION
+        kraus = doc_to_result_kraus(doc)
+        assert np.array_equal(kraus_to_choi(kraus).matrix, result.estimated_choi.matrix)
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("dims", [True, 2], "dims"),
+            ("dims", [2], "dims"),
+            ("format_version", 99, "format_version"),
+            ("format_version", True, "format_version"),
+            ("kraus", [], "kraus"),
+        ],
+    )
+    def test_malformed_field_rejected(self, field, value, message):
+        result, config = self.run_result()
+        doc = result_to_doc(result, config)
+        doc[field] = value
+        with pytest.raises(FileFormatError, match=message):
+            doc_to_result_kraus(doc)
+
+    def test_missing_kraus_named(self):
+        result, config = self.run_result()
+        doc = result_to_doc(result, config)
+        del doc["kraus"]
+        with pytest.raises(FileFormatError, match="kraus"):
+            doc_to_result_kraus(doc)
 
 
 class TestDocumentIo:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import hermitian_operator_basis, random_density
+from conftest import hermitian_operator_basis, random_complex_matrix, random_density
 from choiforge.channels import (
     KrausSet,
+    StinespringModel,
+    apply_kraus,
+    apply_stinespring,
     check_cp_tp,
     haar_random_unitary,
     kraus_equivalent,
@@ -11,7 +14,7 @@ from choiforge.channels import (
     random_cptp,
     zoo_channel,
 )
-from choiforge.linalg import NotHermitianError, frobenius_distance, schmidt_decompose
+from choiforge.linalg import NotHermitianError, frobenius_distance
 from choiforge.tomography import (
     EXACT,
     NotMaximumSchmidtError,
@@ -35,6 +38,31 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 PHI = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
+def blockwise_image(apply_fn, bipartite, n1, n2):
+    """(identity tensor E) by its definition: block (i, j) is E of input block (i, j)."""
+    out = np.zeros((n1 * n2, n1 * n2), dtype=complex)
+    for i in range(n1):
+        for j in range(n1):
+            block = bipartite[i * n1 : (i + 1) * n1, j * n1 : (j + 1) * n1]
+            out[i * n2 : (i + 1) * n2, j * n2 : (j + 1) * n2] = apply_fn(block)
+    return out
+
+
+def random_stinespring(rng):
+    """2 -> 3 model: Haar interaction, mixed ancilla, rank-one post-selection."""
+    w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    w /= np.linalg.norm(w)
+    return StinespringModel(
+        system_dim=2,
+        ancilla_dim=3,
+        output_dim=3,
+        trace_dim=2,
+        unitary=haar_random_unitary(6, rng),
+        ancilla_state=random_density(3, rng),
+        projector=np.outer(w, w.conj()),
+    )
+
+
 class TestPrepare:
     def test_max_entangled_qubit(self):
         assert np.allclose(prepare_max_entangled(2), PHI)
@@ -55,11 +83,11 @@ class TestPrepare:
 
     def test_uniform_schmidt_equals_max_entangled(self):
         alphas = np.full(3, 1 / np.sqrt(3))
-        v = prepare_schmidt_input(alphas, np.eye(3), np.eye(3))
+        v = prepare_schmidt_input(SchmidtInput(alphas, np.eye(3), np.eye(3)))
         assert np.allclose(v, prepare_max_entangled(3), atol=1e-12)
 
     def test_schmidt_identity_bases(self):
-        v = prepare_schmidt_input([0.8, 0.6], I2, I2)
+        v = prepare_schmidt_input(SchmidtInput([0.8, 0.6], I2, I2))
         assert np.allclose(v, [0.8, 0, 0, 0.6])
 
     def test_schmidt_decompose_inverts_preparation(self):
@@ -67,21 +95,28 @@ class TestPrepare:
         alphas = np.array([0.9, np.sqrt(1 - 0.81)])
         u = haar_random_unitary(2, rng)
         w = haar_random_unitary(2, rng)
-        v = prepare_schmidt_input(alphas, u, w)
-        dec = schmidt_decompose(v, 2, 2)
-        assert np.allclose(dec.coefficients, alphas, atol=1e-9)
+        v = prepare_schmidt_input(SchmidtInput(alphas, u, w))
+        left, coefficients, right_h = np.linalg.svd(v.reshape(2, 2))
+        assert np.allclose(coefficients, alphas, atol=1e-9)
+        assert np.allclose((left * coefficients) @ right_h, v.reshape(2, 2), atol=1e-12)
 
     def test_nonpositive_coefficient_rejected(self):
         with pytest.raises(NotMaximumSchmidtError, match="maximum Schmidt number"):
-            prepare_schmidt_input([1.0, 0.0], I2, I2)
+            SchmidtInput([1.0, 0.0], I2, I2)
 
     def test_unnormalized_coefficients_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            prepare_schmidt_input([0.8, 0.7], I2, I2)
+            SchmidtInput([0.8, 0.7], I2, I2)
 
     def test_non_unitary_basis_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
-            prepare_schmidt_input([0.8, 0.6], 2 * I2, I2)
+            SchmidtInput([0.8, 0.6], 2 * I2, I2)
+        with pytest.raises(ValueError, match="unitary"):
+            SchmidtInput([0.8, 0.6], I2, np.full((2, 2), np.nan))
+
+    def test_non_finite_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            SchmidtInput([np.nan, 0.6], I2, I2)
 
 
 class TestJointOutputState:
@@ -101,17 +136,20 @@ class TestJointOutputState:
         assert np.trace(out).real == pytest.approx(0.5)
 
     def test_blockwise_application_matches_direct(self):
-        k = random_cptp(2, 3, 2, seed=5)
-        ch = OpaqueChannel.from_kraus(k)
-        out = joint_output_state(ch, PHI)
-        rho_in = np.outer(PHI, PHI.conj())
-        from choiforge.channels import apply_kraus
-
-        for i in range(2):
-            for j in range(2):
-                block_in = rho_in[i * 2 : (i + 1) * 2, j * 2 : (j + 1) * 2]
-                block_out = out[i * 3 : (i + 1) * 3, j * 3 : (j + 1) * 3]
-                assert frobenius_distance(block_out, apply_kraus(k, block_in)) < 1e-13
+        rng = np.random.default_rng(5)
+        cases = [
+            (OpaqueChannel.from_kraus(k), lambda m, k=k: apply_kraus(k, m))
+            for k in (random_cptp(2, 3, 2, seed=5), random_cptp(3, 2, 4, seed=6))
+        ]
+        model = random_stinespring(rng)
+        cases.append((OpaqueChannel.from_stinespring(model), lambda m: apply_stinespring(model, m)))
+        for channel, apply_fn in cases:
+            n1, n2 = channel.input_dim, channel.output_dim
+            for _ in range(5):
+                bipartite = random_complex_matrix(n1 * n1, n1 * n1, rng)
+                expected = blockwise_image(apply_fn, bipartite, n1, n2)
+                out = channel.evaluator(bipartite)
+                assert frobenius_distance(out, expected) < 1e-12 * np.linalg.norm(expected)
 
     def test_evaluator_shape_mismatch_detected(self):
         bad = OpaqueChannel(2, 2, lambda m: np.eye(3))
@@ -298,13 +336,15 @@ class TestThresholdDefaults:
 
 class TestReconstructMaxEntangled:
     def test_identity_joint_state(self):
-        choi, kraus = reconstruct_from_max_entangled(np.outer(PHI, PHI.conj()), 2, 2)
+        kraus = reconstruct_from_max_entangled(np.outer(PHI, PHI.conj()), 2, 2)
+        choi = kraus_to_choi(kraus)
         assert frobenius_distance(choi.matrix, 2 * np.outer(PHI, PHI.conj())) < 1e-12
         assert len(kraus.operators) == 1
         assert kraus_equivalent(kraus, KrausSet(2, 2, (I2,)), 1e-9)
 
     def test_maximally_mixed_joint_state(self):
-        choi, kraus = reconstruct_from_max_entangled(np.eye(4) / 4, 2, 2)
+        kraus = reconstruct_from_max_entangled(np.eye(4) / 4, 2, 2)
+        choi = kraus_to_choi(kraus)
         assert frobenius_distance(choi.matrix, np.eye(4) / 2) < 1e-12
         assert len(kraus.operators) == 4
         assert kraus_equivalent(kraus, zoo_channel("depolarizing", [1.0]), 1e-9)
@@ -312,7 +352,7 @@ class TestReconstructMaxEntangled:
     def test_amplitude_damping_end_to_end_exact(self):
         truth = zoo_channel("amplitude_damping", [0.5])
         rho_out = joint_output_state(OpaqueChannel.from_kraus(truth), PHI)
-        _, kraus = reconstruct_from_max_entangled(rho_out, 2, 2)
+        kraus = reconstruct_from_max_entangled(rho_out, 2, 2)
         assert kraus_equivalent(kraus, truth, 1e-9)
 
 
@@ -320,17 +360,16 @@ class TestReconstructSchmidt:
     def test_uniform_alphas_reduce_to_max_entangled(self):
         truth = zoo_channel("amplitude_damping", [0.4])
         rho_out = joint_output_state(OpaqueChannel.from_kraus(truth), PHI)
-        alphas = np.full(2, 1 / np.sqrt(2))
-        choi_s, kraus_s = reconstruct_from_schmidt(rho_out, alphas, I2, I2, 2)
-        choi_m, kraus_m = reconstruct_from_max_entangled(rho_out, 2, 2)
-        assert frobenius_distance(choi_s.matrix, choi_m.matrix) < 1e-10
+        spec = SchmidtInput(np.full(2, 1 / np.sqrt(2)), I2, I2)
+        kraus_s = reconstruct_from_schmidt(rho_out, spec, 2)
+        kraus_m = reconstruct_from_max_entangled(rho_out, 2, 2)
         assert kraus_equivalent(kraus_s, kraus_m, 1e-10)
 
     def test_identity_channel_skewed_alphas(self):
         ch = OpaqueChannel.from_kraus(KrausSet(2, 2, (I2,)))
-        state = prepare_schmidt_input([0.8, 0.6], I2, I2)
-        rho_out = joint_output_state(ch, state)
-        _, kraus = reconstruct_from_schmidt(rho_out, [0.8, 0.6], I2, I2, 2)
+        spec = SchmidtInput([0.8, 0.6], I2, I2)
+        rho_out = joint_output_state(ch, prepare_schmidt_input(spec))
+        kraus = reconstruct_from_schmidt(rho_out, spec, 2)
         assert len(kraus.operators) == 1
         assert kraus_equivalent(kraus, KrausSet(2, 2, (I2,)), 1e-9)
 
@@ -340,19 +379,25 @@ class TestReconstructSchmidt:
         w = haar_random_unitary(2, rng)
         truth = zoo_channel("amplitude_damping", [0.3])
         ch = OpaqueChannel.from_kraus(truth)
-        state = prepare_schmidt_input([0.8, 0.6], u, w)
-        rho_out = joint_output_state(ch, state)
-        _, kraus = reconstruct_from_schmidt(rho_out, [0.8, 0.6], u, w, 2)
+        spec = SchmidtInput([0.8, 0.6], u, w)
+        rho_out = joint_output_state(ch, prepare_schmidt_input(spec))
+        kraus = reconstruct_from_schmidt(rho_out, spec, 2)
         assert kraus_equivalent(kraus, truth, 1e-8)
 
     def test_tiny_coefficient_raises_conditioning_error(self):
+        calls = []
+        base = OpaqueChannel.from_kraus(KrausSet(2, 2, (I2,)))
+        ch = OpaqueChannel(2, 2, lambda rho: calls.append(1) or base.evaluator(rho))
         alphas = np.array([np.sqrt(1 - 1e-14), 1e-7])
         with pytest.raises(SchmidtConditioningError, match="rescaling"):
-            reconstruct_from_schmidt(np.eye(4) / 4, alphas, I2, I2, 2)
+            run_tomography(ch, TomographyConfig(input_kind=SchmidtInput(alphas, I2, I2)))
+        assert calls == []
 
     def test_nonpositive_coefficient_rejected(self):
+        # a negative coefficient is also below the conditioning floor; the
+        # Schmidt-number error wins
         with pytest.raises(NotMaximumSchmidtError):
-            reconstruct_from_schmidt(np.eye(4) / 4, [1.0, 0.0], I2, I2, 2)
+            SchmidtInput([-0.8, 0.6], I2, I2)
 
 
 class TestRunTomography:

@@ -13,7 +13,6 @@ import numpy as np
 from choiforge.channels import check_cp_tp, kraus_to_choi, zoo_channel
 from choiforge.linalg import frobenius_distance
 from choiforge.tomography import (
-    MaxEntangled,
     OpaqueChannel,
     SchmidtInput,
     TomographyConfig,
@@ -72,7 +71,7 @@ def main():
             rng = np.random.default_rng(args.schmidt_seed)
             input_kind = schmidt_spec(dim, rng)
         else:
-            input_kind = MaxEntangled()
+            input_kind = None  # the maximally entangled input
         result = run_tomography(blackbox, TomographyConfig(input_kind=input_kind))
         distance = frobenius_distance(
             result.estimated_choi.matrix, kraus_to_choi(truth).matrix

@@ -23,6 +23,7 @@ from .linalg import (
     HERMITICITY_TOL,
     PSD_TOL,
     UNITARITY_TOL,
+    HermitianEigenDecomposition,
     NotHermitianError,
     frobenius_distance,
     hermitian_eig,
@@ -219,14 +220,30 @@ def kraus_to_choi(kraus: KrausSet) -> ChoiMatrix:
     return ChoiMatrix(kraus.input_dim, kraus.output_dim, v @ v.conj().T)
 
 
+def _eigen_operators(
+    eig: HermitianEigenDecomposition, input_dim: int, output_dim: int, threshold: float
+) -> np.ndarray:
+    """Operators from the eigenpairs of a Choi matrix, stacked as (k, n2, n1).
+
+    Each unit eigenvector with eigenvalue above `threshold` is scaled by
+    sqrt(eigenvalue) and its n1 segments of length n2 become the columns of
+    one operator. Eigenvalues at or below the threshold, negative ones
+    included, are dropped; if none is above it, one zero operator stands in.
+    """
+    keep = eig.eigenvalues > threshold
+    if not np.any(keep):
+        return np.zeros((1, output_dim, input_dim), dtype=complex)
+    scaled = eig.eigenvectors[:, keep] * np.sqrt(eig.eigenvalues[keep])
+    return scaled.T.reshape(-1, input_dim, output_dim).transpose(0, 2, 1)
+
+
 def choi_to_kraus(
     choi: ChoiMatrix, drop_threshold: float = KRAUS_DROP_THRESHOLD
 ) -> KrausSet:
     """Extract a canonical Kraus set from a Choi matrix.
 
-    Each unit eigenvector with eigenvalue above `drop_threshold` is scaled by
-    sqrt(eigenvalue) and its n1 segments of length n2 become the columns of
-    one operator. The result is trace-orthogonal,
+    One operator per eigenvalue above `drop_threshold` (see
+    ``_eigen_operators``). The result is trace-orthogonal,
     Tr(A_k^dagger A_l) = eigenvalue_k * delta_kl, and has at most n1*n2
     members; eigenvalues in [-1e-8, 0) are clipped to zero, anything lower
     raises ``NotCompletelyPositiveError``.
@@ -235,13 +252,7 @@ def choi_to_kraus(
     min_eig = float(eig.eigenvalues[-1])
     if min_eig < -PSD_TOL:
         raise NotCompletelyPositiveError(min_eig)
-    ops = []
-    for lam, vec in zip(eig.eigenvalues, eig.eigenvectors.T):
-        if lam > drop_threshold:
-            scaled = np.sqrt(lam) * vec
-            ops.append(scaled.reshape(choi.input_dim, choi.output_dim).T)
-    if not ops:
-        ops.append(np.zeros((choi.output_dim, choi.input_dim), dtype=complex))
+    ops = _eigen_operators(eig, choi.input_dim, choi.output_dim, drop_threshold)
     return KrausSet(choi.input_dim, choi.output_dim, tuple(ops))
 
 

@@ -42,9 +42,6 @@ from .serialize import (
     parse_experiment_config,
     result_to_doc,
 )
-
-# Not called here; kept as cli names so that perfbench/spans.py can trace them.
-from .serialize import matrix_to_payload, payload_to_matrix  # noqa: F401
 from .tomography import (
     NotMaximumSchmidtError,
     OpaqueChannel,
@@ -248,8 +245,18 @@ def cmd_resources(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 2 with the JSON diagnostic.
+
+    Subparsers are built from the same class, so this covers them too.
+    """
+
+    def error(self, message):
+        self.exit(_fail(EXIT_PARSE, f"{self.prog}: {message}"))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="choiforge",
         description=(
             "Quantum channel representations, conversions, and simulated "

@@ -17,7 +17,6 @@ from .channels import ChoiMatrix, KrausSet, StinespringModel
 from .tomography import (
     EXACT,
     SAMPLER_VERSION,
-    MaxEntangled,
     SchmidtInput,
     TomographyConfig,
     TomographyResult,
@@ -203,9 +202,9 @@ def parse_experiment_channel(doc: dict) -> ChannelObject | ZooSpec:
     )
 
 
-def _parse_input_kind(value: Any) -> MaxEntangled | SchmidtInput:
+def _parse_input_kind(value: Any) -> SchmidtInput | None:
     if value == "max_entangled":
-        return MaxEntangled()
+        return None
     if isinstance(value, dict) and value.get("kind") == "schmidt":
         alphas = _require(value, "alphas", "config.input_kind")
         if not isinstance(alphas, list) or not all(
@@ -228,15 +227,24 @@ def _parse_input_kind(value: Any) -> MaxEntangled | SchmidtInput:
     )
 
 
+_CONFIG_KEYS = ("shots", "seed", "input_kind", "kraus_threshold")
+
+
 def parse_experiment_config(doc: dict) -> TomographyConfig:
     """Parse the config part of an experiment document.
 
-    Structural problems raise FileFormatError; configuration values that
-    violate run invariants raise ValueError from TomographyConfig itself.
+    Structural problems, an unknown key among them, raise FileFormatError;
+    configuration values that violate run invariants raise ValueError from
+    TomographyConfig itself.
     """
     config_doc = _require(doc, "config", "experiment")
     if not isinstance(config_doc, dict):
         raise FileFormatError("experiment.config: expected an object")
+    unknown = [key for key in config_doc if key not in _CONFIG_KEYS]
+    if unknown:
+        raise FileFormatError(
+            f"config: unknown field {unknown[0]!r} (expected {', '.join(_CONFIG_KEYS)})"
+        )
 
     shots_value = config_doc.get("shots", "exact")
     if shots_value == "exact":
@@ -256,16 +264,11 @@ def parse_experiment_config(doc: dict) -> TomographyConfig:
     ):
         raise FileFormatError("config.kraus_threshold: expected a number or null")
 
-    psd_projection = config_doc.get("psd_projection", True)
-    if not isinstance(psd_projection, bool):
-        raise FileFormatError("config.psd_projection: expected a boolean")
-
     return TomographyConfig(
         shots=shots,
         seed=seed,
         input_kind=_parse_input_kind(config_doc.get("input_kind", "max_entangled")),
         kraus_threshold=None if threshold is None else float(threshold),
-        psd_projection=psd_projection,
     )
 
 

@@ -9,8 +9,9 @@ is an opaque evaluator; nothing here looks at its internals.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,8 +21,8 @@ from .channels import (
     ChoiMatrix,
     KrausSet,
     StinespringModel,
+    _eigen_operators,
     _normalize_seed,
-    choi_to_kraus,
     kraus_to_choi,
     stinespring_to_choi,
 )
@@ -31,12 +32,11 @@ from .linalg import (
     UNITARITY_TOL,
     hermitian_eig,
     hermiticity_deviation,
-    tensor_product,
 )
 
 EXACT = None  # shot-budget sentinel: infinite-shot idealization
 MIN_SCHMIDT_COEFFICIENT = 1e-6
-SAMPLER_VERSION = 3  # bumped whenever the fixed-seed sampling stream changes
+SAMPLER_VERSION = 4  # bumped whenever the fixed-seed sampling stream changes
 
 
 class NotMaximumSchmidtError(ValueError):
@@ -100,14 +100,12 @@ def _choi_evaluator(make_choi: Callable[[], ChoiMatrix]) -> Callable[[np.ndarray
     return evaluator
 
 
-@dataclass(frozen=True)
-class MaxEntangled:
-    """Marker: use the maximally entangled input state."""
-
-
 @dataclass(frozen=True, eq=False)
 class SchmidtInput:
     """Generalized input sum_i alpha_i (U|i>) tensor (V|i>).
+
+    The maximally entangled input is the uniform case, alpha_i = 1/sqrt(n)
+    with U = V = I.
 
     Construction checks everything the recipe needs of the input: every
     coefficient strictly positive (maximum Schmidt number), squared
@@ -123,7 +121,7 @@ class SchmidtInput:
     def __post_init__(self):
         a = np.asarray(self.alphas, dtype=float).copy()
         if a.ndim != 1 or a.size < 2 or not np.all(np.isfinite(a)):
-            raise ValueError("alphas must be a finite vector of at least two coefficients")
+            raise ValueError("a Schmidt input needs a finite vector of at least two coefficients")
         if np.any(a <= 0.0):
             raise NotMaximumSchmidtError(
                 "not maximum Schmidt number: all coefficients must be strictly positive"
@@ -152,27 +150,33 @@ class SchmidtInput:
 
 @dataclass(frozen=True, eq=False)
 class TomographyConfig:
-    """Run parameters: shot budget, seed, input state, reconstruction knobs.
+    """Run parameters: shot budget, seed, input state, eigenvalue cutoff.
 
-    ``shots=EXACT`` runs the infinite-shot idealization. ``kraus_threshold``
-    of None picks the mode-dependent default from
+    ``shots=EXACT`` runs the infinite-shot idealization. ``input_kind`` of
+    None, the default, is the maximally entangled input, which
+    ``run_tomography`` builds as the uniform ``SchmidtInput`` for the
+    channel's input dimension. ``kraus_threshold`` must be finite and
+    nonnegative; None picks the mode-dependent default from
     ``default_kraus_threshold``.
     """
 
     shots: int | None = EXACT
     seed: int = 0
-    input_kind: MaxEntangled | SchmidtInput = field(default_factory=MaxEntangled)
+    input_kind: SchmidtInput | None = None
     kraus_threshold: float | None = None
-    psd_projection: bool = True
 
     def __post_init__(self):
         if self.shots is not EXACT:
             if not isinstance(self.shots, (int, np.integer)) or self.shots < 1:
                 raise ValueError(f"shots must be a positive integer or EXACT, got {self.shots!r}")
-        if self.kraus_threshold is not None and self.kraus_threshold < 0:
-            raise ValueError(f"kraus_threshold must be nonnegative, got {self.kraus_threshold}")
-        if not isinstance(self.input_kind, (MaxEntangled, SchmidtInput)):
-            raise ValueError("input_kind must be MaxEntangled or SchmidtInput")
+        if self.kraus_threshold is not None and not (
+            math.isfinite(self.kraus_threshold) and self.kraus_threshold >= 0
+        ):
+            raise ValueError(
+                f"kraus_threshold must be finite and nonnegative, got {self.kraus_threshold}"
+            )
+        if self.input_kind is not None and not isinstance(self.input_kind, SchmidtInput):
+            raise ValueError("input_kind must be None (maximally entangled) or a SchmidtInput")
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,10 +185,12 @@ class TomographyResult:
 
     ``estimated_choi`` is reassembled from the returned Kraus set, so the two
     always agree exactly. ``raw_state_estimate`` is the joint-state estimate
-    before any positivity projection; ``negativity_removed`` is the total
-    magnitude of eigenvalues clipped by that projection. ``shots_used``
-    counts state preparations across all ensemble measurements (0 in EXACT
-    mode) and ``success_trace`` is the trace of the raw estimate, below 1 for
+    before any positivity step. ``negativity_removed`` is the total magnitude
+    of the negative eigenvalues clipped from the Choi estimate, the raw
+    estimate rescaled by the input's Schmidt coefficients (n1 times the raw
+    estimate for the maximally entangled input). ``shots_used`` counts state
+    preparations across all ensemble measurements (0 in EXACT mode) and
+    ``success_trace`` is the trace of the raw estimate, below 1 for
     trace-decreasing channels.
     """
 
@@ -194,15 +200,6 @@ class TomographyResult:
     negativity_removed: float
     shots_used: int
     success_trace: float
-
-
-def prepare_max_entangled(dim: int) -> np.ndarray:
-    """Unit vector (1/sqrt(dim)) sum_i |i> tensor |i>."""
-    if dim < 2:
-        raise ValueError(f"dimension must be at least 2, got {dim}")
-    v = np.zeros(dim * dim, dtype=complex)
-    v[:: dim + 1] = 1.0 / math.sqrt(dim)
-    return v
 
 
 def prepare_schmidt_input(spec: SchmidtInput) -> np.ndarray:
@@ -305,19 +302,6 @@ def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
     return estimate
 
 
-def project_to_psd(m) -> tuple[np.ndarray, float]:
-    """Clip negative eigenvalues to zero.
-
-    Returns the projected matrix and the total magnitude that was clipped.
-    """
-    eig = hermitian_eig(m)
-    w = eig.eigenvalues
-    clipped_mass = float(-np.sum(w[w < 0.0])) if np.any(w < 0.0) else 0.0
-    v = eig.eigenvectors
-    projected = (v * np.clip(w, 0.0, None)) @ v.conj().T
-    return projected, clipped_mass
-
-
 def default_kraus_threshold(shots: int | None, input_dim: int) -> float:
     """Eigenvalue cutoff: numerically-zero in EXACT mode, 3x the plug-in
     noise scale input_dim/sqrt(shots) otherwise."""
@@ -326,31 +310,21 @@ def default_kraus_threshold(shots: int | None, input_dim: int) -> float:
     return max(KRAUS_DROP_THRESHOLD, 3.0 * input_dim / math.sqrt(shots))
 
 
-def reconstruct_from_max_entangled(
-    rho_est, input_dim: int, output_dim: int, threshold: float = KRAUS_DROP_THRESHOLD
-) -> KrausSet:
-    """Rescale a joint-state estimate by n1 and extract Kraus operators.
-
-    `rho_est` is the (optionally positivity-projected) estimate of the joint
-    output for the maximally entangled input. Returns the Kraus set extracted
-    above `threshold` from the rescaled Choi matrix.
-    """
-    rho_est = np.asarray(rho_est, dtype=complex)
-    choi = ChoiMatrix(input_dim, output_dim, input_dim * rho_est)
-    return choi_to_kraus(choi, drop_threshold=threshold)
-
-
 def reconstruct_from_schmidt(
     rho_est,
     spec: SchmidtInput,
     output_dim: int,
     threshold: float = KRAUS_DROP_THRESHOLD,
-) -> KrausSet:
-    """Reconstruct from the joint output of a general maximum-Schmidt input.
+) -> tuple[KrausSet, float]:
+    """Kraus operators from the joint output of a maximum-Schmidt input.
 
-    Rotates the estimate by (U^dagger tensor I), divides block (i, j) by
-    alpha_i alpha_j, eigendecomposes to intermediate operators, and returns
-    the channel's Kraus operators as (intermediate)V^dagger.
+    With W = U diag(1/alpha), the Choi estimate is (W^dagger tensor I)
+    rho_est (W tensor I): the estimate rotated by U^dagger with block (i, j)
+    divided by alpha_i alpha_j. Its one eigendecomposition gives everything
+    else: negative eigenvalues are clipped, each eigenpair above `threshold`
+    becomes an intermediate operator, and the channel's Kraus operators are
+    the intermediates times V^dagger. Returns the Kraus set and the clipped
+    negative eigenvalue mass of the Choi estimate.
     """
     n1 = spec.alphas.size
     n2 = int(output_dim)
@@ -359,50 +333,40 @@ def reconstruct_from_schmidt(
     if rho_est.shape != (d, d):
         raise ValueError(f"estimate has shape {rho_est.shape}, expected {(d, d)}")
 
-    u = spec.left_unitary
-    eye_out = np.eye(n2)
-    rotated = tensor_product(u.conj().T, eye_out) @ rho_est @ tensor_product(u, eye_out)
-    inverse = 1.0 / spec.alphas
-    rotated = rotated * tensor_product(np.outer(inverse, inverse), np.ones((n2, n2)))
+    w = spec.left_unitary / spec.alphas
+    left = (w.conj().T @ rho_est.reshape(n1, -1)).reshape(d, n1, n2)
+    choi = (left.transpose(0, 2, 1) @ w).transpose(0, 2, 1).reshape(d, d)
 
-    intermediate = choi_to_kraus(ChoiMatrix(n1, n2, rotated), drop_threshold=threshold)
-    v_dag = spec.right_unitary.conj().T
-    return KrausSet(n1, n2, tuple(op @ v_dag for op in intermediate.operators))
+    eig = hermitian_eig(choi)
+    negativity_removed = float(np.sum(-eig.eigenvalues[eig.eigenvalues < 0.0]))
+    ops = _eigen_operators(eig, n1, n2, threshold) @ spec.right_unitary.conj().T
+    return KrausSet(n1, n2, tuple(ops)), negativity_removed
+
+
+@functools.cache
+def _max_entangled_input(n1: int) -> SchmidtInput:
+    """The uniform Schmidt input, built once per dimension; it is immutable."""
+    return SchmidtInput(np.full(n1, 1.0 / math.sqrt(n1)), np.eye(n1), np.eye(n1))
 
 
 def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> TomographyResult:
-    """Full pipeline: prepare, evolve once, estimate, project, reconstruct.
+    """Full pipeline: prepare, evolve once, estimate, reconstruct.
 
     Deterministic for a fixed (seed, shots) pair.
     """
     n1, n2 = channel.input_dim, channel.output_dim
-    if isinstance(config.input_kind, SchmidtInput):
-        spec = config.input_kind
-        if spec.alphas.size != n1:
-            raise ValueError(
-                f"schmidt input has {spec.alphas.size} coefficients, channel needs {n1}"
-            )
-        input_vector = prepare_schmidt_input(spec)
-    else:
-        input_vector = prepare_max_entangled(n1)
+    spec = _max_entangled_input(n1) if config.input_kind is None else config.input_kind
+    if spec.alphas.size != n1:
+        raise ValueError(f"schmidt input has {spec.alphas.size} coefficients, channel needs {n1}")
 
-    rho_out = joint_output_state(channel, input_vector)
+    rho_out = joint_output_state(channel, prepare_schmidt_input(spec))
     raw_estimate = simulate_state_tomography(rho_out, config.shots, config.seed)
-
-    working = raw_estimate
-    negativity_removed = 0.0
-    if config.psd_projection:
-        working, negativity_removed = project_to_psd(raw_estimate)
-
     threshold = (
         config.kraus_threshold
         if config.kraus_threshold is not None
         else default_kraus_threshold(config.shots, n1)
     )
-    if isinstance(config.input_kind, SchmidtInput):
-        kraus = reconstruct_from_schmidt(working, config.input_kind, n2, threshold)
-    else:
-        kraus = reconstruct_from_max_entangled(working, n1, n2, threshold)
+    kraus, negativity_removed = reconstruct_from_schmidt(raw_estimate, spec, n2, threshold)
 
     shots_used = 0 if config.shots is EXACT else int(config.shots) * (n1 * n2) ** 2
     return TomographyResult(

@@ -272,6 +272,30 @@ class TestTomograph:
         assert out == ""
         assert json.loads(err)["min_choi_eigenvalue"] == pytest.approx(-0.1)
 
+    def test_nan_kraus_threshold_exits_5(self, tmp_path, capsys):
+        exp = write_doc(
+            tmp_path / "exp.json",
+            experiment_doc(
+                {"name": "identity", "params": [], "dims": [2, 2]},
+                kraus_threshold=float("nan"),
+            ),
+        )
+        code, out, err = run(capsys, ["tomograph", exp])
+        assert code == 5
+        assert out == ""
+        assert "kraus_threshold" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("key,value", [("shot", 100), ("psd_projection", False)])
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, key, value):
+        exp = write_doc(
+            tmp_path / "exp.json",
+            {"channel": {"name": "identity", "params": [], "dims": [3, 3]}, "config": {key: value}},
+        )
+        code, out, err = run(capsys, ["tomograph", exp])
+        assert code == 2
+        assert out == ""
+        assert f"'{key}'" in json.loads(err)["error"]
+
     def test_trace_decreasing_reports_success_trace(self, tmp_path, capsys):
         exp = write_doc(
             tmp_path / "exp.json",
@@ -416,11 +440,17 @@ class TestGlobalFlags:
         for argv in (
             ["check", src, "--seed", "7"],
             ["zoo", "--name", "identity", "--format", "json"],
+            ["tomograph"],
+            [],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2
-        capsys.readouterr()
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            diagnostic = json.loads(captured.err)
+            assert diagnostic["exit_code"] == 2
+            assert diagnostic["error"]
 
     def test_installed_entry_point_runs(self, tmp_path):
         import shutil

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from choiforge.serialize import (
 from choiforge.tomography import (
     EXACT,
     SAMPLER_VERSION,
-    MaxEntangled,
     OpaqueChannel,
     SchmidtInput,
     TomographyConfig,
@@ -131,8 +131,7 @@ class TestExperimentFiles:
         assert channel == ZooSpec("depolarizing", (0.3,), 2, 2)
         assert config.shots is EXACT
         assert config.seed == 7
-        assert isinstance(config.input_kind, MaxEntangled)
-        assert config.psd_projection is True
+        assert config.input_kind is None
 
     def test_embedded_channel_with_finite_shots(self):
         doc = {
@@ -163,6 +162,32 @@ class TestExperimentFiles:
         config = parse_experiment_config(doc)
         assert isinstance(config.input_kind, SchmidtInput)
         assert np.allclose(config.input_kind.alphas, [0.8, 0.6])
+
+    def test_max_entangled_token_is_default_input(self):
+        doc = {"config": {"shots": "exact", "input_kind": "max_entangled"}}
+        assert parse_experiment_config(doc).input_kind is None
+
+    @pytest.mark.parametrize("key", ["shot", "psd_projection"])
+    def test_unknown_config_key_rejected(self, key):
+        doc = {"config": {key: 100 if key == "shot" else True}}
+        with pytest.raises(FileFormatError, match=f"unknown field '{key}'"):
+            parse_experiment_config(doc)
+
+    def test_non_finite_threshold_is_config_error(self):
+        # json reads the NaN literal; the run invariant, not the parser, rejects it
+        doc = load_document('{"config": {"kraus_threshold": NaN}}')
+        with pytest.raises(ValueError, match="kraus_threshold") as excinfo:
+            parse_experiment_config(doc)
+        assert not isinstance(excinfo.value, FileFormatError)
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Experiment files", 1)[1]
+        example = section.split("```json", 1)[1].split("```", 1)[0]
+        doc = load_document(example)
+        assert parse_experiment_channel(doc["channel"]) == ZooSpec("depolarizing", (0.3,), 2, 2)
+        config = parse_experiment_config(doc)
+        assert (config.shots, config.seed, config.input_kind) == (100000, 7, None)
 
     def test_bad_shots_value_rejected(self):
         doc = {

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,10 +26,7 @@ from choiforge.tomography import (
     TomographyConfig,
     default_kraus_threshold,
     joint_output_state,
-    prepare_max_entangled,
     prepare_schmidt_input,
-    project_to_psd,
-    reconstruct_from_max_entangled,
     reconstruct_from_schmidt,
     run_tomography,
     simulate_state_tomography,
@@ -36,6 +35,11 @@ from choiforge.tomography import (
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 PHI = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+
+
+def uniform(n):
+    """The maximally entangled input as a SchmidtInput."""
+    return SchmidtInput(np.full(n, 1 / np.sqrt(n)), np.eye(n), np.eye(n))
 
 
 def blockwise_image(apply_fn, bipartite, n1, n2):
@@ -65,26 +69,35 @@ def random_stinespring(rng):
 
 class TestPrepare:
     def test_max_entangled_qubit(self):
-        assert np.allclose(prepare_max_entangled(2), PHI)
+        assert np.allclose(prepare_schmidt_input(uniform(2)), PHI, atol=1e-15)
 
     def test_max_entangled_qutrit(self):
-        v = prepare_max_entangled(3)
+        v = prepare_schmidt_input(uniform(3))
         expected = np.zeros(9)
         expected[[0, 4, 8]] = 1 / np.sqrt(3)
-        assert np.allclose(v, expected)
+        assert np.allclose(v, expected, atol=1e-15)
 
     @pytest.mark.parametrize("dim", range(2, 9))
     def test_unit_norm(self, dim):
-        assert np.linalg.norm(prepare_max_entangled(dim)) == pytest.approx(1.0)
+        assert np.linalg.norm(prepare_schmidt_input(uniform(dim))) == pytest.approx(1.0)
 
     def test_dimension_below_two_rejected(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            prepare_max_entangled(1)
+        with pytest.raises(ValueError, match="at least two"):
+            SchmidtInput([1.0], np.eye(1), np.eye(1))
+        channel = OpaqueChannel.from_kraus(KrausSet(1, 1, (np.eye(1),)))
+        with pytest.raises(ValueError, match="at least two"):
+            run_tomography(channel, TomographyConfig())
 
     def test_uniform_schmidt_equals_max_entangled(self):
-        alphas = np.full(3, 1 / np.sqrt(3))
-        v = prepare_schmidt_input(SchmidtInput(alphas, np.eye(3), np.eye(3)))
-        assert np.allclose(v, prepare_max_entangled(3), atol=1e-12)
+        # the default input is the uniform Schmidt input, down to the bytes
+        channel = OpaqueChannel.from_kraus(random_cptp(3, 3, 2, seed=12))
+        for shots in (EXACT, 1000):
+            default = run_tomography(channel, TomographyConfig(shots=shots, seed=4))
+            explicit = run_tomography(
+                channel, TomographyConfig(shots=shots, seed=4, input_kind=uniform(3))
+            )
+            assert default.estimated_choi.matrix.tobytes() == explicit.estimated_choi.matrix.tobytes()
+            assert default.negativity_removed == explicit.negativity_removed
 
     def test_schmidt_identity_bases(self):
         v = prepare_schmidt_input(SchmidtInput([0.8, 0.6], I2, I2))
@@ -297,32 +310,41 @@ class TestLargeDimensions:
 
 
 class TestProjectToPsd:
+    """The positivity step of reconstruct_from_schmidt: negative eigenvalues
+    of the Choi estimate are clipped and their mass reported."""
+
     def test_psd_input_unchanged(self):
-        rho = random_density(3, np.random.default_rng(1))
-        projected, mass = project_to_psd(rho)
-        assert mass == 0.0
-        assert frobenius_distance(projected, rho) < 1e-12
+        rho = random_density(4, np.random.default_rng(1))
+        kraus, mass = reconstruct_from_schmidt(rho, uniform(2), 2, threshold=0.0)
+        assert mass == 0.0 and math.copysign(1.0, mass) == 1.0
+        assert frobenius_distance(kraus_to_choi(kraus).matrix, 2 * rho) < 1e-12
 
     def test_clips_negative_diagonal(self):
-        projected, mass = project_to_psd(np.diag([1.0, -0.2]))
+        rho = np.diag([0.5, -0.1, 0.4, 0.2])
+        kraus, mass = reconstruct_from_schmidt(rho, uniform(2), 2, threshold=0.0)
         assert mass == pytest.approx(0.2)
-        assert frobenius_distance(projected, np.diag([1.0, 0.0])) < 1e-12
+        expected = np.diag([1.0, 0.0, 0.8, 0.4])
+        assert frobenius_distance(kraus_to_choi(kraus).matrix, expected) < 1e-12
 
     def test_pauli_x_projects_to_plus_state(self):
-        projected, mass = project_to_psd(X)
+        # n1 = 2, n2 = 1: the Choi estimate 2 * (X / 2) = X clips to |+><+|
+        kraus, mass = reconstruct_from_schmidt(X / 2, uniform(2), 1, threshold=0.0)
         assert mass == pytest.approx(1.0)
         plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-        assert frobenius_distance(projected, np.outer(plus, plus.conj())) < 1e-12
+        assert frobenius_distance(kraus_to_choi(kraus).matrix, np.outer(plus, plus.conj())) < 1e-12
 
     def test_output_is_psd(self):
         rng = np.random.default_rng(17)
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        projected, _ = project_to_psd((g + g.conj().T) / 2)
-        assert np.linalg.eigvalsh(projected)[0] >= -1e-12
+        rho = (g + g.conj().T) / 2
+        kraus, mass = reconstruct_from_schmidt(rho, uniform(2), 2, threshold=0.0)
+        eigs = np.linalg.eigvalsh(2 * rho)
+        assert mass == pytest.approx(-np.sum(eigs[eigs < 0]))
+        assert np.linalg.eigvalsh(kraus_to_choi(kraus).matrix)[0] >= -1e-12
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(NotHermitianError):
-            project_to_psd(np.array([[0, 1], [0, 0]], dtype=complex))
+            reconstruct_from_schmidt(np.array([[0, 1], [0, 0]], dtype=complex), uniform(2), 1)
 
 
 class TestThresholdDefaults:
@@ -336,14 +358,14 @@ class TestThresholdDefaults:
 
 class TestReconstructMaxEntangled:
     def test_identity_joint_state(self):
-        kraus = reconstruct_from_max_entangled(np.outer(PHI, PHI.conj()), 2, 2)
+        kraus, _ = reconstruct_from_schmidt(np.outer(PHI, PHI.conj()), uniform(2), 2)
         choi = kraus_to_choi(kraus)
         assert frobenius_distance(choi.matrix, 2 * np.outer(PHI, PHI.conj())) < 1e-12
         assert len(kraus.operators) == 1
         assert kraus_equivalent(kraus, KrausSet(2, 2, (I2,)), 1e-9)
 
     def test_maximally_mixed_joint_state(self):
-        kraus = reconstruct_from_max_entangled(np.eye(4) / 4, 2, 2)
+        kraus, _ = reconstruct_from_schmidt(np.eye(4) / 4, uniform(2), 2)
         choi = kraus_to_choi(kraus)
         assert frobenius_distance(choi.matrix, np.eye(4) / 2) < 1e-12
         assert len(kraus.operators) == 4
@@ -352,24 +374,23 @@ class TestReconstructMaxEntangled:
     def test_amplitude_damping_end_to_end_exact(self):
         truth = zoo_channel("amplitude_damping", [0.5])
         rho_out = joint_output_state(OpaqueChannel.from_kraus(truth), PHI)
-        kraus = reconstruct_from_max_entangled(rho_out, 2, 2)
+        kraus, _ = reconstruct_from_schmidt(rho_out, uniform(2), 2)
         assert kraus_equivalent(kraus, truth, 1e-9)
 
 
 class TestReconstructSchmidt:
     def test_uniform_alphas_reduce_to_max_entangled(self):
+        # uniform coefficients with identity bases rescale the estimate by n1
         truth = zoo_channel("amplitude_damping", [0.4])
         rho_out = joint_output_state(OpaqueChannel.from_kraus(truth), PHI)
-        spec = SchmidtInput(np.full(2, 1 / np.sqrt(2)), I2, I2)
-        kraus_s = reconstruct_from_schmidt(rho_out, spec, 2)
-        kraus_m = reconstruct_from_max_entangled(rho_out, 2, 2)
-        assert kraus_equivalent(kraus_s, kraus_m, 1e-10)
+        kraus, _ = reconstruct_from_schmidt(rho_out, uniform(2), 2)
+        assert frobenius_distance(kraus_to_choi(kraus).matrix, 2 * rho_out) < 1e-12
 
     def test_identity_channel_skewed_alphas(self):
         ch = OpaqueChannel.from_kraus(KrausSet(2, 2, (I2,)))
         spec = SchmidtInput([0.8, 0.6], I2, I2)
         rho_out = joint_output_state(ch, prepare_schmidt_input(spec))
-        kraus = reconstruct_from_schmidt(rho_out, spec, 2)
+        kraus, _ = reconstruct_from_schmidt(rho_out, spec, 2)
         assert len(kraus.operators) == 1
         assert kraus_equivalent(kraus, KrausSet(2, 2, (I2,)), 1e-9)
 
@@ -381,7 +402,7 @@ class TestReconstructSchmidt:
         ch = OpaqueChannel.from_kraus(truth)
         spec = SchmidtInput([0.8, 0.6], u, w)
         rho_out = joint_output_state(ch, prepare_schmidt_input(spec))
-        kraus = reconstruct_from_schmidt(rho_out, spec, 2)
+        kraus, _ = reconstruct_from_schmidt(rho_out, spec, 2)
         assert kraus_equivalent(kraus, truth, 1e-8)
 
     def test_tiny_coefficient_raises_conditioning_error(self):
@@ -493,16 +514,52 @@ class TestRunTomography:
         assert np.array_equal(a.raw_state_estimate, b.raw_state_estimate)
         assert np.array_equal(a.estimated_choi.matrix, b.estimated_choi.matrix)
 
-    def test_psd_projection_noop_in_exact_mode(self):
-        ch = OpaqueChannel.from_kraus(zoo_channel("amplitude_damping", [0.25]))
-        truth = kraus_to_choi(zoo_channel("amplitude_damping", [0.25]))
-        with_projection = run_tomography(ch, TomographyConfig(psd_projection=True))
-        without = run_tomography(ch, TomographyConfig(psd_projection=False))
-        # the exact output is PSD; only float-level noise may be clipped
-        assert with_projection.negativity_removed < 1e-12
-        d_with = frobenius_distance(with_projection.estimated_choi.matrix, truth.matrix)
-        d_without = frobenius_distance(without.estimated_choi.matrix, truth.matrix)
-        assert d_with <= d_without + 1e-12
+    def test_exact_mode_clips_only_float_noise(self):
+        # the exact output of a rank-deficient channel is PSD; only float-level
+        # noise may be clipped, and the estimate stays on the truth
+        truth = zoo_channel("amplitude_damping", [0.25])
+        result = run_tomography(OpaqueChannel.from_kraus(truth), TomographyConfig())
+        assert 0.0 <= result.negativity_removed < 1e-12
+        assert frobenius_distance(result.estimated_choi.matrix, kraus_to_choi(truth).matrix) < 1e-12
+
+    @pytest.mark.parametrize("shots", [EXACT, 1000])
+    @pytest.mark.parametrize("schmidt", [False, True])
+    def test_one_eigendecomposition_per_run(self, monkeypatch, shots, schmidt):
+        import choiforge.channels as channels_module
+        import choiforge.tomography as tomography_module
+
+        calls = []
+        for module in (tomography_module, channels_module):
+            original = module.hermitian_eig
+            monkeypatch.setattr(
+                module,
+                "hermitian_eig",
+                lambda m, original=original, **kw: calls.append(1) or original(m, **kw),
+            )
+        rng = np.random.default_rng(9)
+        spec = SchmidtInput([0.8, 0.6], haar_random_unitary(2, rng), haar_random_unitary(2, rng))
+        config = TomographyConfig(shots=shots, seed=2, input_kind=spec if schmidt else None)
+        run_tomography(OpaqueChannel.from_kraus(zoo_channel("amplitude_damping", [0.3])), config)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("schmidt", [False, True])
+    def test_negativity_is_clipped_mass_of_choi_estimate(self, schmidt):
+        # finite-shot estimates of a rank-one channel are indefinite; the
+        # reported mass is that of the estimate rescaled to a Choi matrix
+        rng = np.random.default_rng(13)
+        n1 = 3
+        spec = uniform(n1)
+        if schmidt:
+            alphas = np.array([0.7, 0.5, np.sqrt(1 - 0.7**2 - 0.5**2)])
+            spec = SchmidtInput(alphas, haar_random_unitary(n1, rng), haar_random_unitary(n1, rng))
+        channel = OpaqueChannel.from_kraus(zoo_channel("identity", [], n1))
+        config = TomographyConfig(shots=1000, seed=3, input_kind=spec if schmidt else None)
+        result = run_tomography(channel, config)
+        lift = np.kron(spec.left_unitary / spec.alphas, np.eye(n1))
+        choi_raw = lift.conj().T @ result.raw_state_estimate @ lift
+        eigs = np.linalg.eigvalsh(choi_raw)
+        assert result.negativity_removed > 0.0
+        assert result.negativity_removed == pytest.approx(-np.sum(eigs[eigs < 0]), rel=1e-9)
 
     def test_finite_shots_estimate_converges(self):
         truth = zoo_channel("depolarizing", [0.3])
@@ -517,8 +574,9 @@ class TestRunTomography:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="shots"):
             TomographyConfig(shots=-5)
-        with pytest.raises(ValueError, match="kraus_threshold"):
-            TomographyConfig(kraus_threshold=-1.0)
+        for bad_threshold in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="kraus_threshold"):
+                TomographyConfig(kraus_threshold=bad_threshold)
         with pytest.raises(ValueError, match="input_kind"):
             TomographyConfig(input_kind="bogus")
 

@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from choiforge.channels import check_cp_tp, kraus_to_choi, zoo_channel
+from choiforge.channels import choi_cp_tp_verdict, kraus_to_choi, zoo_channel
 from choiforge.linalg import frobenius_distance
 from choiforge.tomography import (
     OpaqueChannel,
@@ -76,7 +76,7 @@ def main():
         distance = frobenius_distance(
             result.estimated_choi.matrix, kraus_to_choi(truth).matrix
         )
-        verdict = check_cp_tp(result.kraus)
+        verdict = choi_cp_tp_verdict(result.estimated_choi)
         trace_label = "tp" if verdict.is_trace_preserving else "decreasing"
         label = f"{name}({', '.join(str(p) for p in params)})"
         print(

@@ -20,14 +20,14 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
-    HERMITICITY_TOL,
-    PSD_TOL,
-    UNITARITY_TOL,
+    EXACT_TOL,
     HermitianEigenDecomposition,
-    NotHermitianError,
+    _as_matrix,
+    bound,
+    check_hermitian,
+    check_unitary,
     frobenius_distance,
     hermitian_eig,
-    hermiticity_deviation,
     partial_trace,
     tensor_product,
 )
@@ -48,18 +48,19 @@ ZOO_CHANNEL_NAMES = (
 class NotCompletelyPositiveError(ValueError):
     """Choi matrix has a negative eigenvalue beyond tolerance."""
 
-    def __init__(self, min_eigenvalue: float):
+    def __init__(self, min_eigenvalue: float, limit: float):
         super().__init__(
             "map is not completely positive: "
-            f"Choi eigenvalue {min_eigenvalue:.6e} below -{PSD_TOL:.0e}"
+            f"Choi eigenvalue {min_eigenvalue:.6e} below -{limit:.3e}"
         )
         self.min_eigenvalue = min_eigenvalue
 
 
-def _frozen_complex(a, name: str) -> np.ndarray:
-    m = np.asarray(a, dtype=complex).copy()
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError(f"{name} contains non-finite entries")
+def _frozen_complex(a, name: str, shape: tuple[int, int]) -> np.ndarray:
+    m = _as_matrix(a, name)
+    if m.shape != shape:
+        raise ValueError(f"{name} has shape {m.shape}, expected {shape}")
+    m = m.copy()
     m.setflags(write=False)
     return m
 
@@ -73,7 +74,7 @@ class KrausSet:
     """Channel E(M) = sum_k A_k M A_k^dagger with n2 x n1 operators A_k.
 
     The constructor checks shapes only; whether the set is trace preserving
-    or merely trace non-increasing is reported by ``check_cp_tp``.
+    or merely trace non-increasing is reported by ``choi_cp_tp_verdict``.
     """
 
     input_dim: int
@@ -85,18 +86,13 @@ class KrausSet:
             raise ValueError(
                 f"dimensions must be positive, got ({self.input_dim}, {self.output_dim})"
             )
+        expected = (self.output_dim, self.input_dim)
         ops = tuple(
-            _frozen_complex(op, f"kraus operator {k}")
+            _frozen_complex(op, f"kraus operator {k}", expected)
             for k, op in enumerate(self.operators)
         )
         if not ops:
             raise ValueError("a KrausSet needs at least one operator")
-        expected = (self.output_dim, self.input_dim)
-        for k, op in enumerate(ops):
-            if op.shape != expected:
-                raise ValueError(
-                    f"kraus operator {k} has shape {op.shape}, expected {expected}"
-                )
         object.__setattr__(self, "operators", ops)
 
 
@@ -106,7 +102,7 @@ class ChoiMatrix:
 
     Block (i, j), of size n2 x n2 and indexed by the reference factor, holds
     E(|i><j|). Hermiticity is enforced here; positivity is a property of the
-    map and is checked by ``choi_to_kraus`` / the verdict functions, so that
+    map and is checked by ``choi_to_kraus`` / ``choi_cp_tp_verdict``, so that
     non-CP matrices can still be loaded and diagnosed.
     """
 
@@ -119,15 +115,9 @@ class ChoiMatrix:
             raise ValueError(
                 f"dimensions must be positive, got ({self.input_dim}, {self.output_dim})"
             )
-        m = _frozen_complex(self.matrix, "choi matrix")
         n = self.input_dim * self.output_dim
-        if m.shape != (n, n):
-            raise ValueError(f"choi matrix has shape {m.shape}, expected {(n, n)}")
-        deviation = hermiticity_deviation(m)
-        if deviation > HERMITICITY_TOL:
-            raise NotHermitianError(
-                deviation, f"choi matrix is not Hermitian: deviation {deviation:.3e}"
-            )
+        m = _frozen_complex(self.matrix, "choi matrix", (n, n))
+        check_hermitian(m, "choi matrix")
         object.__setattr__(self, "matrix", m)
 
 
@@ -158,28 +148,20 @@ class StinespringModel:
                 f"system_dim*ancilla_dim = {self.system_dim * self.ancilla_dim}"
             )
         n = self.system_dim * self.ancilla_dim
-        u = _frozen_complex(self.unitary, "unitary")
-        if u.shape != (n, n):
-            raise ValueError(f"unitary has shape {u.shape}, expected {(n, n)}")
-        if np.max(np.abs(u.conj().T @ u - np.eye(n))) > UNITARITY_TOL:
-            raise ValueError("unitary fails U^dag U = I beyond tolerance 1e-10")
-        rho = _frozen_complex(self.ancilla_state, "ancilla state")
+        u = _frozen_complex(self.unitary, "unitary", (n, n))
+        check_unitary(u, "unitary")
         na = self.ancilla_dim
-        if rho.shape != (na, na):
-            raise ValueError(f"ancilla state has shape {rho.shape}, expected {(na, na)}")
-        if hermiticity_deviation(rho) > UNITARITY_TOL:
-            raise ValueError("ancilla state is not Hermitian to 1e-10")
+        rho = _frozen_complex(self.ancilla_state, "ancilla state", (na, na))
+        limit = check_hermitian(rho, "ancilla state", EXACT_TOL)
         eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-        if eigs[0] < -UNITARITY_TOL:
+        if eigs[0] < -limit:
             raise ValueError(f"ancilla state has negative eigenvalue {eigs[0]:.3e}")
-        if abs(np.trace(rho).real - 1.0) > UNITARITY_TOL:
-            raise ValueError("ancilla state trace differs from 1 beyond 1e-10")
-        p = _frozen_complex(self.projector, "projector")
-        no = self.trace_dim
-        if p.shape != (no, no):
-            raise ValueError(f"projector has shape {p.shape}, expected {(no, no)}")
-        if hermiticity_deviation(p) > UNITARITY_TOL or np.max(np.abs(p @ p - p)) > UNITARITY_TOL:
-            raise ValueError("projector fails P = P^dag = P^2 beyond tolerance 1e-10")
+        if abs(np.trace(rho).real - 1.0) > EXACT_TOL:
+            raise ValueError(f"ancilla state trace differs from 1 beyond {EXACT_TOL:g}")
+        p = _frozen_complex(self.projector, "projector", (self.trace_dim, self.trace_dim))
+        limit = check_hermitian(p, "projector", EXACT_TOL)
+        if np.abs(p @ p - p).max() > limit:
+            raise ValueError(f"projector fails P^2 = P beyond tolerance {limit:.3e}")
         object.__setattr__(self, "unitary", u)
         object.__setattr__(self, "ancilla_state", rho)
         object.__setattr__(self, "projector", p)
@@ -237,22 +219,21 @@ def _eigen_operators(
     return scaled.T.reshape(-1, input_dim, output_dim).transpose(0, 2, 1)
 
 
-def choi_to_kraus(
-    choi: ChoiMatrix, drop_threshold: float = KRAUS_DROP_THRESHOLD
-) -> KrausSet:
+def choi_to_kraus(choi: ChoiMatrix) -> KrausSet:
     """Extract a canonical Kraus set from a Choi matrix.
 
-    One operator per eigenvalue above `drop_threshold` (see
+    One operator per eigenvalue above ``KRAUS_DROP_THRESHOLD`` (see
     ``_eigen_operators``). The result is trace-orthogonal,
     Tr(A_k^dagger A_l) = eigenvalue_k * delta_kl, and has at most n1*n2
-    members; eigenvalues in [-1e-8, 0) are clipped to zero, anything lower
-    raises ``NotCompletelyPositiveError``.
+    members; eigenvalues in [-bound(J), 0) are dropped as float noise,
+    anything lower raises ``NotCompletelyPositiveError``.
     """
     eig = hermitian_eig(choi.matrix)
     min_eig = float(eig.eigenvalues[-1])
-    if min_eig < -PSD_TOL:
-        raise NotCompletelyPositiveError(min_eig)
-    ops = _eigen_operators(eig, choi.input_dim, choi.output_dim, drop_threshold)
+    limit = bound(choi.matrix)
+    if min_eig < -limit:
+        raise NotCompletelyPositiveError(min_eig, limit)
+    ops = _eigen_operators(eig, choi.input_dim, choi.output_dim, KRAUS_DROP_THRESHOLD)
     return KrausSet(choi.input_dim, choi.output_dim, tuple(ops))
 
 
@@ -284,42 +265,26 @@ def stinespring_to_choi(model: StinespringModel) -> ChoiMatrix:
     return ChoiMatrix(n1, n2, (j + j.conj().T) / 2)
 
 
-def _trace_verdict(min_choi_eig: float, gram: np.ndarray, dim: int, tol: float) -> CpTpVerdict:
-    gaps = np.linalg.eigvalsh(gram - np.eye(dim))
+def choi_cp_tp_verdict(choi: ChoiMatrix) -> CpTpVerdict:
+    """CP and trace verdict of a map, every flag judged against bound(J).
+
+    CP: the least eigenvalue of J is at least -bound(J). Tracing the output
+    factor from J gives the transpose of G = sum_k A_k^dagger A_k: trace
+    preserving when every eigenvalue of G - I is within the bound of zero,
+    trace non-increasing when none is above it.
+    """
+    n1 = choi.input_dim
+    limit = bound(choi.matrix)
+    min_eig = float(np.linalg.eigvalsh(choi.matrix)[0])
+    gram = partial_trace(choi.matrix, n1, choi.output_dim, keep="first").T
+    gaps = np.linalg.eigvalsh(gram - np.eye(n1))
     return CpTpVerdict(
-        is_cp=min_choi_eig >= -tol,
-        min_choi_eigenvalue=min_choi_eig,
-        is_trace_preserving=bool(np.max(np.abs(gaps)) <= tol),
-        is_trace_nonincreasing=bool(gaps[-1] <= tol),
-        deviation_from_identity=float(np.linalg.norm(gram - np.eye(dim))),
+        is_cp=min_eig >= -limit,
+        min_choi_eigenvalue=min_eig,
+        is_trace_preserving=bool(np.max(np.abs(gaps)) <= limit),
+        is_trace_nonincreasing=bool(gaps[-1] <= limit),
+        deviation_from_identity=float(np.linalg.norm(gram - np.eye(n1))),
     )
-
-
-def check_cp_tp(kraus: KrausSet, tol: float = PSD_TOL) -> CpTpVerdict:
-    """CP and trace-preservation verdict for a Kraus set.
-
-    The CP flag is always true for a genuine operator-sum form; it is
-    reported so the same verdict type can be reused on estimated data.
-    """
-    choi = kraus_to_choi(kraus)
-    min_eig = float(np.linalg.eigvalsh(choi.matrix)[0])
-    gram = np.zeros((kraus.input_dim, kraus.input_dim), dtype=complex)
-    for op in kraus.operators:
-        gram += op.conj().T @ op
-    return _trace_verdict(min_eig, gram, kraus.input_dim, tol)
-
-
-def choi_cp_tp_verdict(choi: ChoiMatrix, tol: float = PSD_TOL) -> CpTpVerdict:
-    """Verdict computed directly from a Choi matrix.
-
-    Tracing the output factor from J gives the transpose of
-    sum_k A_k^dagger A_k, which drives the trace flags.
-    """
-    min_eig = float(np.linalg.eigvalsh(choi.matrix)[0])
-    gram = partial_trace(
-        choi.matrix, choi.input_dim, choi.output_dim, keep="first"
-    ).T
-    return _trace_verdict(min_eig, gram, choi.input_dim, tol)
 
 
 def kraus_equivalent(k1: KrausSet, k2: KrausSet, tol: float) -> bool:
@@ -381,6 +346,12 @@ def _require_params(name: str, params: Sequence[float], count: int) -> None:
         raise ValueError(f"channel '{name}' takes {count} parameter(s), got {len(params)}")
 
 
+def _integer_param(name: str, label: str, value: float) -> int:
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"channel '{name}' needs an integer {label}, got {value!r}")
+    return int(value)
+
+
 def _unit_interval(name: str, label: str, value: float) -> float:
     value = float(value)
     if not 0.0 <= value <= 1.0:
@@ -410,6 +381,7 @@ def zoo_channel(
       project_discard         ()               rho -> |0><0| rho |0><0|
       random_cptp             (seed, count)    random trace-preserving channel
 
+    Seeds and counts must be integral; floats such as 7.0 are accepted.
     Only random_cptp admits output_dim different from input_dim.
     """
     if name not in ZOO_CHANNEL_NAMES:
@@ -429,7 +401,7 @@ def zoo_channel(
 
     if name == "unitary":
         _require_params(name, params, 1)
-        return KrausSet(n, n, (haar_random_unitary(n, int(params[0])),))
+        return KrausSet(n, n, (haar_random_unitary(n, _integer_param(name, "seed", params[0])),))
 
     if name == "depolarizing":
         _require_params(name, params, 1)
@@ -472,5 +444,6 @@ def zoo_channel(
 
     # random_cptp
     _require_params(name, params, 2)
-    seed, count = int(params[0]), int(params[1])
+    seed = _integer_param(name, "seed", params[0])
+    count = _integer_param(name, "count", params[1])
     return random_cptp(n, out, count, seed)

@@ -21,7 +21,6 @@ from .channels import (
     NotCompletelyPositiveError,
     StinespringModel,
     ZOO_CHANNEL_NAMES,
-    check_cp_tp,
     choi_cp_tp_verdict,
     choi_to_kraus,
     kraus_to_choi,
@@ -130,11 +129,7 @@ def cmd_convert(args) -> int:
 def cmd_check(args) -> int:
     try:
         doc = _load_doc(args.input)
-        channel = doc_to_channel(doc)
-        if isinstance(channel, KrausSet):
-            verdict = check_cp_tp(channel)
-        else:
-            verdict = choi_cp_tp_verdict(_channel_to_choi(channel))
+        verdict = choi_cp_tp_verdict(_channel_to_choi(doc_to_channel(doc)))
     except (FileFormatError, ValueError) as err:
         return _fail(EXIT_PARSE, str(err))
 
@@ -210,7 +205,7 @@ def cmd_compare(args) -> int:
     try:
         fidelity: float | None = process_fidelity(choi_a, choi_b)
     except ValueError:
-        fidelity = None  # undefined for trace-decreasing or indefinite inputs
+        fidelity = None  # undefined unless both maps are CP and trace preserving
 
     _emit(
         {
@@ -225,7 +220,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_zoo(args) -> int:
-    dims = args.dims if args.dims else [2]
+    dims = args.dims
+    if len(dims) > 2:
+        return _fail(EXIT_PARSE, f"--dims takes one or two dimensions, got {dims}")
     input_dim = dims[0]
     output_dim = dims[1] if len(dims) > 1 else None
     try:

@@ -12,18 +12,16 @@ from typing import Literal
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-8
-PSD_TOL = 1e-8  # most negative eigenvalue still accepted as positive semidefinite
-UNITARITY_TOL = 1e-10  # max |U^dag U - I|; also bounds P^2 = P and Tr rho = 1 of a model
+# The tolerance policy: two bounds, each scaled to the matrix it judges by ``bound``.
+TOL = 1e-8  # Hermiticity, positivity, trace preservation of computed or estimated matrices
+EXACT_TOL = 1e-10  # identities inputs satisfy exactly: U^dag U = I, P^2 = P, Tr rho = 1
 
 
 class NotHermitianError(ValueError):
     """Hermiticity violated beyond tolerance; carries the measured deviation."""
 
-    def __init__(self, deviation: float, message: str | None = None):
-        super().__init__(
-            message or f"matrix is not Hermitian: max |m - m^dag| = {deviation:.3e}"
-        )
+    def __init__(self, deviation: float, message: str):
+        super().__init__(message)
         self.deviation = deviation
 
 
@@ -31,9 +29,36 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
+
+
+def bound(m: np.ndarray, tol: float = TOL) -> float:
+    """tol * max(1, max |m_ij|): `tol` itself for density matrices, unitaries,
+    projectors and Choi matrices of trace-nonincreasing maps."""
+    return tol * max(1.0, float(np.abs(m).max(initial=0.0)))
+
+
+def check_hermitian(m: np.ndarray, what: str, tol: float = TOL) -> float:
+    """Reject a finite complex matrix unless max |m - m^dagger| <= bound(m, tol);
+    return that bound, for the caller's positivity check on m."""
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {m.shape}")
+    limit = bound(m, tol)
+    deviation = float(np.abs(m - m.conj().T).max(initial=0.0))
+    if deviation > limit:
+        raise NotHermitianError(
+            deviation, f"{what} is not Hermitian: max |m - m^dag| = {deviation:.3e} > {limit:.3e}"
+        )
+    return limit
+
+
+def check_unitary(u: np.ndarray, what: str) -> None:
+    """Reject a finite square matrix unless max |u^dagger u - I| <= bound(u, EXACT_TOL)."""
+    limit = bound(u, EXACT_TOL)
+    if np.abs(u.conj().T @ u - np.eye(len(u))).max() > limit:
+        raise ValueError(f"{what} is not unitary to within {limit:.3e}")
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -59,14 +84,6 @@ def partial_trace(
     raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
-def hermiticity_deviation(m) -> float:
-    """Largest entry-wise deviation from m = m^dagger."""
-    m = _as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-
-
 @dataclass(frozen=True, eq=False)
 class HermitianEigenDecomposition:
     """Eigenvalues sorted descending plus matching orthonormal eigenvector columns."""
@@ -75,18 +92,14 @@ class HermitianEigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(m, tol: float = HERMITICITY_TOL) -> HermitianEigenDecomposition:
+def hermitian_eig(m) -> HermitianEigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
 
-    The input is symmetrized as (m + m^dagger)/2 before decomposing; inputs
-    farther than `tol` from Hermitian are rejected.
+    The input is checked by ``check_hermitian`` and symmetrized as
+    (m + m^dagger)/2 before decomposing.
     """
     m = _as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    deviation = hermiticity_deviation(m)
-    if deviation > tol:
-        raise NotHermitianError(deviation)
+    check_hermitian(m, "matrix")
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
     return HermitianEigenDecomposition(w[::-1].copy(), v[:, ::-1].copy())
 

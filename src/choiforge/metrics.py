@@ -6,10 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChoiMatrix
-from .linalg import PSD_TOL, frobenius_distance, hermitian_eig
-
-TRACE_TOL = 1e-6
+from .channels import ChoiMatrix, choi_cp_tp_verdict
+from .linalg import frobenius_distance, hermitian_eig
 
 
 @dataclass(frozen=True)
@@ -45,18 +43,18 @@ def choi_distance(a: ChoiMatrix, b: ChoiMatrix) -> float:
 
 
 def _choi_state(j: ChoiMatrix) -> np.ndarray:
-    n1 = j.input_dim
-    trace = float(np.trace(j.matrix).real)
-    if abs(trace - n1) > TRACE_TOL * n1:
+    verdict = choi_cp_tp_verdict(j)
+    if not verdict.is_cp:
         raise ValueError(
-            f"process fidelity needs trace-preserving channels: Tr J = {trace:.6g}, "
-            f"expected {n1}"
+            "choi matrix is not positive semidefinite: "
+            f"eigenvalue {verdict.min_choi_eigenvalue:.3e}"
         )
-    rho = j.matrix / n1
-    eigs = np.linalg.eigvalsh(rho)
-    if eigs[0] < -PSD_TOL:
-        raise ValueError(f"choi matrix is not positive semidefinite: eigenvalue {eigs[0]:.3e}")
-    return rho
+    if not verdict.is_trace_preserving:
+        raise ValueError(
+            "process fidelity needs trace-preserving channels: "
+            f"sum_k A_k^dag A_k differs from I by {verdict.deviation_from_identity:.3e}"
+        )
+    return j.matrix / j.input_dim
 
 
 def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
@@ -70,8 +68,8 @@ def process_fidelity(a: ChoiMatrix, b: ChoiMatrix) -> float:
     """Uhlmann fidelity of the trace-normalized Choi states J/n1.
 
     F = Tr(sqrt(sqrt(rho1) rho2 sqrt(rho1)))**2; symmetric, 1 exactly when
-    the channels coincide. Both inputs must be trace preserving and positive
-    semidefinite.
+    the channels coincide. ``choi_cp_tp_verdict`` must find both inputs CP,
+    then trace preserving; the first that fails raises ValueError.
     """
     _check_dims_match(a, b)
     rho1 = _choi_state(a)

@@ -115,13 +115,13 @@ def _require(doc: dict, key: str, context: str) -> Any:
     return doc[key]
 
 
+def _is_positive_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _parse_dims(doc: dict, context: str) -> tuple[int, int]:
     dims = _require(doc, "dims", context)
-    if (
-        not isinstance(dims, list)
-        or len(dims) != 2
-        or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
-    ):
+    if not isinstance(dims, list) or len(dims) != 2 or not all(map(_is_positive_int, dims)):
         raise FileFormatError(f"{context}: dims must be two positive integers")
     return dims[0], dims[1]
 
@@ -157,7 +157,7 @@ def doc_to_channel(doc: dict) -> ChannelObject:
     if representation == "stinespring":
         ancilla_dim = _require(payload, "ancilla_dim", "payload")
         trace_dim = _require(payload, "trace_dim", "payload")
-        if not all(isinstance(d, int) and d >= 1 for d in (ancilla_dim, trace_dim)):
+        if not (_is_positive_int(ancilla_dim) and _is_positive_int(trace_dim)):
             raise FileFormatError("payload: ancilla_dim and trace_dim must be positive integers")
         return StinespringModel(
             system_dim=n1,

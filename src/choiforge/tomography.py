@@ -22,17 +22,12 @@ from .channels import (
     KrausSet,
     StinespringModel,
     _eigen_operators,
+    _frozen_complex,
     _normalize_seed,
     kraus_to_choi,
     stinespring_to_choi,
 )
-from .linalg import (
-    HERMITICITY_TOL,
-    PSD_TOL,
-    UNITARITY_TOL,
-    hermitian_eig,
-    hermiticity_deviation,
-)
+from .linalg import EXACT_TOL, _as_matrix, check_hermitian, check_unitary, hermitian_eig
 
 EXACT = None  # shot-budget sentinel: infinite-shot idealization
 MIN_SCHMIDT_COEFFICIENT = 1e-6
@@ -126,33 +121,39 @@ class SchmidtInput:
             raise NotMaximumSchmidtError(
                 "not maximum Schmidt number: all coefficients must be strictly positive"
             )
-        if abs(float(np.sum(a**2)) - 1.0) > 1e-10:
-            raise ValueError("squared Schmidt coefficients must sum to 1")
+        if abs(float(np.sum(a**2)) - 1.0) > EXACT_TOL:
+            raise ValueError(f"squared Schmidt coefficients must sum to 1 within {EXACT_TOL:g}")
         n = a.size
-        u = np.asarray(self.left_unitary, dtype=complex).copy()
-        v = np.asarray(self.right_unitary, dtype=complex).copy()
-        for label, mat in (("left", u), ("right", v)):
-            if mat.shape != (n, n):
-                raise ValueError(f"{label} unitary has shape {mat.shape}, expected {(n, n)}")
-            if not np.allclose(mat.conj().T @ mat, np.eye(n), rtol=0.0, atol=UNITARITY_TOL):
-                raise ValueError(f"{label} basis matrix is not unitary to 1e-10")
+        u = _frozen_complex(self.left_unitary, "left unitary", (n, n))
+        v = _frozen_complex(self.right_unitary, "right unitary", (n, n))
+        check_unitary(u, "left basis matrix")
+        check_unitary(v, "right basis matrix")
         if np.any(a < MIN_SCHMIDT_COEFFICIENT):
             raise SchmidtConditioningError(
                 f"schmidt coefficient below {MIN_SCHMIDT_COEFFICIENT:g}: "
                 "block rescaling would amplify noise unboundedly"
             )
-        for arr in (a, u, v):
-            arr.setflags(write=False)
+        a.setflags(write=False)
         object.__setattr__(self, "alphas", a)
         object.__setattr__(self, "left_unitary", u)
         object.__setattr__(self, "right_unitary", v)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_shots(shots) -> None:
+    if shots is not EXACT and not (_is_integer(shots) and shots >= 1):
+        raise ValueError(f"shots must be a positive integer or EXACT, got {shots!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class TomographyConfig:
     """Run parameters: shot budget, seed, input state, eigenvalue cutoff.
 
-    ``shots=EXACT`` runs the infinite-shot idealization. ``input_kind`` of
+    ``shots`` is a positive integer or ``EXACT``, the infinite-shot
+    idealization; ``seed`` is an integer; bools are neither. ``input_kind`` of
     None, the default, is the maximally entangled input, which
     ``run_tomography`` builds as the uniform ``SchmidtInput`` for the
     channel's input dimension. ``kraus_threshold`` must be finite and
@@ -166,9 +167,9 @@ class TomographyConfig:
     kraus_threshold: float | None = None
 
     def __post_init__(self):
-        if self.shots is not EXACT:
-            if not isinstance(self.shots, (int, np.integer)) or self.shots < 1:
-                raise ValueError(f"shots must be a positive integer or EXACT, got {self.shots!r}")
+        _check_shots(self.shots)
+        if not _is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.kraus_threshold is not None and not (
             math.isfinite(self.kraus_threshold) and self.kraus_threshold >= 0
         ):
@@ -240,22 +241,19 @@ def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
     draw from a single generator seeded by ``seed``. Linear inversion of the
     outcome frequencies, entry by entry, gives a Hermitian unbiased estimate
     that is generally not positive. ``shots=EXACT`` returns rho unchanged.
+    rho must be Hermitian and PSD to within bound(rho), with trace <= 1 + EXACT_TOL.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"state must be a square matrix, got shape {rho.shape}")
-    if hermiticity_deviation(rho) > HERMITICITY_TOL:
-        raise ValueError("state estimate input is not Hermitian to 1e-8")
+    rho = _as_matrix(rho, "state")
+    limit = check_hermitian(rho, "state")
     eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if eigs[0] < -PSD_TOL:
+    if eigs[0] < -limit:
         raise ValueError(f"state is not positive semidefinite: eigenvalue {eigs[0]:.3e}")
     trace = float(np.trace(rho).real)
-    if trace > 1.0 + 1e-9:
+    if trace > 1.0 + EXACT_TOL:
         raise ValueError(f"state trace {trace} exceeds 1")
+    _check_shots(shots)
     if shots is EXACT:
         return rho.copy()
-    if not isinstance(shots, (int, np.integer)) or shots < 1:
-        raise ValueError(f"shots must be a positive integer or EXACT, got {shots!r}")
     shots = int(shots)
 
     dim = rho.shape[0]
@@ -324,20 +322,23 @@ def reconstruct_from_schmidt(
     else: negative eigenvalues are clipped, each eigenpair above `threshold`
     becomes an intermediate operator, and the channel's Kraus operators are
     the intermediates times V^dagger. Returns the Kraus set and the clipped
-    negative eigenvalue mass of the Choi estimate.
+    negative eigenvalue mass of the Choi estimate. Hermiticity is judged on
+    `rho_est`; the rescaling amplifies its float noise by up to 1/alpha_min^2,
+    so the Choi estimate is not judged again but symmetrized exactly.
     """
     n1 = spec.alphas.size
     n2 = int(output_dim)
-    rho_est = np.asarray(rho_est, dtype=complex)
+    rho_est = _as_matrix(rho_est, "state estimate")
     d = n1 * n2
     if rho_est.shape != (d, d):
         raise ValueError(f"estimate has shape {rho_est.shape}, expected {(d, d)}")
+    check_hermitian(rho_est, "state estimate")
 
     w = spec.left_unitary / spec.alphas
     left = (w.conj().T @ rho_est.reshape(n1, -1)).reshape(d, n1, n2)
     choi = (left.transpose(0, 2, 1) @ w).transpose(0, 2, 1).reshape(d, d)
 
-    eig = hermitian_eig(choi)
+    eig = hermitian_eig((choi + choi.conj().T) / 2)
     negativity_removed = float(np.sum(-eig.eigenvalues[eig.eigenvalues < 0.0]))
     ops = _eigen_operators(eig, n1, n2, threshold) @ spec.right_unitary.conj().T
     return KrausSet(n1, n2, tuple(ops)), negativity_removed

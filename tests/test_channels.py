@@ -11,7 +11,6 @@ from choiforge.channels import (
     StinespringModel,
     apply_kraus,
     apply_stinespring,
-    check_cp_tp,
     choi_cp_tp_verdict,
     choi_to_kraus,
     haar_random_unitary,
@@ -71,6 +70,21 @@ class TestChoiMatrixType:
         bad[0, 1] = 1.0
         with pytest.raises(NotHermitianError):
             ChoiMatrix(2, 2, bad)
+
+    def test_hermiticity_bound_scales_with_entries(self):
+        # float error in V V^dag grows with its entries; the bound does too
+        rng = np.random.default_rng(4)
+        v = 3e4 * (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
+        vv = v @ v.conj().T
+        scale = np.max(np.abs(vv))
+        assert scale > 1e9
+        noisy = vv.copy()
+        noisy[0, 1] += 1e-12 * scale  # absolute deviation ~1e-3
+        ChoiMatrix(2, 2, noisy)
+        asymmetric = vv.copy()
+        asymmetric[0, 1] += 1e-6 * scale
+        with pytest.raises(NotHermitianError):
+            ChoiMatrix(2, 2, asymmetric)
 
     def test_non_psd_still_constructible(self):
         j = ChoiMatrix(2, 2, np.diag([1.0, 1.0, 1.0, -0.1]).astype(complex))
@@ -304,6 +318,22 @@ class TestStinespring:
         with pytest.raises(ValueError, match="unitary"):
             StinespringModel(2, 1, 2, 1, 2 * I2, np.array([[1.0]]), np.array([[1.0]]))
 
+    def test_invalid_ancilla_state_and_projector_rejected(self):
+        u = np.eye(4)
+        for rho, message in [
+            (np.array([[1.0, 1e-9], [0.0, 0.0]]), "ancilla state is not Hermitian"),
+            (np.diag([1.0 + 1e-9, -1e-9]), "negative eigenvalue"),
+            (np.diag([1.0 + 1e-9, 0.0]), "trace"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                StinespringModel(2, 2, 2, 2, u, rho, np.eye(2))
+        for p, message in [
+            (np.diag([1.0, 1.0 + 1e-9]), r"P\^2 = P"),
+            (np.array([[1.0, 1e-9], [0.0, 0.0]]), "projector is not Hermitian"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                StinespringModel(2, 2, 2, 2, u, np.diag([1.0, 0.0]), p)
+
     def test_partition_mismatch_rejected(self):
         with pytest.raises(ValueError, match="must equal"):
             StinespringModel(2, 2, 3, 2, np.eye(4), np.diag([1, 0]), np.eye(2))
@@ -316,20 +346,20 @@ class TestStinespring:
 class TestCheckCpTp:
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7, 1.0])
     def test_amplitude_damping_trace_preserving(self, gamma):
-        verdict = check_cp_tp(zoo_channel("amplitude_damping", [gamma]))
+        verdict = choi_cp_tp_verdict(kraus_to_choi(zoo_channel("amplitude_damping", [gamma])))
         assert verdict.is_cp
         assert verdict.is_trace_preserving
         assert verdict.is_trace_nonincreasing
         assert verdict.deviation_from_identity < 1e-10
 
     def test_project_discard_is_trace_decreasing(self):
-        verdict = check_cp_tp(zoo_channel("project_discard"))
+        verdict = choi_cp_tp_verdict(kraus_to_choi(zoo_channel("project_discard")))
         assert verdict.is_cp
         assert not verdict.is_trace_preserving
         assert verdict.is_trace_nonincreasing
 
     def test_amplified_identity_not_nonincreasing(self):
-        verdict = check_cp_tp(KrausSet(2, 2, (np.sqrt(1.5) * I2,)))
+        verdict = choi_cp_tp_verdict(kraus_to_choi(KrausSet(2, 2, (np.sqrt(1.5) * I2,))))
         assert not verdict.is_trace_nonincreasing
         assert not verdict.is_trace_preserving
         assert verdict.deviation_from_identity == pytest.approx(0.5 * np.sqrt(2))
@@ -339,21 +369,25 @@ class TestCheckCpTp:
     def test_tp_implies_tni(self, seed):
         rng = np.random.default_rng(seed)
         k = random_cptp(2, 2, int(rng.integers(1, 5)), seed)
-        verdict = check_cp_tp(k)
+        verdict = choi_cp_tp_verdict(kraus_to_choi(k))
         assert verdict.is_trace_preserving
         assert verdict.is_trace_nonincreasing
 
     def test_choi_verdict_agrees_with_kraus_verdict(self):
+        # oracle: the trace flags straight from sum_k A_k^dag A_k
         for k in [
             zoo_channel("amplitude_damping", [0.3]),
             zoo_channel("project_discard"),
             KrausSet(2, 2, (np.sqrt(1.5) * I2,)),
+            KrausSet(2, 2, (np.diag([np.sqrt(1.5), np.sqrt(0.5)]),)),
         ]:
-            kv = check_cp_tp(k)
-            cv = choi_cp_tp_verdict(kraus_to_choi(k))
-            assert kv.is_trace_preserving == cv.is_trace_preserving
-            assert kv.is_trace_nonincreasing == cv.is_trace_nonincreasing
-            assert kv.min_choi_eigenvalue == pytest.approx(cv.min_choi_eigenvalue)
+            gram = sum(op.conj().T @ op for op in k.operators)
+            gaps = np.linalg.eigvalsh(gram - I2)
+            verdict = choi_cp_tp_verdict(kraus_to_choi(k))
+            assert verdict.is_cp
+            assert verdict.is_trace_preserving == bool(np.max(np.abs(gaps)) <= 1e-8)
+            assert verdict.is_trace_nonincreasing == bool(gaps[-1] <= 1e-8)
+            assert verdict.deviation_from_identity == pytest.approx(np.linalg.norm(gram - I2))
 
 
 class TestKrausEquivalent:
@@ -398,15 +432,26 @@ class TestZoo:
     def test_random_cptp_rectangular(self):
         k = zoo_channel("random_cptp", [5, 4], input_dim=3, output_dim=2)
         assert (k.input_dim, k.output_dim) == (3, 2)
-        assert check_cp_tp(k).is_trace_preserving
+        assert choi_cp_tp_verdict(kraus_to_choi(k)).is_trace_preserving
 
     def test_depolarizing_dimension_three(self):
         k = zoo_channel("depolarizing", [0.4], input_dim=3)
-        verdict = check_cp_tp(k)
+        verdict = choi_cp_tp_verdict(kraus_to_choi(k))
         assert verdict.is_trace_preserving
         rho = random_density(3, np.random.default_rng(2))
         expected = 0.6 * rho + 0.4 * np.trace(rho) * np.eye(3) / 3
         assert frobenius_distance(apply_kraus(k, rho), expected) < 1e-12
+
+    def test_integer_parameters_must_be_integral(self):
+        with pytest.raises(ValueError, match="integer seed"):
+            zoo_channel("unitary", [2.7])
+        with pytest.raises(ValueError, match="integer count"):
+            zoo_channel("random_cptp", [3, 1.5])
+        with pytest.raises(ValueError, match="integer seed"):
+            zoo_channel("random_cptp", [True, 2])
+        # integral floats, as parsed from the command line, stay valid
+        assert kraus_equivalent(zoo_channel("unitary", [7.0]), zoo_channel("unitary", [7]), 1e-15)
+        assert len(zoo_channel("random_cptp", [3.0, 2.0]).operators) == 2
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="valid names"):

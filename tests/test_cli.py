@@ -139,6 +139,19 @@ class TestCheck:
         assert code == 4
         assert "check failed" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("key", ["ancilla_dim", "trace_dim"])
+    def test_stinespring_bool_dims_exit_2(self, tmp_path, capsys, key):
+        from choiforge.channels import StinespringModel
+
+        model = StinespringModel(2, 1, 2, 1, I2, np.eye(1), np.eye(1))
+        doc = channel_to_doc(model)
+        doc["payload"][key] = True
+        src = write_doc(tmp_path / "st.json", doc)
+        code, out, err = run(capsys, ["check", src])
+        assert code == 2
+        assert out == ""
+        assert "positive integers" in json.loads(err)["error"]
+
     def test_stinespring_file_checks_as_trace_preserving(self, tmp_path, capsys):
         from choiforge.channels import StinespringModel
 
@@ -249,6 +262,16 @@ class TestTomograph:
         assert code == 5
         assert "positive integer" in json.loads(err)["error"]
 
+    def test_non_integral_zoo_count_exits_2(self, tmp_path, capsys):
+        exp = write_doc(
+            tmp_path / "exp.json",
+            experiment_doc({"name": "random_cptp", "params": [3, 1.5], "dims": [2, 2]}),
+        )
+        code, out, err = run(capsys, ["tomograph", exp])
+        assert code == 2
+        assert out == ""
+        assert "integer count" in json.loads(err)["error"]
+
     def test_embedded_stinespring_channel(self, tmp_path, capsys):
         from choiforge.channels import StinespringModel
 
@@ -357,6 +380,14 @@ class TestCompare:
         assert result["process_fidelity"] is None
         assert result["equivalent"] is True
 
+    def test_non_trace_preserving_fidelity_is_null(self, tmp_path, capsys):
+        scaled = KrausSet(2, 2, (np.diag([np.sqrt(1.5), np.sqrt(0.5)]),))
+        a = write_channel(tmp_path / "scaled.json", scaled)
+        b = write_channel(tmp_path / "id.json", KrausSet(2, 2, (I2,)))
+        code, out, _ = run(capsys, ["compare", a, b])
+        assert code == 0
+        assert json.loads(out)["process_fidelity"] is None
+
     @pytest.mark.parametrize(
         "field,value", [("dims", [True, 2]), ("format_version", 99)]
     )
@@ -408,6 +439,25 @@ class TestZooCommand:
         assert code == 0
         doc = json.loads(out_path.read_text())
         assert len(doc["payload"]["operators"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--name", "unitary", "--params", "2.7"],
+            ["--name", "random_cptp", "--params", "3", "1.5", "--dims", "2", "3"],
+            ["--name", "identity", "--dims", "2", "2", "7"],
+        ],
+    )
+    def test_non_integral_or_extra_values_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, ["zoo", *argv])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["exit_code"] == 2
+
+    def test_integral_float_params_accepted(self, capsys):
+        code, out, _ = run(capsys, ["zoo", "--name", "random_cptp", "--params", "3", "2"])
+        assert code == 0
+        assert len(json.loads(out)["payload"]["operators"]) == 2
 
     def test_unknown_name_exits_2_listing_names(self, tmp_path, capsys):
         code, _, err = run(capsys, ["zoo", "--name", "teleporter"])

@@ -3,9 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_complex_matrix, random_hermitian
+from conftest import random_complex_matrix, random_density, random_hermitian
+from choiforge.channels import ZOO_CHANNEL_NAMES, haar_random_unitary, kraus_to_choi, zoo_channel
 from choiforge.linalg import (
+    EXACT_TOL,
+    TOL,
     NotHermitianError,
+    bound,
+    check_hermitian,
     frobenius_distance,
     hermitian_eig,
     partial_trace,
@@ -119,6 +124,43 @@ class TestHermitianEig:
         with pytest.raises(NotHermitianError) as excinfo:
             hermitian_eig(m)
         assert excinfo.value.deviation == pytest.approx(1.0)
+
+
+ZOO_PARAMS = {
+    "identity": [],
+    "unitary": [5],
+    "depolarizing": [0.3],
+    "amplitude_damping": [0.4],
+    "phase_damping": [0.6],
+    "project_discard": [],
+    "random_cptp": [8, 3],
+}
+
+
+class TestBound:
+    @pytest.mark.parametrize("name", ZOO_CHANNEL_NAMES)
+    def test_unit_scale_choi_matrices_get_the_bare_bound(self, name):
+        dims = (2,) if name in ("amplitude_damping", "phase_damping") else (2, 3, 4)
+        for n in dims:
+            j = kraus_to_choi(zoo_channel(name, ZOO_PARAMS[name], n)).matrix
+            assert bound(j) == TOL
+            assert bound(j, EXACT_TOL) == EXACT_TOL
+
+    def test_density_matrices_and_unitaries_get_the_bare_bound(self):
+        rng = np.random.default_rng(6)
+        for dim in (2, 3, 5, 16):
+            assert bound(random_density(dim, rng)) == TOL
+            assert bound(haar_random_unitary(dim, rng), EXACT_TOL) == EXACT_TOL
+
+    def test_scales_with_largest_entry(self):
+        assert bound(np.array([[3.0, -4e9j], [4e9j, 0.0]])) == pytest.approx(4e9 * TOL)
+
+    def test_check_hermitian_returns_the_bound_it_applied(self):
+        m = 50.0 * random_hermitian(3, np.random.default_rng(2))
+        assert check_hermitian(m, "m") == bound(m)
+        m[0, 1] += 2 * bound(m)
+        with pytest.raises(NotHermitianError, match="m is not Hermitian"):
+            check_hermitian(m, "m")
 
 
 class TestFrobeniusDistance:

@@ -99,6 +99,23 @@ class TestProcessFidelity:
         with pytest.raises(ValueError, match="trace-preserving"):
             process_fidelity(j, j_id)
 
+    def test_non_trace_preserving_with_full_trace_rejected(self):
+        # Tr J = n1, yet sum_k A_k^dag A_k = diag(1.5, 0.5) is not the identity
+        j = kraus_to_choi(KrausSet(2, 2, (np.diag([np.sqrt(1.5), np.sqrt(0.5)]),)))
+        assert np.trace(j.matrix).real == pytest.approx(2.0)
+        j_id = kraus_to_choi(KrausSet(2, 2, (I2,)))
+        with pytest.raises(ValueError, match="trace-preserving"):
+            process_fidelity(j, j_id)
+        with pytest.raises(ValueError, match="trace-preserving"):
+            process_fidelity(j_id, j)
+
+    def test_positivity_is_judged_first(self):
+        # neither PSD nor trace preserving: the positivity message wins
+        bad = ChoiMatrix(2, 2, np.diag([3.0, 0.4, 0.4, -0.3]).astype(complex))
+        j_id = kraus_to_choi(KrausSet(2, 2, (I2,)))
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            process_fidelity(bad, j_id)
+
     def test_non_psd_rejected(self):
         bad = ChoiMatrix(2, 2, np.diag([1.5, 0.4, 0.4, -0.3]).astype(complex))
         j_id = kraus_to_choi(KrausSet(2, 2, (I2,)))

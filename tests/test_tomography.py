@@ -9,7 +9,7 @@ from choiforge.channels import (
     StinespringModel,
     apply_kraus,
     apply_stinespring,
-    check_cp_tp,
+    choi_cp_tp_verdict,
     haar_random_unitary,
     kraus_equivalent,
     kraus_to_choi,
@@ -275,6 +275,10 @@ class TestSimulateStateTomography:
     def test_trace_above_one_rejected(self):
         with pytest.raises(ValueError, match="exceeds 1"):
             simulate_state_tomography(np.diag([1.0, 0.5]), 100, seed=0)
+        # Tr rho <= 1 is held to EXACT_TOL = 1e-10
+        with pytest.raises(ValueError, match="exceeds 1"):
+            simulate_state_tomography(np.diag([0.5, 0.5 + 5e-10]), 100, seed=0)
+        simulate_state_tomography(np.diag([0.5, 0.5 + 5e-11]), 100, seed=0)
 
     def test_bad_shot_count_rejected(self):
         with pytest.raises(ValueError, match="positive integer"):
@@ -414,6 +418,22 @@ class TestReconstructSchmidt:
             run_tomography(ch, TomographyConfig(input_kind=SchmidtInput(alphas, I2, I2)))
         assert calls == []
 
+    @pytest.mark.parametrize("shots", [EXACT, 10**4])
+    @pytest.mark.parametrize("eps", [3e-5, 1e-5, 2e-6])
+    def test_small_coefficient_runs_succeed(self, eps, shots):
+        # rescaling by 1/(alpha_i alpha_j) amplifies the estimate's float
+        # noise far past 1e-8; Hermiticity is judged before the rescaling
+        alphas = np.array([1.0, 1.0, 1.0, eps]) / np.sqrt(3.0 + eps**2)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            truth = random_cptp(4, 4, 2, seed)
+            spec = SchmidtInput(alphas, haar_random_unitary(4, rng), haar_random_unitary(4, rng))
+            config = TomographyConfig(shots=shots, seed=seed, input_kind=spec)
+            result = run_tomography(OpaqueChannel.from_kraus(truth), config)
+            if shots is EXACT:
+                error = frobenius_distance(result.estimated_choi.matrix, kraus_to_choi(truth).matrix)
+                assert error < 1e-4
+
     def test_nonpositive_coefficient_rejected(self):
         # a negative coefficient is also below the conditioning floor; the
         # Schmidt-number error wins
@@ -502,7 +522,7 @@ class TestRunTomography:
         assert result.success_trace < 0.999
         gram = sum(op.conj().T @ op for op in result.kraus.operators)
         assert frobenius_distance(gram, np.diag([1, 0]).astype(complex)) < 1e-8
-        verdict = check_cp_tp(result.kraus)
+        verdict = choi_cp_tp_verdict(result.estimated_choi)
         assert verdict.is_trace_nonincreasing
         assert not verdict.is_trace_preserving
 
@@ -579,6 +599,22 @@ class TestRunTomography:
                 TomographyConfig(kraus_threshold=bad_threshold)
         with pytest.raises(ValueError, match="input_kind"):
             TomographyConfig(input_kind="bogus")
+
+    def test_config_rejects_coerced_values(self):
+        for shots in (True, 2.0):
+            with pytest.raises(ValueError, match="shots"):
+                TomographyConfig(shots=shots)
+            with pytest.raises(ValueError, match="shots"):
+                simulate_state_tomography(I2 / 2, shots, seed=0)
+        for seed in (True, 2.7, 2.0, "2"):
+            with pytest.raises(ValueError, match="seed"):
+                TomographyConfig(seed=seed)
+        config = TomographyConfig(shots=np.int32(100), seed=np.int64(2))
+        channel = OpaqueChannel.from_kraus(zoo_channel("depolarizing", [0.3]))
+        same = run_tomography(channel, TomographyConfig(shots=100, seed=2))
+        assert run_tomography(channel, config).raw_state_estimate.tobytes() == (
+            same.raw_state_estimate.tobytes()
+        )
 
     def test_schmidt_dimension_mismatch(self):
         ch = OpaqueChannel.from_kraus(zoo_channel("identity", [], 3))

@@ -9,24 +9,19 @@ from .channels import (
     NotCompletelyPositiveError,
     StinespringModel,
     ZOO_CHANNEL_NAMES,
-    apply_kraus,
-    apply_stinespring,
     choi_cp_tp_verdict,
     choi_to_kraus,
     haar_random_unitary,
-    kraus_equivalent,
     kraus_to_choi,
     random_cptp,
     stinespring_to_choi,
     zoo_channel,
 )
 from .linalg import (
-    HermitianEigenDecomposition,
     NotHermitianError,
     frobenius_distance,
     hermitian_eig,
     partial_trace,
-    tensor_product,
 )
 from .metrics import ResourceReport, choi_distance, process_fidelity, resource_report
 from .tomography import (
@@ -52,7 +47,6 @@ __all__ = [
     "ZOO_CHANNEL_NAMES",
     "ChoiMatrix",
     "CpTpVerdict",
-    "HermitianEigenDecomposition",
     "KrausSet",
     "NotCompletelyPositiveError",
     "NotHermitianError",
@@ -64,8 +58,6 @@ __all__ = [
     "StinespringModel",
     "TomographyConfig",
     "TomographyResult",
-    "apply_kraus",
-    "apply_stinespring",
     "choi_cp_tp_verdict",
     "choi_distance",
     "choi_to_kraus",
@@ -74,7 +66,6 @@ __all__ = [
     "haar_random_unitary",
     "hermitian_eig",
     "joint_output_state",
-    "kraus_equivalent",
     "kraus_to_choi",
     "partial_trace",
     "prepare_schmidt_input",
@@ -85,6 +76,5 @@ __all__ = [
     "run_tomography",
     "simulate_state_tomography",
     "stinespring_to_choi",
-    "tensor_product",
     "zoo_channel",
 ]

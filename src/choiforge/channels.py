@@ -21,15 +21,14 @@ import numpy as np
 
 from .linalg import (
     EXACT_TOL,
-    HermitianEigenDecomposition,
     _as_matrix,
     bound,
     check_hermitian,
+    check_int,
     check_unitary,
-    frobenius_distance,
     hermitian_eig,
+    is_int,
     partial_trace,
-    tensor_product,
 )
 
 KRAUS_DROP_THRESHOLD = 1e-10
@@ -66,15 +65,22 @@ def _frozen_complex(a, name: str, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _normalize_seed(seed: int) -> int:
-    return int(seed) % 2**64
+    return check_int(seed, "seed") % 2**64
+
+
+def _check_dims(channel, *names: str) -> None:
+    """Require each named dimension field to be an integer >= 1, stored as an int."""
+    for name in names:
+        object.__setattr__(channel, name, check_int(getattr(channel, name), name, 1))
 
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
     """Channel E(M) = sum_k A_k M A_k^dagger with n2 x n1 operators A_k.
 
-    The constructor checks shapes only; whether the set is trace preserving
-    or merely trace non-increasing is reported by ``choi_cp_tp_verdict``.
+    The constructor checks dimensions and shapes only; whether the set is
+    trace preserving or merely trace non-increasing is reported by
+    ``choi_cp_tp_verdict``.
     """
 
     input_dim: int
@@ -82,10 +88,7 @@ class KrausSet:
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ValueError(
-                f"dimensions must be positive, got ({self.input_dim}, {self.output_dim})"
-            )
+        _check_dims(self, "input_dim", "output_dim")
         expected = (self.output_dim, self.input_dim)
         ops = tuple(
             _frozen_complex(op, f"kraus operator {k}", expected)
@@ -111,10 +114,7 @@ class ChoiMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ValueError(
-                f"dimensions must be positive, got ({self.input_dim}, {self.output_dim})"
-            )
+        _check_dims(self, "input_dim", "output_dim")
         n = self.input_dim * self.output_dim
         m = _frozen_complex(self.matrix, "choi matrix", (n, n))
         check_hermitian(m, "choi matrix")
@@ -139,9 +139,7 @@ class StinespringModel:
     projector: np.ndarray
 
     def __post_init__(self):
-        dims = (self.system_dim, self.ancilla_dim, self.output_dim, self.trace_dim)
-        if any(d < 1 for d in dims):
-            raise ValueError(f"dimensions must be positive, got {dims}")
+        _check_dims(self, "system_dim", "ancilla_dim", "output_dim", "trace_dim")
         if self.output_dim * self.trace_dim != self.system_dim * self.ancilla_dim:
             raise ValueError(
                 f"output_dim*trace_dim = {self.output_dim * self.trace_dim} must equal "
@@ -178,20 +176,6 @@ class CpTpVerdict:
     deviation_from_identity: float
 
 
-def apply_kraus(kraus: KrausSet, m) -> np.ndarray:
-    """Apply E(M) = sum_k A_k M A_k^dagger."""
-    m = np.asarray(m, dtype=complex)
-    n1 = kraus.input_dim
-    if m.shape != (n1, n1):
-        raise ValueError(
-            f"input shape {m.shape} does not match channel input dimension {n1}"
-        )
-    out = np.zeros((kraus.output_dim, kraus.output_dim), dtype=complex)
-    for op in kraus.operators:
-        out += op @ m @ op.conj().T
-    return out
-
-
 def kraus_to_choi(kraus: KrausSet) -> ChoiMatrix:
     """Assemble the unnormalized Choi matrix J = V V^dagger.
 
@@ -203,19 +187,19 @@ def kraus_to_choi(kraus: KrausSet) -> ChoiMatrix:
 
 
 def _eigen_operators(
-    eig: HermitianEigenDecomposition, input_dim: int, output_dim: int, threshold: float
+    w: np.ndarray, v: np.ndarray, input_dim: int, output_dim: int, threshold: float
 ) -> np.ndarray:
-    """Operators from the eigenpairs of a Choi matrix, stacked as (k, n2, n1).
+    """Operators from the eigenpairs (w, v) of a Choi matrix, stacked as (k, n2, n1).
 
     Each unit eigenvector with eigenvalue above `threshold` is scaled by
     sqrt(eigenvalue) and its n1 segments of length n2 become the columns of
     one operator. Eigenvalues at or below the threshold, negative ones
     included, are dropped; if none is above it, one zero operator stands in.
     """
-    keep = eig.eigenvalues > threshold
+    keep = w > threshold
     if not np.any(keep):
         return np.zeros((1, output_dim, input_dim), dtype=complex)
-    scaled = eig.eigenvectors[:, keep] * np.sqrt(eig.eigenvalues[keep])
+    scaled = v[:, keep] * np.sqrt(w[keep])
     return scaled.T.reshape(-1, input_dim, output_dim).transpose(0, 2, 1)
 
 
@@ -228,26 +212,13 @@ def choi_to_kraus(choi: ChoiMatrix) -> KrausSet:
     members; eigenvalues in [-bound(J), 0) are dropped as float noise,
     anything lower raises ``NotCompletelyPositiveError``.
     """
-    eig = hermitian_eig(choi.matrix)
-    min_eig = float(eig.eigenvalues[-1])
+    w, v = hermitian_eig(choi.matrix)
+    min_eig = float(w[-1])
     limit = bound(choi.matrix)
     if min_eig < -limit:
         raise NotCompletelyPositiveError(min_eig, limit)
-    ops = _eigen_operators(eig, choi.input_dim, choi.output_dim, KRAUS_DROP_THRESHOLD)
+    ops = _eigen_operators(w, v, choi.input_dim, choi.output_dim, KRAUS_DROP_THRESHOLD)
     return KrausSet(choi.input_dim, choi.output_dim, tuple(ops))
-
-
-def apply_stinespring(model: StinespringModel, m) -> np.ndarray:
-    """Evaluate Tr_o[U (M tensor rho_a) U^dagger (I tensor P_o)] literally."""
-    m = np.asarray(m, dtype=complex)
-    n1 = model.system_dim
-    if m.shape != (n1, n1):
-        raise ValueError(
-            f"input shape {m.shape} does not match system dimension {n1}"
-        )
-    joint = model.unitary @ tensor_product(m, model.ancilla_state) @ model.unitary.conj().T
-    joint = joint @ tensor_product(np.eye(model.output_dim), model.projector)
-    return partial_trace(joint, model.output_dim, model.trace_dim, keep="first")
 
 
 def stinespring_to_choi(model: StinespringModel) -> ChoiMatrix:
@@ -276,7 +247,7 @@ def choi_cp_tp_verdict(choi: ChoiMatrix) -> CpTpVerdict:
     n1 = choi.input_dim
     limit = bound(choi.matrix)
     min_eig = float(np.linalg.eigvalsh(choi.matrix)[0])
-    gram = partial_trace(choi.matrix, n1, choi.output_dim, keep="first").T
+    gram = partial_trace(choi.matrix, n1, choi.output_dim).T
     gaps = np.linalg.eigvalsh(gram - np.eye(n1))
     return CpTpVerdict(
         is_cp=min_eig >= -limit,
@@ -287,22 +258,9 @@ def choi_cp_tp_verdict(choi: ChoiMatrix) -> CpTpVerdict:
     )
 
 
-def kraus_equivalent(k1: KrausSet, k2: KrausSet, tol: float) -> bool:
-    """Whether two Kraus sets describe the same channel.
-
-    Judged by Choi-matrix distance, which is blind to global phases and to
-    the isometric mixing freedom among operators.
-    """
-    if (k1.input_dim, k1.output_dim) != (k2.input_dim, k2.output_dim):
-        raise ValueError(
-            f"dimension mismatch: ({k1.input_dim}, {k1.output_dim}) vs "
-            f"({k2.input_dim}, {k2.output_dim})"
-        )
-    return frobenius_distance(kraus_to_choi(k1).matrix, kraus_to_choi(k2).matrix) < tol
-
-
 def haar_random_unitary(dim: int, rng: np.random.Generator | int) -> np.ndarray:
     """Haar-distributed random unitary via phase-fixed QR of a complex Gaussian."""
+    dim = check_int(dim, "dim", 1)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(_normalize_seed(rng))
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
@@ -318,8 +276,9 @@ def random_cptp(input_dim: int, output_dim: int, kraus_count: int, seed: int) ->
     complex Gaussian matrix and slices the isometry into kraus_count blocks
     of output_dim rows, so sum_k A_k^dagger A_k = I up to float error.
     """
-    if kraus_count < 1:
-        raise ValueError(f"kraus_count must be positive, got {kraus_count}")
+    input_dim = check_int(input_dim, "input_dim", 1)
+    output_dim = check_int(output_dim, "output_dim", 1)
+    kraus_count = check_int(kraus_count, "kraus_count", 1)
     rows = output_dim * kraus_count
     if rows < input_dim:
         raise ValueError(
@@ -347,9 +306,13 @@ def _require_params(name: str, params: Sequence[float], count: int) -> None:
 
 
 def _integer_param(name: str, label: str, value: float) -> int:
-    if isinstance(value, bool) or not float(value).is_integer():
+    """A seed or count from the float parameter vector: an integer, or an
+    integral float such as 7.0, which is the one place a float becomes an int."""
+    if isinstance(value, (float, np.floating)) and value.is_integer():
+        value = int(value)
+    if not is_int(value):
         raise ValueError(f"channel '{name}' needs an integer {label}, got {value!r}")
-    return int(value)
+    return value
 
 
 def _unit_interval(name: str, label: str, value: float) -> float:
@@ -381,17 +344,17 @@ def zoo_channel(
       project_discard         ()               rho -> |0><0| rho |0><0|
       random_cptp             (seed, count)    random trace-preserving channel
 
-    Seeds and counts must be integral; floats such as 7.0 are accepted.
-    Only random_cptp admits output_dim different from input_dim.
+    ``params`` is a float vector, so a seed or count may be given as an
+    integral float such as 7.0; a fractional value or a bool is rejected.
+    ``input_dim`` and ``output_dim`` follow ``linalg.is_int`` and are never
+    truncated. Only random_cptp admits output_dim different from input_dim.
     """
     if name not in ZOO_CHANNEL_NAMES:
         raise ValueError(
             f"unknown channel '{name}'; valid names: {', '.join(ZOO_CHANNEL_NAMES)}"
         )
-    n = int(input_dim)
-    if n < 1:
-        raise ValueError(f"input dimension must be positive, got {n}")
-    out = n if output_dim is None else int(output_dim)
+    n = check_int(input_dim, "input_dim", 1)
+    out = n if output_dim is None else check_int(output_dim, "output_dim", 1)
     if name != "random_cptp" and out != n:
         raise ValueError(f"channel '{name}' requires equal input/output dimensions")
 

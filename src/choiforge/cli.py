@@ -16,10 +16,8 @@ from pathlib import Path
 
 from .channels import (
     ChoiMatrix,
-    CpTpVerdict,
     KrausSet,
     NotCompletelyPositiveError,
-    StinespringModel,
     ZOO_CHANNEL_NAMES,
     choi_cp_tp_verdict,
     choi_to_kraus,
@@ -31,7 +29,6 @@ from .metrics import choi_distance, process_fidelity, resource_report
 from .serialize import (
     ChannelObject,
     FileFormatError,
-    ZooSpec,
     channel_to_doc,
     doc_to_channel,
     doc_to_result_kraus,
@@ -98,10 +95,6 @@ def _load_channel_for_compare(path: str) -> ChoiMatrix:
     )
 
 
-def _verdict_doc(verdict: CpTpVerdict) -> dict:
-    return asdict(verdict)
-
-
 def cmd_convert(args) -> int:
     try:
         doc = _load_doc(args.input)
@@ -133,7 +126,7 @@ def cmd_check(args) -> int:
     except (FileFormatError, ValueError) as err:
         return _fail(EXIT_PARSE, str(err))
 
-    _emit(_verdict_doc(verdict), args.output)
+    _emit(asdict(verdict), args.output)
     if verdict.is_cp and verdict.is_trace_nonincreasing:
         return EXIT_OK
     reasons = []
@@ -161,25 +154,15 @@ def cmd_tomograph(args) -> int:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
 
-    try:
-        if isinstance(channel_spec, ZooSpec):
-            kraus = zoo_channel(
-                channel_spec.name,
-                channel_spec.params,
-                channel_spec.input_dim,
-                channel_spec.output_dim,
-            )
-            channel = OpaqueChannel.from_kraus(kraus)
-        elif isinstance(channel_spec, KrausSet):
-            channel = OpaqueChannel.from_kraus(channel_spec)
-        elif isinstance(channel_spec, StinespringModel):
-            channel = OpaqueChannel.from_stinespring(channel_spec)
-        else:
-            channel = OpaqueChannel.from_kraus(choi_to_kraus(channel_spec))
-    except NotCompletelyPositiveError as err:
-        return _fail(EXIT_NOT_CP, str(err), min_choi_eigenvalue=err.min_eigenvalue)
-    except ValueError as err:
-        return _fail(EXIT_PARSE, str(err))
+    if isinstance(channel_spec, ChoiMatrix):
+        try:
+            channel_spec = choi_to_kraus(channel_spec)
+        except NotCompletelyPositiveError as err:
+            return _fail(EXIT_NOT_CP, str(err), min_choi_eigenvalue=err.min_eigenvalue)
+    if isinstance(channel_spec, KrausSet):
+        channel = OpaqueChannel.from_kraus(channel_spec)
+    else:
+        channel = OpaqueChannel.from_stinespring(channel_spec)
 
     try:
         result = run_tomography(channel, config)

@@ -7,9 +7,6 @@ bipartite matrix is indexed by the first tensor factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal
-
 import numpy as np
 
 # The tolerance policy: two bounds, each scaled to the matrix it judges by ``bound``.
@@ -23,6 +20,23 @@ class NotHermitianError(ValueError):
     def __init__(self, deviation: float, message: str):
         super().__init__(message)
         self.deviation = deviation
+
+
+def is_int(value) -> bool:
+    """The package's one integer rule: an int or numpy integer, never a bool.
+
+    Nothing is truncated: 2.0 and 2.7 are not integers.
+    """
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_int(value, name: str, minimum: int | None = None) -> int:
+    """Return `value` as an int if ``is_int`` accepts it and it is at least
+    `minimum`; otherwise raise ValueError naming `name`."""
+    if not is_int(value) or (minimum is not None and value < minimum):
+        floor = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{floor}, got {value!r}")
+    return int(value)
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -61,39 +75,22 @@ def check_unitary(u: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} is not unitary to within {limit:.3e}")
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result is a[i, j] * b."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def partial_trace(
-    m, dim_a: int, dim_b: int, keep: Literal["first", "second"]
-) -> np.ndarray:
-    """Trace out one factor of a bipartite matrix on dimensions (dim_a, dim_b)."""
+def partial_trace(m, dim_a: int, dim_b: int) -> np.ndarray:
+    """Trace out the second factor of a bipartite matrix on dimensions (dim_a, dim_b),
+    keeping the dim_a x dim_a first factor."""
     m = _as_matrix(m)
     n = dim_a * dim_b
     if m.shape != (n, n):
         raise ValueError(
             f"matrix shape {m.shape} does not match subsystem dims ({dim_a}, {dim_b})"
         )
-    t = m.reshape(dim_a, dim_b, dim_a, dim_b)
-    if keep == "first":
-        return np.einsum("ijkj->ik", t)
-    if keep == "second":
-        return np.einsum("ijil->jl", t)
-    raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
+    return np.einsum("ijkj->ik", m.reshape(dim_a, dim_b, dim_a, dim_b))
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianEigenDecomposition:
-    """Eigenvalues sorted descending plus matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(m) -> HermitianEigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
+def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
+    """``(eigenvalues, eigenvectors)`` of a Hermitian matrix, as ``np.linalg.eigh``
+    returns them but sorted descending: column k of eigenvectors belongs to
+    eigenvalue k.
 
     The input is checked by ``check_hermitian`` and symmetrized as
     (m + m^dagger)/2 before decomposing.
@@ -101,7 +98,7 @@ def hermitian_eig(m) -> HermitianEigenDecomposition:
     m = _as_matrix(m)
     check_hermitian(m, "matrix")
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    return HermitianEigenDecomposition(w[::-1].copy(), v[:, ::-1].copy())
+    return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def frobenius_distance(a, b) -> float:

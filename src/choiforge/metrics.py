@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChoiMatrix, choi_cp_tp_verdict
-from .linalg import frobenius_distance, hermitian_eig
+from .linalg import check_int, frobenius_distance, hermitian_eig
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,8 @@ def _choi_state(j: ChoiMatrix) -> np.ndarray:
 
 
 def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    eig = hermitian_eig(rho)
-    w = np.where(eig.eigenvalues > 1e-12, eig.eigenvalues, 0.0)
-    v = eig.eigenvectors
+    w, v = hermitian_eig(rho)
+    w = np.where(w > 1e-12, w, 0.0)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
@@ -82,8 +81,8 @@ def process_fidelity(a: ChoiMatrix, b: ChoiMatrix) -> float:
 
 
 def resource_report(input_dim: int, output_dim: int) -> ResourceReport:
-    """Measurement counts for an n1 -> n2 channel; dimensions must be >= 2."""
-    n1, n2 = int(input_dim), int(output_dim)
+    """Measurement counts for an n1 -> n2 channel; dimensions must be integers >= 2."""
+    n1, n2 = check_int(input_dim, "input_dim"), check_int(output_dim, "output_dim")
     if n1 < 2 or n2 < 2:
         raise ValueError(f"dimensions must be at least 2, got ({n1}, {n2})")
     joint = n1 * n2

@@ -8,12 +8,12 @@ parse(serialize(x)) == x bit-exactly for every finite value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .channels import ChoiMatrix, KrausSet, StinespringModel
+from .channels import ChoiMatrix, KrausSet, StinespringModel, zoo_channel
+from .linalg import is_int
 from .tomography import (
     EXACT,
     SAMPLER_VERSION,
@@ -29,16 +29,6 @@ ChannelObject = KrausSet | ChoiMatrix | StinespringModel
 
 class FileFormatError(ValueError):
     """Input document is structurally invalid; the message names the field."""
-
-
-@dataclass(frozen=True)
-class ZooSpec:
-    """Channel referenced by zoo name instead of explicit payload."""
-
-    name: str
-    params: tuple[float, ...]
-    input_dim: int
-    output_dim: int
 
 
 def matrix_to_payload(m: np.ndarray) -> list[list[list[float]]]:
@@ -72,7 +62,12 @@ def payload_to_matrix(payload: Any, field: str) -> np.ndarray:
                 raise FileFormatError(
                     f"{field}: entry ({r}, {c}) is not a [re, im] number pair"
                 )
-            entries.append(complex(pair[0], pair[1]))
+            try:
+                entries.append(complex(pair[0], pair[1]))
+            except OverflowError:
+                raise FileFormatError(
+                    f"{field}: entry ({r}, {c}) is an integer beyond float range"
+                ) from None
         rows.append(entries)
     m = np.array(rows, dtype=complex)
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
@@ -115,20 +110,31 @@ def _require(doc: dict, key: str, context: str) -> Any:
     return doc[key]
 
 
-def _is_positive_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def _floats(values: Any, message: str) -> list[float]:
+    """A list of JSON numbers as floats, or FileFormatError(message) for a
+    non-list, a bool, a non-number or an integer beyond float range."""
+    if not isinstance(values, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    ):
+        raise FileFormatError(message)
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise FileFormatError(f"{message} (an integer is beyond float range)") from None
 
 
 def _parse_dims(doc: dict, context: str) -> tuple[int, int]:
     dims = _require(doc, "dims", context)
-    if not isinstance(dims, list) or len(dims) != 2 or not all(map(_is_positive_int, dims)):
+    if not isinstance(dims, list) or len(dims) != 2 or not all(
+        is_int(d) and d >= 1 for d in dims
+    ):
         raise FileFormatError(f"{context}: dims must be two positive integers")
     return dims[0], dims[1]
 
 
 def _check_version(doc: dict, context: str) -> None:
     version = _require(doc, "format_version", context)
-    if type(version) is not int or version != FORMAT_VERSION:
+    if not is_int(version) or version != FORMAT_VERSION:
         raise FileFormatError(f"{context}: unsupported format_version {version!r}")
 
 
@@ -157,7 +163,7 @@ def doc_to_channel(doc: dict) -> ChannelObject:
     if representation == "stinespring":
         ancilla_dim = _require(payload, "ancilla_dim", "payload")
         trace_dim = _require(payload, "trace_dim", "payload")
-        if not (_is_positive_int(ancilla_dim) and _is_positive_int(trace_dim)):
+        if not all(is_int(d) and d >= 1 for d in (ancilla_dim, trace_dim)):
             raise FileFormatError("payload: ancilla_dim and trace_dim must be positive integers")
         return StinespringModel(
             system_dim=n1,
@@ -178,25 +184,23 @@ def doc_to_channel(doc: dict) -> ChannelObject:
     )
 
 
-def _parse_zoo_spec(doc: dict) -> ZooSpec:
-    name = _require(doc, "name", "channel zoo spec")
-    if not isinstance(name, str):
-        raise FileFormatError("channel zoo spec: name must be a string")
-    params = doc.get("params", [])
-    if not isinstance(params, list) or not all(
-        isinstance(p, (int, float)) and not isinstance(p, bool) for p in params
-    ):
-        raise FileFormatError("channel zoo spec: params must be a list of numbers")
-    n1, n2 = _parse_dims(doc, "channel zoo spec")
-    return ZooSpec(name=name, params=tuple(float(p) for p in params), input_dim=n1, output_dim=n2)
-
-
-def parse_experiment_channel(doc: dict) -> ChannelObject | ZooSpec:
-    """Parse the channel part of an experiment: embedded file or zoo spec."""
+def parse_experiment_channel(doc: dict) -> ChannelObject:
+    """Parse the channel part of an experiment: an embedded channel file, or a
+    zoo spec ``{"name", "params", "dims"}`` built into its KrausSet by
+    ``zoo_channel``, with params read as floats. Structural faults raise
+    FileFormatError; a name or parameter ``zoo_channel`` rejects, ValueError.
+    """
     if isinstance(doc, dict) and "representation" in doc:
         return doc_to_channel(doc)
     if isinstance(doc, dict) and "name" in doc:
-        return _parse_zoo_spec(doc)
+        name = doc["name"]
+        if not isinstance(name, str):
+            raise FileFormatError("channel zoo spec: name must be a string")
+        params = _floats(
+            doc.get("params", []), "channel zoo spec: params must be a list of numbers"
+        )
+        n1, n2 = _parse_dims(doc, "channel zoo spec")
+        return zoo_channel(name, params, n1, n2)
     raise FileFormatError(
         "experiment.channel: expected an embedded channel file or a zoo spec"
     )
@@ -206,11 +210,10 @@ def _parse_input_kind(value: Any) -> SchmidtInput | None:
     if value == "max_entangled":
         return None
     if isinstance(value, dict) and value.get("kind") == "schmidt":
-        alphas = _require(value, "alphas", "config.input_kind")
-        if not isinstance(alphas, list) or not all(
-            isinstance(a, (int, float)) and not isinstance(a, bool) for a in alphas
-        ):
-            raise FileFormatError("config.input_kind.alphas: expected a list of numbers")
+        alphas = _floats(
+            _require(value, "alphas", "config.input_kind"),
+            "config.input_kind.alphas: expected a list of numbers",
+        )
         return SchmidtInput(
             alphas=np.asarray(alphas, dtype=float),
             left_unitary=payload_to_matrix(
@@ -246,29 +249,25 @@ def parse_experiment_config(doc: dict) -> TomographyConfig:
             f"config: unknown field {unknown[0]!r} (expected {', '.join(_CONFIG_KEYS)})"
         )
 
-    shots_value = config_doc.get("shots", "exact")
-    if shots_value == "exact":
-        shots: int | None = EXACT
-    elif isinstance(shots_value, int) and not isinstance(shots_value, bool):
-        shots = shots_value
-    else:
+    shots = config_doc.get("shots", "exact")
+    if shots == "exact":
+        shots = EXACT
+    elif not is_int(shots):
         raise FileFormatError("config.shots: expected a positive integer or 'exact'")
 
     seed = config_doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not is_int(seed):
         raise FileFormatError("config.seed: expected an integer")
 
     threshold = config_doc.get("kraus_threshold")
-    if threshold is not None and (
-        not isinstance(threshold, (int, float)) or isinstance(threshold, bool)
-    ):
-        raise FileFormatError("config.kraus_threshold: expected a number or null")
+    if threshold is not None:
+        threshold = _floats([threshold], "config.kraus_threshold: expected a number or null")[0]
 
     return TomographyConfig(
         shots=shots,
         seed=seed,
         input_kind=_parse_input_kind(config_doc.get("input_kind", "max_entangled")),
-        kraus_threshold=None if threshold is None else float(threshold),
+        kraus_threshold=threshold,
     )
 
 

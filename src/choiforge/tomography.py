@@ -21,17 +21,27 @@ from .channels import (
     ChoiMatrix,
     KrausSet,
     StinespringModel,
+    _check_dims,
     _eigen_operators,
     _frozen_complex,
     _normalize_seed,
     kraus_to_choi,
     stinespring_to_choi,
 )
-from .linalg import EXACT_TOL, _as_matrix, check_hermitian, check_unitary, hermitian_eig
+from .linalg import (
+    EXACT_TOL,
+    _as_matrix,
+    check_hermitian,
+    check_int,
+    check_unitary,
+    hermitian_eig,
+    is_int,
+)
 
 EXACT = None  # shot-budget sentinel: infinite-shot idealization
 MIN_SCHMIDT_COEFFICIENT = 1e-6
 SAMPLER_VERSION = 4  # bumped whenever the fixed-seed sampling stream changes
+MAX_SHOTS = 2**53  # every count below it is exact in a float64
 
 
 class NotMaximumSchmidtError(ValueError):
@@ -54,6 +64,9 @@ class OpaqueChannel:
     input_dim: int
     output_dim: int
     evaluator: Callable[[np.ndarray], np.ndarray]
+
+    def __post_init__(self):
+        _check_dims(self, "input_dim", "output_dim")
 
     @classmethod
     def from_kraus(cls, kraus: KrausSet) -> "OpaqueChannel":
@@ -139,21 +152,24 @@ class SchmidtInput:
         object.__setattr__(self, "right_unitary", v)
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_shots(shots) -> None:
-    if shots is not EXACT and not (_is_integer(shots) and shots >= 1):
+def _check_shots(shots) -> int | None:
+    """``shots`` as an int in [1, MAX_SHOTS], or EXACT; anything else raises ValueError."""
+    if shots is EXACT:
+        return EXACT
+    if not (is_int(shots) and shots >= 1):
         raise ValueError(f"shots must be a positive integer or EXACT, got {shots!r}")
+    if shots > MAX_SHOTS:
+        raise ValueError(f"shots must be at most MAX_SHOTS = 2**53, got {shots!r}")
+    return int(shots)
 
 
 @dataclass(frozen=True, eq=False)
 class TomographyConfig:
     """Run parameters: shot budget, seed, input state, eigenvalue cutoff.
 
-    ``shots`` is a positive integer or ``EXACT``, the infinite-shot
-    idealization; ``seed`` is an integer; bools are neither. ``input_kind`` of
+    ``shots`` is a positive integer up to ``MAX_SHOTS`` or ``EXACT``, the
+    infinite-shot idealization; ``seed`` is an integer; integers follow
+    ``linalg.is_int``, so bools and floats are neither. ``input_kind`` of
     None, the default, is the maximally entangled input, which
     ``run_tomography`` builds as the uniform ``SchmidtInput`` for the
     channel's input dimension. ``kraus_threshold`` must be finite and
@@ -167,9 +183,8 @@ class TomographyConfig:
     kraus_threshold: float | None = None
 
     def __post_init__(self):
-        _check_shots(self.shots)
-        if not _is_integer(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "shots", _check_shots(self.shots))
+        object.__setattr__(self, "seed", check_int(self.seed, "seed"))
         if self.kraus_threshold is not None and not (
             math.isfinite(self.kraus_threshold) and self.kraus_threshold >= 0
         ):
@@ -240,7 +255,9 @@ def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
     batched binomial draw and all outcome counts one batched multinomial
     draw from a single generator seeded by ``seed``. Linear inversion of the
     outcome frequencies, entry by entry, gives a Hermitian unbiased estimate
-    that is generally not positive. ``shots=EXACT`` returns rho unchanged.
+    that is generally not positive. ``shots=EXACT`` returns rho unchanged; a
+    finite count must be an integer in [1, MAX_SHOTS], where every count is
+    exact in a float64.
     rho must be Hermitian and PSD to within bound(rho), with trace <= 1 + EXACT_TOL.
     """
     rho = _as_matrix(rho, "state")
@@ -251,10 +268,10 @@ def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
     trace = float(np.trace(rho).real)
     if trace > 1.0 + EXACT_TOL:
         raise ValueError(f"state trace {trace} exceeds 1")
-    _check_shots(shots)
+    shots = _check_shots(shots)
+    seed = _normalize_seed(seed)
     if shots is EXACT:
         return rho.copy()
-    shots = int(shots)
 
     dim = rho.shape[0]
     estimate = np.zeros((dim, dim), dtype=complex)
@@ -276,7 +293,7 @@ def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
     probs = np.clip(np.stack((first, second, zero), axis=1), 0.0, None)
     probs /= probs.sum(axis=1, keepdims=True)
 
-    rng = np.random.default_rng(_normalize_seed(seed))
+    rng = np.random.default_rng(seed)
     successes = rng.binomial(shots, success_prob, size=dim * dim)
     counts = rng.multinomial(successes, probs)
 
@@ -290,7 +307,7 @@ def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
     estimate[rows, cols] = upper
     estimate[cols, rows] = upper.conj()
 
-    levels = np.arange(1, dim)
+    levels = np.arange(1.0, dim)  # float: l(l+1)*shots would overflow int64
     ladder = counts[1 + 2 * n_pairs :]
     weights = (ladder[:, 0] - levels * ladder[:, 1]) / (levels * (levels + 1) * shots)
     diagonal = np.full(dim, counts[0, 0] / (dim * shots))
@@ -303,6 +320,7 @@ def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
 def default_kraus_threshold(shots: int | None, input_dim: int) -> float:
     """Eigenvalue cutoff: numerically-zero in EXACT mode, 3x the plug-in
     noise scale input_dim/sqrt(shots) otherwise."""
+    _check_shots(shots)
     if shots is EXACT:
         return KRAUS_DROP_THRESHOLD
     return max(KRAUS_DROP_THRESHOLD, 3.0 * input_dim / math.sqrt(shots))
@@ -327,7 +345,7 @@ def reconstruct_from_schmidt(
     so the Choi estimate is not judged again but symmetrized exactly.
     """
     n1 = spec.alphas.size
-    n2 = int(output_dim)
+    n2 = check_int(output_dim, "output_dim", 1)
     rho_est = _as_matrix(rho_est, "state estimate")
     d = n1 * n2
     if rho_est.shape != (d, d):
@@ -338,9 +356,9 @@ def reconstruct_from_schmidt(
     left = (w.conj().T @ rho_est.reshape(n1, -1)).reshape(d, n1, n2)
     choi = (left.transpose(0, 2, 1) @ w).transpose(0, 2, 1).reshape(d, d)
 
-    eig = hermitian_eig((choi + choi.conj().T) / 2)
-    negativity_removed = float(np.sum(-eig.eigenvalues[eig.eigenvalues < 0.0]))
-    ops = _eigen_operators(eig, n1, n2, threshold) @ spec.right_unitary.conj().T
+    evals, evecs = hermitian_eig((choi + choi.conj().T) / 2)
+    negativity_removed = float(np.sum(-evals[evals < 0.0]))
+    ops = _eigen_operators(evals, evecs, n1, n2, threshold) @ spec.right_unitary.conj().T
     return KrausSet(n1, n2, tuple(ops)), negativity_removed
 
 
@@ -369,7 +387,7 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
     )
     kraus, negativity_removed = reconstruct_from_schmidt(raw_estimate, spec, n2, threshold)
 
-    shots_used = 0 if config.shots is EXACT else int(config.shots) * (n1 * n2) ** 2
+    shots_used = 0 if config.shots is EXACT else config.shots * (n1 * n2) ** 2
     return TomographyResult(
         estimated_choi=kraus_to_choi(kraus),
         kraus=kraus,

@@ -1,6 +1,9 @@
-"""Shared numeric helpers for the test suite."""
+"""Shared numeric helpers and reference oracles for the test suite."""
 
 import numpy as np
+
+from choiforge.channels import kraus_to_choi
+from choiforge.metrics import choi_distance
 
 
 def random_complex_matrix(rows, cols, rng):
@@ -43,3 +46,34 @@ def hermitian_operator_basis(dim):
         diag[level, level] = -float(level)
         mats.append(diag / np.sqrt(level * (level + 1)))
     return mats
+
+
+def apply_kraus(kraus, m):
+    """Reference E(M) = sum_k A_k M A_k^dagger, straight from the definition.
+
+    The library never applies a channel this way (its one evaluator is a
+    product with the realigned Choi matrix); tests use this to check it.
+    """
+    m = np.asarray(m, dtype=complex)
+    n1 = kraus.input_dim
+    if m.shape != (n1, n1):
+        raise ValueError(f"input shape {m.shape} does not match channel input dimension {n1}")
+    return sum(op @ m @ op.conj().T for op in kraus.operators)
+
+
+def apply_stinespring(model, m):
+    """Reference Tr_o[U (M tensor rho_a) U^dagger (I tensor P_o)], evaluated literally."""
+    m = np.asarray(m, dtype=complex)
+    n1 = model.system_dim
+    if m.shape != (n1, n1):
+        raise ValueError(f"input shape {m.shape} does not match system dimension {n1}")
+    joint = model.unitary @ np.kron(m, model.ancilla_state) @ model.unitary.conj().T
+    joint = joint @ np.kron(np.eye(model.output_dim), model.projector)
+    o, t = model.output_dim, model.trace_dim
+    return np.einsum("itjt->ij", joint.reshape(o, t, o, t))
+
+
+def kraus_equivalent(k1, k2, tol):
+    """Whether two Kraus sets describe the same channel: Choi distance below tol,
+    which is blind to global phases and to unitary mixing of the operators."""
+    return choi_distance(kraus_to_choi(k1), kraus_to_choi(k2)) < tol

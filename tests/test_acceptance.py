@@ -8,14 +8,11 @@ import time
 
 import numpy as np
 
-from conftest import random_density
+from conftest import apply_kraus, apply_stinespring, kraus_equivalent, random_density
 from choiforge.channels import (
     StinespringModel,
-    apply_kraus,
-    apply_stinespring,
     choi_to_kraus,
     haar_random_unitary,
-    kraus_equivalent,
     kraus_to_choi,
     random_cptp,
     zoo_channel,

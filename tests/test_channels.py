@@ -3,24 +3,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density, random_hermitian
+from conftest import (
+    apply_kraus,
+    apply_stinespring,
+    kraus_equivalent,
+    random_density,
+    random_hermitian,
+)
 from choiforge.channels import (
     ChoiMatrix,
     KrausSet,
     NotCompletelyPositiveError,
     StinespringModel,
-    apply_kraus,
-    apply_stinespring,
     choi_cp_tp_verdict,
     choi_to_kraus,
     haar_random_unitary,
-    kraus_equivalent,
     kraus_to_choi,
     random_cptp,
     stinespring_to_choi,
     zoo_channel,
 )
 from choiforge.linalg import NotHermitianError, frobenius_distance
+from choiforge.metrics import resource_report
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -452,6 +456,43 @@ class TestZoo:
         # integral floats, as parsed from the command line, stay valid
         assert kraus_equivalent(zoo_channel("unitary", [7.0]), zoo_channel("unitary", [7]), 1e-15)
         assert len(zoo_channel("random_cptp", [3.0, 2.0]).operators) == 2
+
+        # every other dims, seed and count argument follows linalg.is_int:
+        # floats, integral or not, and bools are rejected with the argument named
+        rho, u = np.diag([1.0, 0.0]), np.eye(4)
+        entry_points = {
+            "input_dim": [
+                lambda v: zoo_channel("identity", [], v),
+                lambda v: random_cptp(v, 2, 2, 0),
+                lambda v: KrausSet(v, 2, (I2,)),
+                lambda v: ChoiMatrix(v, 2, np.eye(4)),
+                lambda v: resource_report(v, 2),
+            ],
+            "output_dim": [
+                lambda v: zoo_channel("random_cptp", [1, 2], 2, v),
+                lambda v: random_cptp(2, v, 2, 0),
+                lambda v: KrausSet(2, v, (I2,)),
+                lambda v: ChoiMatrix(2, v, np.eye(4)),
+                lambda v: StinespringModel(2, 2, v, 2, u, rho, I2),
+                lambda v: resource_report(2, v),
+            ],
+            "kraus_count": [lambda v: random_cptp(2, 2, v, 0)],
+            "seed": [lambda v: random_cptp(2, 2, 2, v), lambda v: haar_random_unitary(2, v)],
+            "dim": [lambda v: haar_random_unitary(v, 0)],
+            "system_dim": [lambda v: StinespringModel(v, 2, 2, 2, u, rho, I2)],
+            "ancilla_dim": [lambda v: StinespringModel(2, v, 2, 2, u, rho, I2)],
+            "trace_dim": [lambda v: StinespringModel(2, 2, 2, v, u, rho, I2)],
+        }
+        for name, calls in entry_points.items():
+            for call in calls:
+                for bad in (2.5, 2.0, True):
+                    with pytest.raises(ValueError, match=name):
+                        call(bad)
+                call(np.int64(2))
+        assert random_cptp(2, 2, np.int64(2), np.int64(5)).operators[0].tobytes() == (
+            random_cptp(2, 2, 2, 5).operators[0].tobytes()
+        )
+        assert type(KrausSet(np.int64(2), 2, (I2,)).input_dim) is int
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="valid names"):

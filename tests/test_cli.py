@@ -329,6 +329,59 @@ class TestTomograph:
         assert json.loads(out)["success_trace"] == pytest.approx(0.5)
 
 
+BIG = 10**400  # an integer JSON literal that no float can hold
+IDENTITY_ZOO = {"name": "identity", "params": [], "dims": [2, 2]}
+
+
+def big_entry_choi_doc():
+    doc = channel_to_doc(kraus_to_choi(zoo_channel("identity")))
+    doc["payload"]["matrix"][0][0][0] = BIG
+    return doc
+
+
+class TestOutOfRangeNumbers:
+    @pytest.mark.parametrize(
+        "command, doc, code",
+        [
+            ("check", big_entry_choi_doc(), 2),
+            ("compare", big_entry_choi_doc(), 2),
+            ("tomograph", experiment_doc(big_entry_choi_doc()), 2),
+            ("tomograph", experiment_doc({**IDENTITY_ZOO, "name": "unitary", "params": [BIG]}), 2),
+            ("tomograph", experiment_doc(IDENTITY_ZOO, kraus_threshold=BIG), 2),
+            ("tomograph", experiment_doc(IDENTITY_ZOO, shots=2**53 + 1), 5),
+            ("tomograph", experiment_doc(IDENTITY_ZOO, shots=2**62), 5),
+            ("tomograph", experiment_doc(IDENTITY_ZOO, shots=2**63 - 1), 5),
+            ("tomograph", experiment_doc(IDENTITY_ZOO, shots=10**23), 5),
+            ("tomograph", experiment_doc(IDENTITY_ZOO, shots=2**53), 0),
+        ],
+        ids=[
+            "check-entry",
+            "compare-entry",
+            "tomograph-entry",
+            "zoo-param",
+            "kraus-threshold",
+            "shots-2^53+1",
+            "shots-2^62",
+            "shots-2^63-1",
+            "shots-1e23",
+            "shots-2^53-accepted",
+        ],
+    )
+    def test_fail_loudly_or_estimate_finitely(self, tmp_path, capsys, command, doc, code):
+        path = write_doc(tmp_path / "in.json", doc)
+        argv = [command, path, path] if command == "compare" else [command, path]
+        got, out, err = run(capsys, argv)
+        assert got == code
+        if code:
+            assert out == ""
+            assert json.loads(err)["exit_code"] == code
+            return
+        # the largest accepted count: a finite estimate of the identity channel
+        result = json.loads(out)
+        assert result["success_trace"] == pytest.approx(1.0, abs=1e-6)
+        assert np.allclose(result["choi_eigenvalues"], [2, 0, 0, 0], atol=1e-6)
+
+
 class TestCompare:
     def test_file_vs_itself(self, tmp_path, capsys):
         src = write_channel(tmp_path / "dep.json", zoo_channel("depolarizing", [0.5]))

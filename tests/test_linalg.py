@@ -11,10 +11,11 @@ from choiforge.linalg import (
     NotHermitianError,
     bound,
     check_hermitian,
+    check_int,
     frobenius_distance,
     hermitian_eig,
+    is_int,
     partial_trace,
-    tensor_product,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -23,40 +24,27 @@ Z = np.diag([1, -1]).astype(complex)
 PHI = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)  # max entangled, n=2
 
 
-class TestTensorProduct:
-    def test_identity(self):
-        assert np.array_equal(tensor_product(I2, I2), np.eye(4))
+class TestIsInt:
+    def test_integer_rule(self):
+        for value in (0, -3, 2**70, np.int64(2), np.int32(-1), np.uint8(7)):
+            assert is_int(value)
+        for value in (True, False, np.bool_(True), 2.0, 2.7, np.float64(3.0), "2", None, 2 + 0j):
+            assert not is_int(value)
 
-    def test_projector_times_x(self):
-        p0 = np.diag([1, 0]).astype(complex)
-        expected = np.array(
-            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], dtype=complex
-        )
-        assert np.array_equal(tensor_product(p0, X), expected)
-
-    def test_column_vectors(self):
-        a = np.array([[1], [0]], dtype=complex)
-        b = np.array([[0], [1]], dtype=complex)
-        assert np.array_equal(tensor_product(a, b), np.array([[0], [1], [0], [0]]))
-
-    @given(st.integers(0, 2**32 - 1))
-    def test_associative_on_integer_matrices(self, seed):
-        rng = np.random.default_rng(seed)
-        mats = [rng.integers(-3, 4, size=(2, 2)).astype(complex) for _ in range(3)]
-        a, b, c = mats
-        assert np.array_equal(
-            tensor_product(tensor_product(a, b), c),
-            tensor_product(a, tensor_product(b, c)),
-        )
+    def test_check_int_names_the_argument_and_never_truncates(self):
+        assert check_int(np.int64(5), "n", 1) == 5 and type(check_int(np.int64(5), "n")) is int
+        assert check_int(-7, "seed") == -7
+        for bad in (2.7, 2.0, True):
+            with pytest.raises(ValueError, match="kraus_count must be an integer"):
+                check_int(bad, "kraus_count", 1)
+        with pytest.raises(ValueError, match=">= 1, got 0"):
+            check_int(0, "kraus_count", 1)
 
 
 class TestPartialTrace:
     def test_max_entangled_marginal(self):
         rho = np.outer(PHI, PHI.conj())
-        assert np.allclose(partial_trace(rho, 2, 2, "first"), I2 / 2, atol=1e-14)
-
-    def test_identity_keep_second(self):
-        assert np.allclose(partial_trace(np.eye(4), 2, 2, "second"), 2 * I2)
+        assert np.allclose(partial_trace(rho, 2, 2), I2 / 2, atol=1e-14)
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_product_state_factors(self, dims):
@@ -64,44 +52,38 @@ class TestPartialTrace:
         rng = np.random.default_rng(11)
         rho_a = random_hermitian(da, rng)
         rho_b = random_hermitian(db, rng)
-        joint = tensor_product(rho_a, rho_b)
-        ta, tb = np.trace(rho_a), np.trace(rho_b)
-        assert frobenius_distance(partial_trace(joint, da, db, "first"), rho_a * tb) < 1e-10
-        assert frobenius_distance(partial_trace(joint, da, db, "second"), rho_b * ta) < 1e-10
+        joint = np.kron(rho_a, rho_b)
+        assert frobenius_distance(partial_trace(joint, da, db), rho_a * np.trace(rho_b)) < 1e-10
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(3)
         m = random_complex_matrix(6, 6, rng)
-        for keep, dims in [("first", (2, 3)), ("second", (3, 2))]:
-            reduced = partial_trace(m, dims[0], dims[1], keep)
+        for dims in [(2, 3), (3, 2)]:
+            reduced = partial_trace(m, *dims)
             assert abs(np.trace(reduced) - np.trace(m)) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
-            partial_trace(np.eye(5), 2, 2, "first")
-
-    def test_bad_selector(self):
-        with pytest.raises(ValueError, match="keep"):
-            partial_trace(np.eye(4), 2, 2, "third")
+            partial_trace(np.eye(5), 2, 2)
 
 
 class TestHermitianEig:
     def test_pauli_z(self):
-        eig = hermitian_eig(Z)
-        assert np.allclose(eig.eigenvalues, [1, -1])
-        assert abs(abs(eig.eigenvectors[0, 0]) - 1) < 1e-12
-        assert abs(abs(eig.eigenvectors[1, 1]) - 1) < 1e-12
+        w, v = hermitian_eig(Z)
+        assert np.allclose(w, [1, -1])
+        assert abs(abs(v[0, 0]) - 1) < 1e-12
+        assert abs(abs(v[1, 1]) - 1) < 1e-12
 
     def test_pauli_x(self):
-        eig = hermitian_eig(X)
-        assert np.allclose(eig.eigenvalues, [1, -1])
-        top = eig.eigenvectors[:, 0]
+        w, v = hermitian_eig(X)
+        assert np.allclose(w, [1, -1])
+        top = v[:, 0]
         assert np.allclose(np.abs(top), [1 / np.sqrt(2)] * 2, atol=1e-12)
 
     def test_rank_one_projector(self):
-        eig = hermitian_eig(2 * np.outer(PHI, PHI.conj()))
-        assert np.allclose(eig.eigenvalues, [2, 0, 0, 0], atol=1e-12)
-        top = eig.eigenvectors[:, 0]
+        w, v = hermitian_eig(2 * np.outer(PHI, PHI.conj()))
+        assert np.allclose(w, [2, 0, 0, 0], atol=1e-12)
+        top = v[:, 0]
         overlap = abs(np.vdot(PHI, top))
         assert abs(overlap - 1) < 1e-12
 
@@ -109,11 +91,10 @@ class TestHermitianEig:
     @settings(max_examples=60, deadline=None)
     def test_reconstruction_and_orthonormality(self, seed, dim):
         h = random_hermitian(dim, np.random.default_rng(seed))
-        eig = hermitian_eig(h)
-        assert np.all(np.diff(eig.eigenvalues) <= 1e-12)  # descending
-        v = eig.eigenvectors
+        w, v = hermitian_eig(h)
+        assert np.all(np.diff(w) <= 1e-12)  # descending
         assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-10
-        assert frobenius_distance((v * eig.eigenvalues) @ v.conj().T, h) < 1e-9
+        assert frobenius_distance((v * w) @ v.conj().T, h) < 1e-9
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):

@@ -8,7 +8,6 @@ from conftest import random_complex_matrix
 from choiforge.channels import ChoiMatrix, KrausSet, StinespringModel, kraus_to_choi, zoo_channel
 from choiforge.serialize import (
     FileFormatError,
-    ZooSpec,
     channel_to_doc,
     doc_to_channel,
     doc_to_result_kraus,
@@ -95,6 +94,19 @@ class TestChannelFiles:
         assert np.array_equal(recovered.ancilla_state, model.ancilla_state)
         assert np.array_equal(recovered.projector, model.projector)
 
+    def test_numpy_integer_dims_write_readable_files(self):
+        # the constructors store dims as ints, so every file they write reads back
+        n = np.int64(2)
+        channels = [
+            KrausSet(n, np.int32(2), (np.eye(2),)),
+            ChoiMatrix(n, n, np.eye(4)),
+            StinespringModel(n, n, n, n, np.eye(4), np.diag([1.0, 0.0]), np.eye(2)),
+        ]
+        for channel in channels:
+            doc = load_document(dump_document(channel_to_doc(channel)))
+            assert doc["dims"] == [2, 2]
+            assert type(doc_to_channel(doc)) is type(channel)
+
     def test_unknown_representation_rejected(self):
         doc = channel_to_doc(zoo_channel("identity"))
         doc["representation"] = "ptm"
@@ -120,6 +132,12 @@ class TestChannelFiles:
             doc_to_channel(doc)
 
 
+def assert_same_kraus(actual, expected):
+    assert isinstance(actual, KrausSet)
+    assert (actual.input_dim, actual.output_dim) == (expected.input_dim, expected.output_dim)
+    assert [op.tobytes() for op in actual.operators] == [op.tobytes() for op in expected.operators]
+
+
 class TestExperimentFiles:
     def test_zoo_spec_with_exact_config(self):
         doc = {
@@ -128,7 +146,7 @@ class TestExperimentFiles:
         }
         channel = parse_experiment_channel(doc["channel"])
         config = parse_experiment_config(doc)
-        assert channel == ZooSpec("depolarizing", (0.3,), 2, 2)
+        assert_same_kraus(channel, zoo_channel("depolarizing", [0.3]))
         assert config.shots is EXACT
         assert config.seed == 7
         assert config.input_kind is None
@@ -185,7 +203,8 @@ class TestExperimentFiles:
         section = readme.split("### Experiment files", 1)[1]
         example = section.split("```json", 1)[1].split("```", 1)[0]
         doc = load_document(example)
-        assert parse_experiment_channel(doc["channel"]) == ZooSpec("depolarizing", (0.3,), 2, 2)
+        channel = parse_experiment_channel(doc["channel"])
+        assert_same_kraus(channel, zoo_channel("depolarizing", [0.3]))
         config = parse_experiment_config(doc)
         assert (config.shots, config.seed, config.input_kind) == (100000, 7, None)
 

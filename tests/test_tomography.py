@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from conftest import hermitian_operator_basis, random_complex_matrix, random_density
+from conftest import (
+    apply_kraus,
+    apply_stinespring,
+    hermitian_operator_basis,
+    kraus_equivalent,
+    random_complex_matrix,
+    random_density,
+)
 from choiforge.channels import (
     KrausSet,
     StinespringModel,
-    apply_kraus,
-    apply_stinespring,
     choi_cp_tp_verdict,
     haar_random_unitary,
-    kraus_equivalent,
     kraus_to_choi,
     random_cptp,
     zoo_channel,
@@ -19,6 +23,7 @@ from choiforge.channels import (
 from choiforge.linalg import NotHermitianError, frobenius_distance
 from choiforge.tomography import (
     EXACT,
+    MAX_SHOTS,
     NotMaximumSchmidtError,
     OpaqueChannel,
     SchmidtConditioningError,
@@ -283,6 +288,19 @@ class TestSimulateStateTomography:
     def test_bad_shot_count_rejected(self):
         with pytest.raises(ValueError, match="positive integer"):
             simulate_state_tomography(I2 / 2, 0, seed=0)
+
+    def test_shot_count_ceiling(self):
+        # up to MAX_SHOTS every count is exact in a float64 and the estimate
+        # is finite and unbiased; beyond it the count is rejected, never wrapped
+        rho = random_density(64, np.random.default_rng(64))
+        est = simulate_state_tomography(rho, MAX_SHOTS, seed=1)
+        assert np.isfinite(est).all()
+        assert frobenius_distance(est, rho) < 2 * np.sqrt(64 / MAX_SHOTS)
+        for shots in (MAX_SHOTS + 1, 2**62, 2**63 - 1, 10**23):
+            with pytest.raises(ValueError, match="MAX_SHOTS"):
+                simulate_state_tomography(rho, shots, seed=1)
+            with pytest.raises(ValueError, match="MAX_SHOTS"):
+                TomographyConfig(shots=shots)
 
 
 class TestLargeDimensions:
@@ -606,10 +624,22 @@ class TestRunTomography:
                 TomographyConfig(shots=shots)
             with pytest.raises(ValueError, match="shots"):
                 simulate_state_tomography(I2 / 2, shots, seed=0)
+            with pytest.raises(ValueError, match="shots"):
+                default_kraus_threshold(shots, 2)
         for seed in (True, 2.7, 2.0, "2"):
             with pytest.raises(ValueError, match="seed"):
                 TomographyConfig(seed=seed)
+            with pytest.raises(ValueError, match="seed"):
+                simulate_state_tomography(I2 / 2, 100, seed=seed)
+        for bad in (True, 2.0):
+            with pytest.raises(ValueError, match="output_dim"):
+                reconstruct_from_schmidt(I2 / 2, uniform(2), bad)
+            with pytest.raises(ValueError, match="input_dim"):
+                OpaqueChannel(bad, 2, lambda m: m)
+            with pytest.raises(ValueError, match="output_dim"):
+                OpaqueChannel(2, bad, lambda m: m)
         config = TomographyConfig(shots=np.int32(100), seed=np.int64(2))
+        assert (type(config.shots), type(config.seed)) == (int, int)
         channel = OpaqueChannel.from_kraus(zoo_channel("depolarizing", [0.3]))
         same = run_tomography(channel, TomographyConfig(shots=100, seed=2))
         assert run_tomography(channel, config).raw_state_estimate.tobytes() == (

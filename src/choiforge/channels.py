@@ -28,6 +28,7 @@ from .linalg import (
     check_unitary,
     hermitian_eig,
     is_int,
+    is_real,
     partial_trace,
 )
 
@@ -316,10 +317,10 @@ def _integer_param(name: str, label: str, value: float) -> int:
 
 
 def _unit_interval(name: str, label: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"channel '{name}' needs {label} in [0, 1], got {value}")
-    return value
+    """A probability parameter: a real number (``linalg.is_real``) in [0, 1]."""
+    if not (is_real(value) and 0.0 <= value <= 1.0):
+        raise ValueError(f"channel '{name}' needs {label} in [0, 1], got {value!r}")
+    return float(value)
 
 
 def _drop_zero_operators(ops: list[np.ndarray]) -> tuple[np.ndarray, ...]:

@@ -30,6 +30,12 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """The package's one real-number rule: an int, float or numpy real, never
+    a bool and never a str. Nothing is parsed: "0.3" is not a real number."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def check_int(value, name: str, minimum: int | None = None) -> int:
     """Return `value` as an int if ``is_int`` accepts it and it is at least
     `minimum`; otherwise raise ValueError naming `name`."""

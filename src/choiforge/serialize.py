@@ -13,7 +13,7 @@ from typing import Any
 import numpy as np
 
 from .channels import ChoiMatrix, KrausSet, StinespringModel, zoo_channel
-from .linalg import is_int
+from .linalg import is_int, is_real
 from .tomography import (
     EXACT,
     SAMPLER_VERSION,
@@ -113,9 +113,7 @@ def _require(doc: dict, key: str, context: str) -> Any:
 def _floats(values: Any, message: str) -> list[float]:
     """A list of JSON numbers as floats, or FileFormatError(message) for a
     non-list, a bool, a non-number or an integer beyond float range."""
-    if not isinstance(values, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-    ):
+    if not isinstance(values, list) or not all(is_real(v) for v in values):
         raise FileFormatError(message)
     try:
         return [float(v) for v in values]

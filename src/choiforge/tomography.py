@@ -30,12 +30,14 @@ from .channels import (
 )
 from .linalg import (
     EXACT_TOL,
+    TOL,
     _as_matrix,
+    bound,
     check_hermitian,
     check_int,
     check_unitary,
-    hermitian_eig,
     is_int,
+    is_real,
 )
 
 EXACT = None  # shot-budget sentinel: infinite-shot idealization
@@ -185,11 +187,12 @@ class TomographyConfig:
     def __post_init__(self):
         object.__setattr__(self, "shots", _check_shots(self.shots))
         object.__setattr__(self, "seed", check_int(self.seed, "seed"))
-        if self.kraus_threshold is not None and not (
-            math.isfinite(self.kraus_threshold) and self.kraus_threshold >= 0
+        threshold = self.kraus_threshold
+        if threshold is not None and not (
+            is_real(threshold) and math.isfinite(threshold) and threshold >= 0
         ):
             raise ValueError(
-                f"kraus_threshold must be finite and nonnegative, got {self.kraus_threshold}"
+                f"kraus_threshold must be finite and nonnegative, got {threshold!r}"
             )
         if self.input_kind is not None and not isinstance(self.input_kind, SchmidtInput):
             raise ValueError("input_kind must be None (maximally entangled) or a SchmidtInput")
@@ -239,6 +242,20 @@ def joint_output_state(channel: OpaqueChannel, input_vector) -> np.ndarray:
     return out
 
 
+def _check_state(rho: np.ndarray, limit: float, positivity_proved: bool = False) -> float:
+    """Judge a Hermitian joint state: eigenvalues >= -limit, unless the caller
+    has already proved it, then Tr rho <= 1 + EXACT_TOL. Returns the trace;
+    raises ValueError naming the first fault."""
+    if not positivity_proved:
+        lowest = np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0]
+        if lowest < -limit:
+            raise ValueError(f"state is not positive semidefinite: eigenvalue {lowest:.3e}")
+    trace = float(np.trace(rho).real)
+    if trace > 1.0 + EXACT_TOL:
+        raise ValueError(f"state trace {trace} exceeds 1")
+    return trace
+
+
 def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
     """Estimate a (possibly subnormalized) density matrix from simulated counts.
 
@@ -255,19 +272,16 @@ def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
     batched binomial draw and all outcome counts one batched multinomial
     draw from a single generator seeded by ``seed``. Linear inversion of the
     outcome frequencies, entry by entry, gives a Hermitian unbiased estimate
-    that is generally not positive. ``shots=EXACT`` returns rho unchanged; a
+    that is generally not positive. ``shots=EXACT`` returns a copy of rho; a
     finite count must be an integer in [1, MAX_SHOTS], where every count is
     exact in a float64.
-    rho must be Hermitian and PSD to within bound(rho), with trace <= 1 + EXACT_TOL.
+    rho must be Hermitian and PSD to within bound(rho), with trace <= 1 +
+    EXACT_TOL, whatever the shot count: positivity costs one ``eigvalsh``
+    here. ``run_tomography`` calls this only for finite shots; an exact run
+    judges the evaluator output itself, on its one eigendecomposition.
     """
     rho = _as_matrix(rho, "state")
-    limit = check_hermitian(rho, "state")
-    eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if eigs[0] < -limit:
-        raise ValueError(f"state is not positive semidefinite: eigenvalue {eigs[0]:.3e}")
-    trace = float(np.trace(rho).real)
-    if trace > 1.0 + EXACT_TOL:
-        raise ValueError(f"state trace {trace} exceeds 1")
+    trace = _check_state(rho, check_hermitian(rho, "state"))
     shots = _check_shots(shots)
     seed = _normalize_seed(seed)
     if shots is EXACT:
@@ -336,30 +350,50 @@ def reconstruct_from_schmidt(
 
     With W = U diag(1/alpha), the Choi estimate is (W^dagger tensor I)
     rho_est (W tensor I): the estimate rotated by U^dagger with block (i, j)
-    divided by alpha_i alpha_j. Its one eigendecomposition gives everything
-    else: negative eigenvalues are clipped, each eigenpair above `threshold`
-    becomes an intermediate operator, and the channel's Kraus operators are
-    the intermediates times V^dagger. Returns the Kraus set and the clipped
-    negative eigenvalue mass of the Choi estimate. Hermiticity is judged on
-    `rho_est`; the rescaling amplifies its float noise by up to 1/alpha_min^2,
-    so the Choi estimate is not judged again but symmetrized exactly.
+    divided by alpha_i alpha_j. Its one eigendecomposition, a single
+    ``np.linalg.eigh``, gives everything else: negative eigenvalues are
+    clipped, each eigenpair above `threshold` becomes an intermediate
+    operator, and the channel's Kraus operators are the intermediates times
+    V^dagger. Returns the Kraus set and the clipped negative eigenvalue mass
+    of the Choi estimate. `rho_est` must be finite and is judged Hermitian to
+    within bound(rho_est), but not positive; the rescaling amplifies its float
+    noise by up to 1/alpha_min^2, so the Choi estimate is not judged again but
+    symmetrized exactly, which makes it bitwise Hermitian.
     """
     n1 = spec.alphas.size
     n2 = check_int(output_dim, "output_dim", 1)
-    rho_est = _as_matrix(rho_est, "state estimate")
+    rho_est = _as_matrix(rho_est, "state")
     d = n1 * n2
     if rho_est.shape != (d, d):
         raise ValueError(f"estimate has shape {rho_est.shape}, expected {(d, d)}")
-    check_hermitian(rho_est, "state estimate")
+    check_hermitian(rho_est, "state")
 
     w = spec.left_unitary / spec.alphas
     left = (w.conj().T @ rho_est.reshape(n1, -1)).reshape(d, n1, n2)
     choi = (left.transpose(0, 2, 1) @ w).transpose(0, 2, 1).reshape(d, d)
 
-    evals, evecs = hermitian_eig((choi + choi.conj().T) / 2)
+    evals, evecs = np.linalg.eigh((choi + choi.conj().T) / 2)
+    evals, evecs = evals[::-1].copy(), evecs[:, ::-1].copy()
     negativity_removed = float(np.sum(-evals[evals < 0.0]))
     ops = _eigen_operators(evals, evecs, n1, n2, threshold) @ spec.right_unitary.conj().T
     return KrausSet(n1, n2, tuple(ops)), negativity_removed
+
+
+def _positivity_proved(negativity_removed: float, spec: SchmidtInput, limit: float, d: int) -> bool:
+    """Whether the Choi estimate made from a d x d state rho proves
+    lambda_min(rho) >= -limit, where limit = bound(rho).
+
+    The estimate is the congruence (W^dagger tensor I) rho (W tensor I) with
+    W = U diag(1/alpha), so by Ostrowski's theorem a negative lambda_min of
+    the estimate is lambda_min(rho) scaled by at least 1/alpha_max^2, and its
+    magnitude is at most `negativity_removed`. Forming and decomposing the
+    estimate in floats perturbs rho by up to about
+    d^2 eps (alpha_max/alpha_min)^2 max|rho_ij|; as max|rho_ij| <= limit / TOL,
+    that share of `limit` is held in reserve.
+    """
+    a_max, a_min = float(spec.alphas.max()), float(spec.alphas.min())
+    reserve = d * d * np.finfo(float).eps * (a_max / a_min) ** 2 / TOL
+    return negativity_removed * a_max**2 <= limit * (1.0 - reserve)
 
 
 @functools.cache
@@ -371,7 +405,14 @@ def _max_entangled_input(n1: int) -> SchmidtInput:
 def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> TomographyResult:
     """Full pipeline: prepare, evolve once, estimate, reconstruct.
 
-    Deterministic for a fixed (seed, shots) pair.
+    Deterministic for a fixed (seed, shots) pair. A finite shot count samples
+    the evaluator output with ``simulate_state_tomography``, which judges it
+    first. ``shots=EXACT`` skips the sampler: the evaluator output is the
+    estimate, and it is judged in the sampler's order and with its messages.
+    ``reconstruct_from_schmidt`` judges Hermiticity, positivity is read off
+    the Choi estimate's one eigendecomposition (``eigvalsh`` runs on the
+    output only when that cannot prove it, as for strongly skewed Schmidt
+    inputs or an indefinite output), and then Tr <= 1 + EXACT_TOL is checked.
     """
     n1, n2 = channel.input_dim, channel.output_dim
     spec = _max_entangled_input(n1) if config.input_kind is None else config.input_kind
@@ -379,13 +420,20 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
         raise ValueError(f"schmidt input has {spec.alphas.size} coefficients, channel needs {n1}")
 
     rho_out = joint_output_state(channel, prepare_schmidt_input(spec))
-    raw_estimate = simulate_state_tomography(rho_out, config.shots, config.seed)
     threshold = (
         config.kraus_threshold
         if config.kraus_threshold is not None
         else default_kraus_threshold(config.shots, n1)
     )
-    kraus, negativity_removed = reconstruct_from_schmidt(raw_estimate, spec, n2, threshold)
+    if config.shots is EXACT:
+        raw_estimate = rho_out.copy()  # an evaluator may hand back an array it keeps
+        kraus, negativity_removed = reconstruct_from_schmidt(rho_out, spec, n2, threshold)
+        limit = bound(rho_out)
+        proved = _positivity_proved(negativity_removed, spec, limit, n1 * n2)
+        _check_state(rho_out, limit, positivity_proved=proved)
+    else:
+        raw_estimate = simulate_state_tomography(rho_out, config.shots, config.seed)
+        kraus, negativity_removed = reconstruct_from_schmidt(raw_estimate, spec, n2, threshold)
 
     shots_used = 0 if config.shots is EXACT else config.shots * (n1 * n2) ** 2
     return TomographyResult(

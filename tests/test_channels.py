@@ -456,6 +456,15 @@ class TestZoo:
         # integral floats, as parsed from the command line, stay valid
         assert kraus_equivalent(zoo_channel("unitary", [7.0]), zoo_channel("unitary", [7]), 1e-15)
         assert len(zoo_channel("random_cptp", [3.0, 2.0]).operators) == 2
+        # probabilities follow linalg.is_real: a bool or a str is never coerced
+        labels = {"depolarizing": "p", "amplitude_damping": "gamma", "phase_damping": "lambda"}
+        for name, label in labels.items():
+            for bad in (True, np.True_, "0.3"):
+                with pytest.raises(ValueError, match=f"channel '{name}' needs {label} in"):
+                    zoo_channel(name, [bad])
+        assert kraus_equivalent(
+            zoo_channel("depolarizing", [np.float32(0.25)]), zoo_channel("depolarizing", [0.25]), 1e-15
+        )
 
         # every other dims, seed and count argument follows linalg.is_int:
         # floats, integral or not, and bools are rejected with the argument named

@@ -15,6 +15,7 @@ from choiforge.linalg import (
     frobenius_distance,
     hermitian_eig,
     is_int,
+    is_real,
     partial_trace,
 )
 
@@ -30,6 +31,12 @@ class TestIsInt:
             assert is_int(value)
         for value in (True, False, np.bool_(True), 2.0, 2.7, np.float64(3.0), "2", None, 2 + 0j):
             assert not is_int(value)
+
+    def test_real_rule(self):
+        for value in (0, -3, 2.5, float("nan"), np.float32(0.1), np.int64(2), np.uint8(7)):
+            assert is_real(value)
+        for value in (True, False, np.bool_(True), "0.3", None, 2 + 0j, [0.5]):
+            assert not is_real(value)
 
     def test_check_int_names_the_argument_and_never_truncates(self):
         assert check_int(np.int64(5), "n", 1) == 5 and type(check_int(np.int64(5), "n")) is int

@@ -1,5 +1,6 @@
 """The example scripts run to completion against the package in src/."""
 
+import json
 import os
 import subprocess
 import sys
@@ -29,3 +30,25 @@ def test_script_exits_0(argv):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def test_stage_timings_writes_a_labelled_table(tmp_path):
+    output = tmp_path / "bench.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for label in ("before", "after"):
+        argv = ["--n1", "2", "--repeats", "1", "--label", label, "--output", str(output)]
+        result = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "stage_timings.py"), *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+    tables = json.loads(output.read_text())["tables"]
+    assert set(tables) == {"before", "after"}
+    rows = {row["shots"]: row for row in tables["after"]["rows"]}
+    assert set(rows) == {"exact", 10**4}
+    assert rows["exact"]["decompositions"] == ["eigh"]
+    assert "simulate_state_tomography" not in rows["exact"]["best_ms"]
+    assert rows[10**4]["best_ms"]["simulate_state_tomography > eigvalsh"] > 0

@@ -563,22 +563,75 @@ class TestRunTomography:
     @pytest.mark.parametrize("shots", [EXACT, 1000])
     @pytest.mark.parametrize("schmidt", [False, True])
     def test_one_eigendecomposition_per_run(self, monkeypatch, shots, schmidt):
-        import choiforge.channels as channels_module
-        import choiforge.tomography as tomography_module
-
+        # every O(d^3) decomposition numpy offers is counted, whoever calls it.
+        # An exact run judges the evaluator output on the Choi estimate's one
+        # eigh; a finite-shot run also pays the sampler's eigvalsh, which
+        # guards the Born probabilities it reads off the output
         calls = []
-        for module in (tomography_module, channels_module):
-            original = module.hermitian_eig
+        for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
+            original = getattr(np.linalg, name)
             monkeypatch.setattr(
-                module,
-                "hermitian_eig",
-                lambda m, original=original, **kw: calls.append(1) or original(m, **kw),
+                np.linalg,
+                name,
+                lambda *a, name=name, original=original, **kw: calls.append(name)
+                or original(*a, **kw),
             )
         rng = np.random.default_rng(9)
-        spec = SchmidtInput([0.8, 0.6], haar_random_unitary(2, rng), haar_random_unitary(2, rng))
-        config = TomographyConfig(shots=shots, seed=2, input_kind=spec if schmidt else None)
-        run_tomography(OpaqueChannel.from_kraus(zoo_channel("amplitude_damping", [0.3])), config)
-        assert len(calls) == 1
+        cases = ((2, zoo_channel("amplitude_damping", [0.3])), (4, random_cptp(4, 4, 3, 5)))
+        for n1, truth in cases:
+            alphas = np.sqrt(np.arange(1.0, n1 + 1) / np.sum(np.arange(1.0, n1 + 1)))
+            spec = SchmidtInput(alphas, haar_random_unitary(n1, rng), haar_random_unitary(n1, rng))
+            config = TomographyConfig(shots=shots, seed=2, input_kind=spec if schmidt else None)
+            calls.clear()
+            run_tomography(OpaqueChannel.from_kraus(truth), config)
+            assert calls == (["eigh"] if shots is EXACT else ["eigvalsh", "eigh"])
+
+    @pytest.mark.parametrize("alphas", [None, [0.8, 0.6], [1.0, 1e-5]])
+    def test_exact_mode_judges_evaluator_output(self, alphas):
+        # exact runs skip the sampler but reject what it rejects, in its order
+        # (Hermiticity, positivity, trace) and with its messages; the skewed
+        # input is too ill-conditioned for the Choi spectrum to prove
+        # positivity, so its runs fall back to the sampler's eigvalsh check
+        rng = np.random.default_rng(4)
+        spec = None
+        if alphas is not None:
+            alphas = np.array(alphas) / np.linalg.norm(alphas)
+            spec = SchmidtInput(alphas, haar_random_unitary(2, rng), haar_random_unitary(2, rng))
+        config = TomographyConfig(input_kind=spec)
+
+        def run(out):
+            channel = OpaqueChannel(2, 2, lambda m: np.array(out, dtype=complex))
+            return run_tomography(channel, config)
+
+        with pytest.raises(ValueError, match=r"positive semidefinite: eigenvalue -1\.000e-01"):
+            run(np.diag([0.6, 0.5, 0.0, -0.1]))
+        skew = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        skew[0, 1] = 1e-3
+        with pytest.raises(NotHermitianError):
+            run(skew)
+        with pytest.raises(ValueError, match="exceeds 1"):
+            run(np.diag([0.6, 0.6, 0.0, 0.0]))
+        # several faults report the first in that order
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            run(np.diag([0.7, 0.6, 0.0, -0.1]))
+        # a negative eigenvalue within bound(rho) = 1e-8 is float noise
+        result = run(np.diag([0.6, 0.4, 0.0, -5e-9]))
+        assert result.raw_state_estimate[3, 3] == -5e-9
+
+    def test_exact_mode_positivity_survives_ill_conditioned_rescaling(self):
+        # with alpha ∝ (1, 1e-5) the Choi estimate's float error, up to
+        # ~1e-6 on the scale of rho, can hide a negative eigenvalue of 1e-7;
+        # the certificate must see that and leave the verdict to eigvalsh
+        alphas = np.array([1.0, 1e-5]) / np.hypot(1.0, 1e-5)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            spec = SchmidtInput(alphas, haar_random_unitary(2, rng), haar_random_unitary(2, rng))
+            u = haar_random_unitary(4, rng)
+            spectrum = np.r_[rng.dirichlet(np.ones(3)), -1e-7]
+            rho = (u * spectrum) @ u.conj().T
+            channel = OpaqueChannel(2, 2, lambda m, rho=rho: (rho + rho.conj().T) / 2)
+            with pytest.raises(ValueError, match="positive semidefinite: eigenvalue -1.000e-07"):
+                run_tomography(channel, TomographyConfig(input_kind=spec))
 
     @pytest.mark.parametrize("schmidt", [False, True])
     def test_negativity_is_clipped_mass_of_choi_estimate(self, schmidt):
@@ -612,9 +665,12 @@ class TestRunTomography:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="shots"):
             TomographyConfig(shots=-5)
-        for bad_threshold in (-1.0, float("nan"), float("inf")):
+        # the threshold follows linalg.is_real: bools and strings are not numbers
+        for bad_threshold in (-1.0, float("nan"), float("inf"), True, np.True_, "0.1"):
             with pytest.raises(ValueError, match="kraus_threshold"):
                 TomographyConfig(kraus_threshold=bad_threshold)
+        for threshold in (0, 0.1, np.float32(0.5), np.int64(1)):
+            assert TomographyConfig(kraus_threshold=threshold).kraus_threshold == threshold
         with pytest.raises(ValueError, match="input_kind"):
             TomographyConfig(input_kind="bogus")
 

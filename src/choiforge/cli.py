@@ -1,16 +1,20 @@
 """Command-line front end: conversions, CP/TP checks, tomography runs, comparisons.
 
-Exit codes: 0 success, 2 parse/validation failure, 3 complete-positivity
-violation, 4 check failure, 5 configuration error. Every failing path writes
-a JSON diagnostic to stderr; every exit-0 path writes a JSON payload to
-stdout.
+Each ``cmd_*`` handler returns its JSON payload or raises; ``main`` alone
+writes the payload to stdout and ``--output``, or the JSON diagnostic to
+stderr. The exit codes live in one place, ``_step``, which maps what a
+step raises: 0 success, 2 parse/validation failure (including an
+``--output`` path that cannot be written), 3 complete-positivity violation,
+4 check failure, 5 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -38,12 +42,7 @@ from .serialize import (
     parse_experiment_config,
     result_to_doc,
 )
-from .tomography import (
-    NotMaximumSchmidtError,
-    OpaqueChannel,
-    SchmidtConditioningError,
-    run_tomography,
-)
+from .tomography import OpaqueChannel, run_tomography
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -52,6 +51,35 @@ EXIT_CHECK = 4
 EXIT_CONFIG = 5
 
 DEFAULT_COMPARE_TOL = 1e-6
+
+
+class CommandError(Exception):
+    """A failed command: exit code, message and extra diagnostic fields.
+
+    ``payload``, when set, is written like a success payload before the
+    diagnostic (``check`` prints its verdict and exits 4).
+    """
+
+    def __init__(self, code: int, message: str, payload: dict | None = None, **extra):
+        super().__init__(message)
+        self.code = code
+        self.payload = payload
+        self.extra = extra
+
+
+@contextmanager
+def _step(code: int, **extra):
+    """Map what a step raises to its exit code: a non-CP map to 3 with the
+    eigenvalue, a file-format fault to 2, any other ValueError to ``code``
+    with ``extra`` diagnostic fields."""
+    try:
+        yield
+    except NotCompletelyPositiveError as err:
+        raise CommandError(EXIT_NOT_CP, str(err), min_choi_eigenvalue=err.min_eigenvalue) from err
+    except FileFormatError as err:
+        raise CommandError(EXIT_PARSE, str(err)) from err
+    except ValueError as err:
+        raise CommandError(code, str(err), **extra) from err
 
 
 def _fail(code: int, message: str, **extra) -> int:
@@ -90,139 +118,79 @@ def _load_channel_for_compare(path: str) -> ChoiMatrix:
         return _channel_to_choi(doc_to_channel(doc))
     if "kraus" in doc:
         return kraus_to_choi(doc_to_result_kraus(doc))
-    raise FileFormatError(
-        f"{path}: neither a channel file nor a tomography result file"
-    )
+    raise FileFormatError(f"{path}: neither a channel file nor a tomography result file")
 
 
-def cmd_convert(args) -> int:
-    try:
-        doc = _load_doc(args.input)
-        channel = doc_to_channel(doc)
-    except (FileFormatError, ValueError) as err:
-        return _fail(EXIT_PARSE, str(err))
-
-    try:
+def cmd_convert(args) -> dict:
+    with _step(EXIT_PARSE):
+        channel = doc_to_channel(_load_doc(args.input))
         if args.to == "choi":
-            converted: ChannelObject = _channel_to_choi(channel)
-        else:
-            if isinstance(channel, KrausSet):
-                converted = channel
-            else:
-                converted = choi_to_kraus(_channel_to_choi(channel))
-    except NotCompletelyPositiveError as err:
-        return _fail(EXIT_NOT_CP, str(err), min_choi_eigenvalue=err.min_eigenvalue)
-    except ValueError as err:
-        return _fail(EXIT_PARSE, str(err))
-
-    _emit(channel_to_doc(converted), args.output)
-    return EXIT_OK
+            return channel_to_doc(_channel_to_choi(channel))
+        if isinstance(channel, KrausSet):
+            return channel_to_doc(channel)
+        return channel_to_doc(choi_to_kraus(_channel_to_choi(channel)))
 
 
-def cmd_check(args) -> int:
-    try:
-        doc = _load_doc(args.input)
-        verdict = choi_cp_tp_verdict(_channel_to_choi(doc_to_channel(doc)))
-    except (FileFormatError, ValueError) as err:
-        return _fail(EXIT_PARSE, str(err))
-
-    _emit(asdict(verdict), args.output)
+def cmd_check(args) -> dict:
+    with _step(EXIT_PARSE):
+        verdict = choi_cp_tp_verdict(_channel_to_choi(doc_to_channel(_load_doc(args.input))))
     if verdict.is_cp and verdict.is_trace_nonincreasing:
-        return EXIT_OK
+        return asdict(verdict)
     reasons = []
     if not verdict.is_cp:
         reasons.append(f"min Choi eigenvalue {verdict.min_choi_eigenvalue:.6e}")
     if not verdict.is_trace_nonincreasing:
         reasons.append("trace increasing")
-    return _fail(EXIT_CHECK, "check failed: " + ", ".join(reasons))
+    raise CommandError(EXIT_CHECK, "check failed: " + ", ".join(reasons), asdict(verdict))
 
 
-def cmd_tomograph(args) -> int:
-    try:
+def cmd_tomograph(args) -> dict:
+    with _step(EXIT_PARSE):
         doc = _load_doc(args.input)
         channel_spec = parse_experiment_channel(doc.get("channel"))
-    except (FileFormatError, ValueError) as err:
-        return _fail(EXIT_PARSE, str(err))
-
-    try:
+    with _step(EXIT_CONFIG):
         config = parse_experiment_config(doc)
-    except FileFormatError as err:
-        return _fail(EXIT_PARSE, str(err))
-    except (NotMaximumSchmidtError, SchmidtConditioningError, ValueError) as err:
-        return _fail(EXIT_CONFIG, str(err))
-
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-
-    if isinstance(channel_spec, ChoiMatrix):
-        try:
+        if args.seed is not None:
+            config = replace(config, seed=args.seed)
+        if isinstance(channel_spec, ChoiMatrix):
             channel_spec = choi_to_kraus(channel_spec)
-        except NotCompletelyPositiveError as err:
-            return _fail(EXIT_NOT_CP, str(err), min_choi_eigenvalue=err.min_eigenvalue)
-    if isinstance(channel_spec, KrausSet):
-        channel = OpaqueChannel.from_kraus(channel_spec)
-    else:
-        channel = OpaqueChannel.from_stinespring(channel_spec)
-
-    try:
+        if isinstance(channel_spec, KrausSet):
+            channel = OpaqueChannel.from_kraus(channel_spec)
+        else:
+            channel = OpaqueChannel.from_stinespring(channel_spec)
         result = run_tomography(channel, config)
-    except (NotMaximumSchmidtError, SchmidtConditioningError) as err:
-        return _fail(EXIT_CONFIG, str(err))
-    except NotCompletelyPositiveError as err:
-        return _fail(EXIT_NOT_CP, str(err), min_choi_eigenvalue=err.min_eigenvalue)
-    except ValueError as err:
-        return _fail(EXIT_CONFIG, str(err))
-
-    _emit(result_to_doc(result, config), args.output)
-    return EXIT_OK
+    return result_to_doc(result, config)
 
 
-def cmd_compare(args) -> int:
-    try:
+def cmd_compare(args) -> dict:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise CommandError(EXIT_PARSE, f"--tol must be a finite nonnegative number, got {args.tol}")
+    with _step(EXIT_PARSE):
         choi_a = _load_channel_for_compare(args.file_a)
         choi_b = _load_channel_for_compare(args.file_b)
         distance = choi_distance(choi_a, choi_b)
-    except (FileFormatError, ValueError) as err:
-        return _fail(EXIT_PARSE, str(err))
-
     try:
         fidelity: float | None = process_fidelity(choi_a, choi_b)
     except ValueError:
         fidelity = None  # undefined unless both maps are CP and trace preserving
-
-    _emit(
-        {
-            "choi_distance": distance,
-            "process_fidelity": fidelity,
-            "equivalent": bool(distance < args.tol),
-            "tol": args.tol,
-        },
-        args.output,
-    )
-    return EXIT_OK
+    return {
+        "choi_distance": distance,
+        "process_fidelity": fidelity,
+        "equivalent": bool(distance < args.tol),
+        "tol": args.tol,
+    }
 
 
-def cmd_zoo(args) -> int:
-    dims = args.dims
-    if len(dims) > 2:
-        return _fail(EXIT_PARSE, f"--dims takes one or two dimensions, got {dims}")
-    input_dim = dims[0]
-    output_dim = dims[1] if len(dims) > 1 else None
-    try:
-        kraus = zoo_channel(args.name, args.params, input_dim, output_dim)
-    except ValueError as err:
-        return _fail(EXIT_PARSE, str(err), valid_names=list(ZOO_CHANNEL_NAMES))
-    _emit(channel_to_doc(kraus), args.output)
-    return EXIT_OK
+def cmd_zoo(args) -> dict:
+    if len(args.dims) > 2:
+        raise CommandError(EXIT_PARSE, f"--dims takes one or two dimensions, got {args.dims}")
+    with _step(EXIT_PARSE, valid_names=list(ZOO_CHANNEL_NAMES)):
+        return channel_to_doc(zoo_channel(args.name, args.params, *args.dims))
 
 
-def cmd_resources(args) -> int:
-    try:
-        report = resource_report(args.dims[0], args.dims[1])
-    except ValueError as err:
-        return _fail(EXIT_CONFIG, str(err))
-    _emit(asdict(report), args.output)
-    return EXIT_OK
+def cmd_resources(args) -> dict:
+    with _step(EXIT_CONFIG):
+        return asdict(resource_report(args.dims[0], args.dims[1]))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -302,7 +270,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        payload, failure = args.handler(args), None
+    except CommandError as err:
+        payload, failure = err.payload, err
+    if payload is not None:
+        try:
+            _emit(payload, args.output)
+        except OSError as err:
+            failure = CommandError(EXIT_PARSE, f"cannot write {args.output}: {err.strerror}")
+    if failure is None:
+        return EXIT_OK
+    return _fail(failure.code, str(failure), **failure.extra)
 
 
 if __name__ == "__main__":

@@ -45,8 +45,18 @@ def check_int(value, name: str, minimum: int | None = None) -> int:
     return int(value)
 
 
+def _as_numeric(a, name: str, dtype=complex) -> np.ndarray:
+    """`a` as a `dtype` array if numpy reads it as integers, reals or complex
+    numbers: ``is_real``'s rule for arrays. Bool, str and object arrays raise
+    ValueError naming `name`."""
+    m = np.asarray(a)
+    if m.dtype.kind not in "iufc":
+        raise ValueError(f"{name} must hold numbers, got dtype {m.dtype}")
+    return np.asarray(m, dtype=dtype)
+
+
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
+    m = _as_numeric(a, name)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -109,8 +119,8 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
 
 def frobenius_distance(a, b) -> float:
     """sqrt of the summed squared entry differences."""
-    x = np.asarray(a, dtype=complex)
-    y = np.asarray(b, dtype=complex)
+    x = _as_numeric(a, "a")
+    y = _as_numeric(b, "b")
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     return float(np.linalg.norm(x - y))

@@ -32,6 +32,7 @@ from .linalg import (
     EXACT_TOL,
     TOL,
     _as_matrix,
+    _as_numeric,
     bound,
     check_hermitian,
     check_int,
@@ -129,7 +130,7 @@ class SchmidtInput:
     right_unitary: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.alphas, dtype=float).copy()
+        a = _as_numeric(self.alphas, "alphas", float).copy()
         if a.ndim != 1 or a.size < 2 or not np.all(np.isfinite(a)):
             raise ValueError("a Schmidt input needs a finite vector of at least two coefficients")
         if np.any(a <= 0.0):
@@ -188,9 +189,13 @@ class TomographyConfig:
         object.__setattr__(self, "shots", _check_shots(self.shots))
         object.__setattr__(self, "seed", check_int(self.seed, "seed"))
         threshold = self.kraus_threshold
-        if threshold is not None and not (
-            is_real(threshold) and math.isfinite(threshold) and threshold >= 0
-        ):
+        try:
+            valid = threshold is None or (
+                is_real(threshold) and math.isfinite(threshold) and threshold >= 0
+            )
+        except OverflowError:  # an int that no float can hold
+            valid = False
+        if not valid:
             raise ValueError(
                 f"kraus_threshold must be finite and nonnegative, got {threshold!r}"
             )
@@ -228,14 +233,14 @@ def prepare_schmidt_input(spec: SchmidtInput) -> np.ndarray:
 
 def joint_output_state(channel: OpaqueChannel, input_vector) -> np.ndarray:
     """One blackbox evaluation: (identity tensor E)(|phi><phi|)."""
-    v = np.asarray(input_vector, dtype=complex).reshape(-1)
+    v = _as_numeric(input_vector, "input_vector").reshape(-1)
     n1 = channel.input_dim
     if v.size != n1 * n1:
         raise ValueError(
             f"input vector length {v.size} does not match reference x system dims "
             f"({n1}, {n1})"
         )
-    out = np.asarray(channel.evaluator(np.outer(v, v.conj())), dtype=complex)
+    out = _as_numeric(channel.evaluator(np.outer(v, v.conj())), "evaluator output")
     d = n1 * channel.output_dim
     if out.shape != (d, d):
         raise ValueError(f"evaluator returned shape {out.shape}, expected {(d, d)}")

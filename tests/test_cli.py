@@ -466,6 +466,14 @@ class TestCompare:
         code, out, _ = run(capsys, ["compare", a, b, "--tol", "1.0"])
         assert code == 0
         assert json.loads(out)["equivalent"] is True
+        code, out, _ = run(capsys, ["compare", a, a, "--tol", "0"])
+        assert code == 0
+        assert json.loads(out)["equivalent"] is False  # distance 0 is not below 0
+        for tol in ("nan", "inf", "-1"):
+            code, out, err = run(capsys, ["compare", a, b, "--tol", tol])
+            assert code == 2
+            assert out == ""
+            assert "--tol must be a finite nonnegative number" in json.loads(err)["error"]
 
 
 class TestZooCommand:
@@ -568,6 +576,75 @@ class TestGlobalFlags:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["is_trace_preserving"] is True
+
+
+def write_contract_files(directory: Path) -> None:
+    write_channel(directory / "id.json", KrausSet(2, 2, (I2,)))
+    write_channel(directory / "id3.json", zoo_channel("identity", [], 3))
+    write_channel(directory / "amp.json", KrausSet(2, 2, (np.sqrt(1.5) * I2,)))
+    noncp = ChoiMatrix(2, 2, np.diag([1.0, 1.0, 1.0, -0.1]).astype(complex))
+    write_channel(directory / "noncp.json", noncp)
+    (directory / "bad.json").write_text("{not json", encoding="utf-8")
+    write_doc(directory / "exp.json", experiment_doc(IDENTITY_ZOO, shots=100, seed=1))
+    write_doc(directory / "exp_shots.json", experiment_doc(IDENTITY_ZOO, shots=-4))
+    write_doc(directory / "exp_noncp.json", experiment_doc(channel_to_doc(noncp)))
+
+
+class TestExitPath:
+    """Every command ends in one of two shapes: exit 0 with a JSON payload on
+    stdout (and the same bytes in --output) and nothing on stderr, or a
+    nonzero exit with exactly one JSON diagnostic line on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["convert", "id.json", "--to", "choi"], 0),
+            (["convert", "bad.json", "--to", "choi"], 2),
+            (["convert", "noncp.json", "--to", "kraus"], 3),
+            (["check", "id.json"], 0),
+            (["check", "absent.json"], 2),
+            (["check", "amp.json"], 4),
+            (["check", "amp.json", "--output", "missing/out.json"], 2),
+            (["tomograph", "exp.json"], 0),
+            (["tomograph", "exp_noncp.json"], 3),
+            (["tomograph", "exp_shots.json"], 5),
+            (["tomograph", "exp.json", "--output", "missing/out.json"], 2),
+            (["compare", "id.json", "id.json"], 0),
+            (["compare", "id.json", "id3.json"], 2),
+            (["compare", "id.json", "id.json", "--tol", "nan"], 2),
+            (["zoo", "--name", "depolarizing", "--params", "0.3"], 0),
+            (["zoo", "--name", "teleporter"], 2),
+            (["zoo", "--name", "identity", "--output", "missing/out.json"], 2),
+            (["resources", "--dims", "2", "3"], 0),
+            (["resources", "--dims", "1", "2"], 5),
+            (["check", "id.json", "--seed", "7"], 2),
+        ],
+        ids=lambda v: "-".join(v).replace("/", "_") if isinstance(v, list) else str(v),
+    )
+    def test_one_payload_or_one_diagnostic(self, tmp_path, monkeypatch, capsys, argv, code):
+        write_contract_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        if code == 0:
+            argv = [*argv, "--output", "out.json"]
+        try:
+            got = main(argv)
+        except SystemExit as exc:  # usage errors leave through argparse
+            got = exc.code
+        captured = capsys.readouterr()
+        assert got == code
+        if code == 0:
+            assert captured.err == ""
+            assert json.loads(captured.out)
+            assert Path("out.json").read_text(encoding="utf-8") == captured.out
+            return
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and captured.err.endswith("\n")
+        assert json.loads(lines[0])["exit_code"] == code
+        if code == 4:  # check prints the verdict it failed on
+            assert json.loads(captured.out)["is_trace_nonincreasing"] is False
+        else:
+            assert captured.out == ""
+        assert not Path("missing").exists()
 
 
 class TestPipeline:

@@ -52,3 +52,27 @@ def test_stage_timings_writes_a_labelled_table(tmp_path):
     assert rows["exact"]["decompositions"] == ["eigh"]
     assert "simulate_state_tomography" not in rows["exact"]["best_ms"]
     assert rows[10**4]["best_ms"]["simulate_state_tomography > eigvalsh"] > 0
+
+
+def test_cli_digests_cover_every_exit_code():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    runs = [
+        subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "cli_digests.py")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        for _ in range(2)
+    ]
+    for result in runs:
+        assert result.returncode == 0, result.stderr
+    # each run builds its corpus in a fresh temporary directory: same digests
+    assert runs[0].stdout == runs[1].stdout
+    lines = [json.loads(line) for line in runs[0].stdout.splitlines()]
+    assert len(lines) >= 90
+    assert {line["exit"] for line in lines} == {0, 2, 3, 4, 5}
+    assert all(set(line) == {"argv", "exit", "stdout", "stderr"} for line in lines)
+    unwritable = [line for line in lines if "missing/x.json" in line["argv"]]
+    assert unwritable and all(line["exit"] == 2 for line in unwritable)

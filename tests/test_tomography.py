@@ -180,6 +180,57 @@ class TestJointOutputState:
             joint_output_state(ch, np.ones(3))
 
 
+STRING_EYE = np.array([["1", "0"], ["0", "1"]])
+IDENTITY_CHANNEL = OpaqueChannel.from_kraus(KrausSet(2, 2, (I2,)))
+
+
+class TestRealNumberRule:
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: SchmidtInput(["0.6", "0.8"], I2, I2), "alphas"),
+            (lambda: SchmidtInput([True, True], I2, I2), "alphas"),
+            (lambda: KrausSet(2, 2, (STRING_EYE,)), "kraus operator 0"),
+            (lambda: KrausSet(2, 2, (np.eye(2, dtype=bool),)), "kraus operator 0"),
+            (lambda: KrausSet(2, 2, (np.array([[None, 0], [0, 1]]),)), "kraus operator 0"),
+            (lambda: simulate_state_tomography([["0.5", "0"], ["0", "0.5"]], 10, 1), "state"),
+            (lambda: frobenius_distance(np.eye(2, dtype=bool), I2), "a"),
+            (lambda: frobenius_distance(I2, STRING_EYE), "b"),
+            (lambda: joint_output_state(IDENTITY_CHANNEL, PHI.astype(str)), "input_vector"),
+            (
+                lambda: joint_output_state(OpaqueChannel(2, 2, lambda m: m != 0), PHI),
+                "evaluator output",
+            ),
+        ],
+        ids=[
+            "alphas-str",
+            "alphas-bool",
+            "kraus-str",
+            "kraus-bool",
+            "kraus-object",
+            "state-str",
+            "distance-bool",
+            "distance-str",
+            "input-vector-str",
+            "evaluator-bool",
+        ],
+    )
+    def test_non_numeric_arrays_rejected(self, build, name):
+        with pytest.raises(ValueError, match=f"^{name} must hold numbers, got dtype"):
+            build()
+
+    def test_integer_arrays_keep_their_bytes(self):
+        int_eye = np.eye(2, dtype=np.int64)
+        assert KrausSet(2, 2, (int_eye,)).operators[0].tobytes() == I2.tobytes()
+        assert simulate_state_tomography(np.diag([1, 0]), EXACT, 0).tobytes() == (
+            np.diag([1.0, 0.0]).astype(complex).tobytes()
+        )
+        assert frobenius_distance(int_eye, I2) == 0.0
+        assert joint_output_state(IDENTITY_CHANNEL, [1, 0, 0, 0]).tobytes() == (
+            joint_output_state(IDENTITY_CHANNEL, np.array([1, 0, 0, 0], dtype=complex)).tobytes()
+        )
+
+
 class TestOperatorBasis:
     @pytest.mark.parametrize("dim", [2, 3, 4, 6])
     def test_orthonormal_hermitian_complete(self, dim):
@@ -666,7 +717,8 @@ class TestRunTomography:
         with pytest.raises(ValueError, match="shots"):
             TomographyConfig(shots=-5)
         # the threshold follows linalg.is_real: bools and strings are not numbers
-        for bad_threshold in (-1.0, float("nan"), float("inf"), True, np.True_, "0.1"):
+        # 10**400 is a real number that no float can hold: a ValueError, not an OverflowError
+        for bad_threshold in (-1.0, float("nan"), float("inf"), True, np.True_, "0.1", 10**400):
             with pytest.raises(ValueError, match="kraus_threshold"):
                 TomographyConfig(kraus_threshold=bad_threshold)
         for threshold in (0, 0.1, np.float32(0.5), np.int64(1)):

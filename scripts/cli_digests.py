@@ -4,9 +4,12 @@
 Builds a corpus of input files in a temporary work directory, runs each
 command through ``choiforge.cli.main`` in-process with that directory as the
 working directory, and prints one JSON line per command: the argv, the exit
-code (or the exception type, if the command raised), and the sha256 of
-stdout and of stderr. Every path in the corpus is relative, so the digests
-do not depend on where the work directory is.
+code (or the exception type, if the command raised), the sha256 of stdout
+and of stderr, and ``document``, the sha256 of stdout parsed and re-dumped
+with sorted keys (null when stdout is empty). A change that moves only the
+layout of the JSON on stdout changes ``stdout`` but keeps ``document``.
+Every path in the corpus is relative, so the digests do not depend on where
+the work directory is.
 
 The corpus covers the channel zoo (written by the corpus's own ``zoo``
 commands), a Stinespring model, a non-CP Choi matrix, a trace-increasing
@@ -209,6 +212,10 @@ def corpus() -> list[list[str]]:
     return argvs
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def run(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -218,11 +225,13 @@ def run(argv: list[str]) -> dict:
             code = exc.code
         except Exception as exc:  # a traceback, recorded by its type
             code = type(exc).__name__
+    stdout = out.getvalue()
     return {
         "argv": argv,
         "exit": code,
-        "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-        "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest(),
+        "stdout": sha256(stdout),
+        "stderr": sha256(err.getvalue()),
+        "document": sha256(json.dumps(json.loads(stdout), sort_keys=True)) if stdout else None,
     }
 
 

@@ -11,6 +11,11 @@ its caller as "caller > stage": the evaluator builds its Choi matrix with
 ``kraus_to_choi`` inside ``joint_output_state``, and the decompositions sit
 inside the stage that asks for them.
 
+Two more stages time what ``choiforge tomograph`` does with the last run's
+result, outside ``run_tomography``: ``result_to_doc`` builds the result
+document and ``dump_document`` writes it as JSON text, each best of
+``--repeats`` calls.
+
 Each invocation adds one labelled table to ``--output`` and keeps the tables
 already there, so one file can hold the same grid for two checkouts:
 
@@ -32,6 +37,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+import choiforge.serialize as serialize  # noqa: E402
 import choiforge.tomography as tomography  # noqa: E402
 from choiforge.channels import zoo_channel  # noqa: E402
 
@@ -81,6 +87,16 @@ class StageClock:
             setattr(np.linalg, name, self.wrap(name, getattr(np.linalg, name)))
 
 
+def best_ms(call, repeats: int) -> float:
+    """Best wall time of `repeats` calls, in ms."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        times.append((time.perf_counter() - start) * 1e3)
+    return min(times)
+
+
 def time_grid(clock: StageClock, n1_values, repeats: int) -> list[dict]:
     rows = []
     for n1 in n1_values:
@@ -92,17 +108,21 @@ def time_grid(clock: StageClock, n1_values, repeats: int) -> list[dict]:
             for _ in range(repeats):
                 clock.reset()
                 start = time.perf_counter()
-                tomography.run_tomography(channel, config)
+                result = tomography.run_tomography(channel, config)
                 total = (time.perf_counter() - start) * 1e3
                 for path, ms in {"run_tomography": total, **clock.ms}.items():
                     best[path] = min(best.get(path, ms), ms)
+            decompositions = list(clock.decompositions)
+            doc = serialize.result_to_doc(result, config)  # warm-up
+            best["result_to_doc"] = best_ms(lambda: serialize.result_to_doc(result, config), repeats)
+            best["dump_document"] = best_ms(lambda: serialize.dump_document(doc), repeats)
             rows.append(
                 {
                     "n1": n1,
                     "d": n1 * n1,
                     "shots": "exact" if shots is tomography.EXACT else shots,
-                    "decompositions_per_run": len(clock.decompositions),
-                    "decompositions": list(clock.decompositions),
+                    "decompositions_per_run": len(decompositions),
+                    "decompositions": decompositions,
                     "best_ms": {path: round(ms, 4) for path, ms in best.items()},
                 }
             )

@@ -276,10 +276,17 @@ def random_cptp(input_dim: int, output_dim: int, kraus_count: int, seed: int) ->
     Orthonormalizes the columns of an (output_dim * kraus_count) x input_dim
     complex Gaussian matrix and slices the isometry into kraus_count blocks
     of output_dim rows, so sum_k A_k^dagger A_k = I up to float error.
+    kraus_count may not exceed input_dim*output_dim, the largest Kraus rank
+    of any map; a larger count is rejected before anything is allocated.
     """
     input_dim = check_int(input_dim, "input_dim", 1)
     output_dim = check_int(output_dim, "output_dim", 1)
     kraus_count = check_int(kraus_count, "kraus_count", 1)
+    if kraus_count > input_dim * output_dim:
+        raise ValueError(
+            f"kraus_count {kraus_count} too large: at most input_dim*output_dim = "
+            f"{input_dim * output_dim}, the largest Kraus rank"
+        )
     rows = output_dim * kraus_count
     if rows < input_dim:
         raise ValueError(

@@ -48,10 +48,20 @@ def check_int(value, name: str, minimum: int | None = None) -> int:
 def _as_numeric(a, name: str, dtype=complex) -> np.ndarray:
     """`a` as a `dtype` array if numpy reads it as integers, reals or complex
     numbers: ``is_real``'s rule for arrays. Bool, str and object arrays raise
-    ValueError naming `name`."""
+    ValueError naming `name`.
+
+    Input that is not an ndarray (a nested list, say) is also judged entry by
+    entry, because numpy promotes a bool mixed with numbers to 0 or 1: any
+    bool or str entry raises the same ValueError. An ndarray is judged by its
+    dtype alone.
+    """
     m = np.asarray(a)
     if m.dtype.kind not in "iufc":
         raise ValueError(f"{name} must hold numbers, got dtype {m.dtype}")
+    if not isinstance(a, np.ndarray):
+        for entry in np.asarray(a, dtype=object).flat:
+            if isinstance(entry, (bool, np.bool_, str)):
+                raise ValueError(f"{name} must hold numbers, got entry {entry!r}")
     return np.asarray(m, dtype=dtype)
 
 

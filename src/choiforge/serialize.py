@@ -2,7 +2,10 @@
 
 Complex entries are stored as [re, im] pairs in row-major nested arrays.
 Floats go through Python's shortest round-trip repr, so
-parse(serialize(x)) == x bit-exactly for every finite value.
+parse(serialize(x)) == x bit-exactly for every finite value. A document is
+written one top-level field per line, each value as compact one-line JSON,
+so ``json`` encodes it in C and ``head``/``grep`` still read the header
+fields.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ class FileFormatError(ValueError):
 def matrix_to_payload(m: np.ndarray) -> list[list[list[float]]]:
     """Encode a complex matrix as row-major nested [re, im] pairs."""
     m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def payload_to_matrix(payload: Any, field: str) -> np.ndarray:
@@ -303,8 +306,14 @@ def doc_to_result_kraus(doc: dict) -> KrausSet:
 
 
 def dump_document(doc: dict) -> str:
-    """Canonical JSON text: two-space indent, trailing newline."""
-    return json.dumps(doc, indent=2) + "\n"
+    """Canonical JSON text: ``{``, one ``  "key": value`` line per top-level
+    field with the value in compact one-line JSON, ``}`` and a trailing newline.
+
+    No indentation inside a value keeps ``json`` on its C encoder; the parsed
+    object is the same as for any other layout.
+    """
+    fields = (f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in doc.items())
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def load_document(text: str) -> dict:

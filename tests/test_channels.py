@@ -438,6 +438,14 @@ class TestZoo:
         assert (k.input_dim, k.output_dim) == (3, 2)
         assert choi_cp_tp_verdict(kraus_to_choi(k)).is_trace_preserving
 
+    def test_random_cptp_kraus_count_at_most_n1_n2(self):
+        # n1*n2 is the largest Kraus rank of any map; one more is refused by name
+        assert len(random_cptp(2, 3, 6, 0).operators) == 6
+        assert len(zoo_channel("random_cptp", [0, 6], 2, 3).operators) == 6
+        for call in (lambda: random_cptp(2, 3, 7, 0), lambda: zoo_channel("random_cptp", [0, 7], 2, 3)):
+            with pytest.raises(ValueError, match="kraus_count 7 too large: at most input_dim\\*output_dim = 6"):
+                call()
+
     def test_depolarizing_dimension_three(self):
         k = zoo_channel("depolarizing", [0.4], input_dim=3)
         verdict = choi_cp_tp_verdict(kraus_to_choi(k))

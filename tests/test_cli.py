@@ -272,6 +272,16 @@ class TestTomograph:
         assert out == ""
         assert "integer count" in json.loads(err)["error"]
 
+    def test_zoo_kraus_count_above_n1_n2_exits_2(self, tmp_path, capsys):
+        for count, expected in ((4, 0), (5, 2)):
+            exp = write_doc(
+                tmp_path / "exp.json",
+                experiment_doc({"name": "random_cptp", "params": [1, count], "dims": [2, 2]}),
+            )
+            code, _, err = run(capsys, ["tomograph", exp])
+            assert code == expected
+        assert "kraus_count 5 too large" in json.loads(err)["error"]
+
     def test_embedded_stinespring_channel(self, tmp_path, capsys):
         from choiforge.channels import StinespringModel
 
@@ -514,6 +524,16 @@ class TestZooCommand:
         assert code == 2
         assert out == ""
         assert json.loads(err)["exit_code"] == 2
+
+    def test_kraus_count_above_n1_n2_exits_2(self, capsys):
+        code, out, _ = run(capsys, ["zoo", "--name", "random_cptp", "--params", "1", "4", "--dims", "2"])
+        assert code == 0
+        assert len(json.loads(out)["payload"]["operators"]) == 4
+        code, out, err = run(capsys, ["zoo", "--name", "random_cptp", "--params", "1", "5", "--dims", "2"])
+        assert (code, out) == (2, "")
+        diagnostic = json.loads(err)
+        assert "kraus_count 5 too large" in diagnostic["error"]
+        assert "random_cptp" in diagnostic["valid_names"]
 
     def test_integral_float_params_accepted(self, capsys):
         code, out, _ = run(capsys, ["zoo", "--name", "random_cptp", "--params", "3", "2"])

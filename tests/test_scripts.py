@@ -1,5 +1,6 @@
 """The example scripts run to completion against the package in src/."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -52,6 +53,9 @@ def test_stage_timings_writes_a_labelled_table(tmp_path):
     assert rows["exact"]["decompositions"] == ["eigh"]
     assert "simulate_state_tomography" not in rows["exact"]["best_ms"]
     assert rows[10**4]["best_ms"]["simulate_state_tomography > eigvalsh"] > 0
+    for row in rows.values():
+        assert row["best_ms"]["result_to_doc"] > 0
+        assert row["best_ms"]["dump_document"] > 0
 
 
 def test_cli_digests_cover_every_exit_code():
@@ -73,6 +77,8 @@ def test_cli_digests_cover_every_exit_code():
     lines = [json.loads(line) for line in runs[0].stdout.splitlines()]
     assert len(lines) >= 90
     assert {line["exit"] for line in lines} == {0, 2, 3, 4, 5}
-    assert all(set(line) == {"argv", "exit", "stdout", "stderr"} for line in lines)
+    assert all(set(line) == {"argv", "exit", "stdout", "stderr", "document"} for line in lines)
+    empty = hashlib.sha256(b"").hexdigest()
+    assert all((line["document"] is None) == (line["stdout"] == empty) for line in lines)
     unwritable = [line for line in lines if "missing/x.json" in line["argv"]]
     assert unwritable and all(line["exit"] == 2 for line in unwritable)

@@ -53,6 +53,27 @@ class TestMatrixPayload:
             )
             assert np.array_equal(recovered, m)
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            AWKWARD_VALUES,
+            np.array([[5e-324, -2.2250738585072014e-308j], [1e16 - 1e-5j, -1e-5 + 1e16j]]),
+            np.array([[-0.0, 0.0], [-0.0j, complex(-0.0, -0.0)]]),
+            AWKWARD_VALUES.T,
+            np.arange(24, dtype=complex).reshape(4, 6)[1::2, ::-3] * (1 - 0.1j),
+            np.array([[0.1, -0.0, 1e-5], [1e16, -5e-324, 2.5]]),
+            np.array([[1, -2], [3, 0]], dtype=np.int64),
+            np.eye(3, dtype=np.int32),
+        ],
+        ids=["awkward", "subnormal-and-scale", "signed-zeros", "transposed", "sliced", "real", "int64", "int32"],
+    )
+    def test_payload_matches_per_entry_floats(self, m):
+        reference = [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+        payload = matrix_to_payload(m)
+        # repr tells -0.0 from 0.0 and 1 from 1.0, which == does not
+        assert repr(payload) == repr(reference)
+        assert all(type(x) is float for row in payload for pair in row for x in pair)
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(FileFormatError, match="row 1"):
             payload_to_matrix([[[0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "m")
@@ -263,10 +284,42 @@ class TestResultFiles:
             doc_to_result_kraus(doc)
 
 
+def stinespring_model():
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    return StinespringModel(2, 2, 2, 2, cnot, np.diag([1.0, 0.0]), np.eye(2))
+
+
+def fixed_seed_result_doc():
+    config = TomographyConfig(shots=5000, seed=3)
+    result = run_tomography(OpaqueChannel.from_kraus(zoo_channel("amplitude_damping", [0.3])), config)
+    return result_to_doc(result, config)
+
+
 class TestDocumentIo:
     def test_dump_load_inverse(self):
         doc = channel_to_doc(zoo_channel("depolarizing", [0.25]))
         assert load_document(dump_document(doc)) == doc
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: channel_to_doc(zoo_channel("depolarizing", [0.25])),
+            lambda: channel_to_doc(stinespring_model()),
+            fixed_seed_result_doc,
+        ],
+        ids=["channel", "stinespring", "result"],
+    )
+    def test_one_line_per_field_parses_as_indented_json(self, build):
+        doc = build()
+        text = dump_document(doc)
+        assert text == dump_document(build())
+        assert text.endswith("}\n")
+        lines = text.splitlines()
+        assert lines[0] == "{" and lines[-1] == "}"
+        assert len(lines) == len(doc) + 2
+        for key, line in zip(doc, lines[1:-1]):
+            assert line.startswith(f'  "{key}": ')
+        assert json.loads(text) == json.loads(json.dumps(doc, indent=2))
 
     def test_syntax_error_reports_location(self):
         with pytest.raises(FileFormatError, match="line 1 column"):

@@ -219,6 +219,22 @@ class TestRealNumberRule:
         with pytest.raises(ValueError, match=f"^{name} must hold numbers, got dtype"):
             build()
 
+    @pytest.mark.parametrize(
+        "build, name, entry",
+        [
+            (lambda: KrausSet(2, 2, ([[True, 0], [0, 1]],)), "kraus operator 0", "True"),
+            (lambda: KrausSet(2, 2, ([[1.0, 0.0], [0.0, np.True_]],)), "kraus operator 0", "np.True_"),
+            (lambda: KrausSet(2, 2, ([np.array([1, 0]), [0, False]],)), "kraus operator 0", "False"),
+            (lambda: SchmidtInput([0.6, True], I2, I2), "alphas", "True"),
+            (lambda: SchmidtInput((np.float64(0.6), np.False_), I2, I2), "alphas", "np.False_"),
+        ],
+        ids=["kraus-bool-int", "kraus-numpy-bool-float", "kraus-array-row-bool", "alphas-bool-float", "alphas-tuple"],
+    )
+    def test_bools_mixed_into_number_lists_rejected(self, build, name, entry):
+        # numpy promotes these lists to int or float dtype; each entry is judged
+        with pytest.raises(ValueError, match=rf"^{name} must hold numbers, got entry {entry}$"):
+            build()
+
     def test_integer_arrays_keep_their_bytes(self):
         int_eye = np.eye(2, dtype=np.int64)
         assert KrausSet(2, 2, (int_eye,)).operators[0].tobytes() == I2.tobytes()
@@ -229,6 +245,11 @@ class TestRealNumberRule:
         assert joint_output_state(IDENTITY_CHANNEL, [1, 0, 0, 0]).tobytes() == (
             joint_output_state(IDENTITY_CHANNEL, np.array([1, 0, 0, 0], dtype=complex)).tobytes()
         )
+        # integer and float lists keep the bytes of the array they spell
+        assert KrausSet(2, 2, ([[1, 0], [0, 1]],)).operators[0].tobytes() == I2.tobytes()
+        assert KrausSet(2, 2, ([[1, 0.0], [np.int32(0), 1]],)).operators[0].tobytes() == I2.tobytes()
+        listed = SchmidtInput([0.6, 0.8], I2, I2).alphas
+        assert listed.tobytes() == SchmidtInput(np.array([0.6, 0.8]), I2, I2).alphas.tobytes()
 
 
 class TestOperatorBasis:

@@ -15,6 +15,9 @@ The corpus covers the channel zoo (written by the corpus's own ``zoo``
 commands), a Stinespring model, a non-CP Choi matrix, a trace-increasing
 Kraus set, fixed-seed finite-shot and exact experiments, and hand-written
 faulty documents, across all six subcommands and argparse usage errors.
+The faulty documents include number cases (an entry beyond float range, a
+``2**70`` entry, a ``true`` entry, a ragged row, an ``[re, im, x]`` triple, a
+NaN, a bool zoo parameter) and a repeated config key.
 
 Run it against any checkout's package and diff the outputs:
 
@@ -54,6 +57,11 @@ def payload(m) -> list:
 
 def channel_doc(representation: str, dims: list, body: dict) -> dict:
     return {"format_version": 1, "representation": representation, "dims": dims, "payload": body}
+
+
+def kraus_file(operator: list) -> dict:
+    """A 2 -> 2 Kraus file holding one operator payload, written out literally."""
+    return channel_doc("kraus", [2, 2], {"operators": [operator]})
 
 
 def experiment(channel, **config) -> dict:
@@ -101,6 +109,11 @@ def write_inputs() -> None:
         "no_payload.json": {key: identity[key] for key in ("format_version", "representation", "dims")},
         "nan_entry.json": nan_entry,
         "big_entry.json": big_entry,
+        "kraus_2e70.json": kraus_file([[[2**70, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+        "kraus_true.json": kraus_file([[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+        "kraus_ragged.json": kraus_file([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]),
+        "kraus_triple.json": kraus_file([[[1.0, 0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+        "kraus_nan.json": kraus_file([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, float("nan")]]]),
         "stine_bool.json": {**stine, "payload": {**stine["payload"], "ancilla_dim": True}},
         "stine_nonunitary.json": {**stine, "payload": {**stine["payload"], "unitary": payload(2 * cnot)}},
         "neither.json": {"format_version": 1, "dims": [2, 2]},
@@ -127,6 +140,7 @@ def write_inputs() -> None:
         "e_negative_shots.json": experiment(zoo_spec("identity"), shots=-4),
         "e_huge_shots.json": experiment(zoo_spec("identity"), shots=2**53 + 1),
         "e_bool_shots.json": experiment(zoo_spec("identity"), shots=True),
+        "e_bool_param.json": experiment(zoo_spec("depolarizing", [True])),
         "e_not_max_schmidt.json": experiment(zoo_spec("identity"), input_kind=schmidt([1.0, 0.0])),
         "e_conditioning.json": experiment(zoo_spec("identity"), input_kind=schmidt([1.0, 1e-7])),
         "e_schmidt_no_bases.json": experiment(zoo_spec("identity"), input_kind={"kind": "schmidt", "alphas": [0.8, 0.6]}),
@@ -146,6 +160,9 @@ def write_inputs() -> None:
         fh.write("{this is not json")
     with open("top_list.json", "w", encoding="utf-8") as fh:
         fh.write("[1, 2]")
+    with open("e_repeated_key.json", "w", encoding="utf-8") as fh:
+        fh.write('{"channel": {"name": "identity", "params": [], "dims": [2, 2]}, "config": '
+                 '{"shots": 0, "seed": 7, "shots": "exact"}}')  # json alone keeps the last "shots"
 
 
 def corpus() -> list[list[str]]:

@@ -11,10 +11,12 @@ its caller as "caller > stage": the evaluator builds its Choi matrix with
 ``kraus_to_choi`` inside ``joint_output_state``, and the decompositions sit
 inside the stage that asks for them.
 
-Two more stages time what ``choiforge tomograph`` does with the last run's
-result, outside ``run_tomography``: ``result_to_doc`` builds the result
-document and ``dump_document`` writes it as JSON text, each best of
-``--repeats`` calls.
+Three more stages time what the CLI does with the last run's result,
+outside ``run_tomography``, each best of ``--repeats`` calls:
+``result_to_doc`` builds the result document and ``dump_document`` writes
+it as JSON text, as ``choiforge tomograph`` does; ``payload_to_matrix``
+decodes the document's ``estimated_choi`` payload, as ``check`` and
+``convert`` do with a Choi file.
 
 Each invocation adds one labelled table to ``--output`` and keeps the tables
 already there, so one file can hold the same grid for two checkouts:
@@ -116,6 +118,9 @@ def time_grid(clock: StageClock, n1_values, repeats: int) -> list[dict]:
             doc = serialize.result_to_doc(result, config)  # warm-up
             best["result_to_doc"] = best_ms(lambda: serialize.result_to_doc(result, config), repeats)
             best["dump_document"] = best_ms(lambda: serialize.dump_document(doc), repeats)
+            best["payload_to_matrix"] = best_ms(
+                lambda: serialize.payload_to_matrix(doc["estimated_choi"], "estimated_choi"), repeats
+            )
             rows.append(
                 {
                     "n1": n1,

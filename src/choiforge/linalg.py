@@ -7,6 +7,8 @@ bipartite matrix is indexed by the first tensor factor.
 
 from __future__ import annotations
 
+import reprlib
+
 import numpy as np
 
 # The tolerance policy: two bounds, each scaled to the matrix it judges by ``bound``.
@@ -30,10 +32,13 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
 def is_real(value) -> bool:
     """The package's one real-number rule: an int, float or numpy real, never
     a bool and never a str. Nothing is parsed: "0.3" is not a real number."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    return isinstance(value, _REAL_TYPES) and not isinstance(value, bool)
 
 
 def check_int(value, name: str, minimum: int | None = None) -> int:
@@ -46,23 +51,37 @@ def check_int(value, name: str, minimum: int | None = None) -> int:
 
 
 def _as_numeric(a, name: str, dtype=complex) -> np.ndarray:
-    """`a` as a `dtype` array if numpy reads it as integers, reals or complex
-    numbers: ``is_real``'s rule for arrays. Bool, str and object arrays raise
-    ValueError naming `name`.
+    """`a` as a `dtype` array of real (float `dtype`) or complex numbers, else
+    ValueError naming `name`: the one number rule, for the API and for files.
 
-    Input that is not an ndarray (a nested list, say) is also judged entry by
-    entry, because numpy promotes a bool mixed with numbers to 0 or 1: any
-    bool or str entry raises the same ValueError. An ndarray is judged by its
-    dtype alone.
+    An ndarray is judged by its dtype kind alone (``iuf``, or ``iufc`` for a
+    complex `dtype`); other input, a nested list say, by the types of its
+    entries, each ``is_real`` (or complex, for a complex `dtype`). A bool, a
+    str, None, a nested array, a ragged row or an integer beyond float range
+    fails, where numpy would read ``[True, 0]`` as ``[1, 0]``.
     """
-    m = np.asarray(a)
-    if m.dtype.kind not in "iufc":
-        raise ValueError(f"{name} must hold numbers, got dtype {m.dtype}")
-    if not isinstance(a, np.ndarray):
-        for entry in np.asarray(a, dtype=object).flat:
-            if isinstance(entry, (bool, np.bool_, str)):
-                raise ValueError(f"{name} must hold numbers, got entry {entry!r}")
-    return np.asarray(m, dtype=dtype)
+    real = np.dtype(dtype).kind == "f"
+    must = f"{name} must hold {'real ' if real else ''}numbers, got"
+    if isinstance(a, np.ndarray):
+        if a.dtype.kind not in ("iuf" if real else "iufc"):
+            raise ValueError(f"{must} dtype {a.dtype}")
+        return np.asarray(a, dtype=dtype)
+    kinds = _REAL_TYPES if real else (*_REAL_TYPES, complex, np.complexfloating)
+    ragged = f"{must} nested lists of unequal length"
+    try:
+        entries = np.asarray(a, dtype=object)
+    except ValueError:
+        raise ValueError(ragged) from None
+    bad = {t for t in set(map(type, entries.ravel())) if t is bool or not issubclass(t, kinds)}
+    if list in bad:
+        raise ValueError(ragged)
+    if bad:
+        entry = next(e for e in entries.flat if type(e) in bad)
+        raise ValueError(f"{must} entry {reprlib.repr(entry)}")
+    try:
+        return entries.astype(dtype)
+    except OverflowError:
+        raise ValueError(f"{must} an integer beyond float range") from None
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:

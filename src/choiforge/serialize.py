@@ -1,11 +1,11 @@
 """JSON file formats for channels, tomography experiments and tomography results.
 
-Complex entries are stored as [re, im] pairs in row-major nested arrays.
-Floats go through Python's shortest round-trip repr, so
+Complex entries are stored as [re, im] pairs in row-major nested arrays, and
+every number read back is judged by ``linalg._as_numeric``, the API's number
+rule. Floats go through Python's shortest round-trip repr, so
 parse(serialize(x)) == x bit-exactly for every finite value. A document is
-written one top-level field per line, each value as compact one-line JSON,
-so ``json`` encodes it in C and ``head``/``grep`` still read the header
-fields.
+written one top-level field per line, each value as compact one-line JSON, so
+``json`` encodes it in C and ``head``/``grep`` still read the header fields.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .channels import ChoiMatrix, KrausSet, StinespringModel, zoo_channel
-from .linalg import is_int, is_real
+from .linalg import _as_numeric, is_int
 from .tomography import (
     EXACT,
     SAMPLER_VERSION,
@@ -41,41 +41,18 @@ def matrix_to_payload(m: np.ndarray) -> list[list[list[float]]]:
 
 
 def payload_to_matrix(payload: Any, field: str) -> np.ndarray:
-    """Decode and validate a nested [re, im] matrix payload."""
-    if not isinstance(payload, list) or not payload:
-        raise FileFormatError(f"{field}: expected a non-empty list of rows")
-    rows = []
-    width = None
-    for r, row in enumerate(payload):
-        if not isinstance(row, list) or not row:
-            raise FileFormatError(f"{field}: row {r} is not a non-empty list")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise FileFormatError(
-                f"{field}: row {r} has {len(row)} entries, expected {width}"
-            )
-        entries = []
-        for c, pair in enumerate(row):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-            ):
-                raise FileFormatError(
-                    f"{field}: entry ({r}, {c}) is not a [re, im] number pair"
-                )
-            try:
-                entries.append(complex(pair[0], pair[1]))
-            except OverflowError:
-                raise FileFormatError(
-                    f"{field}: entry ({r}, {c}) is an integer beyond float range"
-                ) from None
-        rows.append(entries)
-    m = np.array(rows, dtype=complex)
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    """Decode a finite rows x cols array of [re, im] pairs, its numbers judged by
+    ``linalg._as_numeric``, into a complex matrix that keeps every bit, -0.0
+    included. Any fault raises FileFormatError naming `field`."""
+    try:
+        pairs = _as_numeric(payload, field, float)
+    except ValueError as err:
+        raise FileFormatError(str(err)) from None
+    if pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise FileFormatError(f"{field}: expected rows of [re, im] pairs, got shape {pairs.shape}")
+    if not np.isfinite(pairs).all():
         raise FileFormatError(f"{field}: contains non-finite values")
-    return m
+    return pairs.view(complex)[..., 0]
 
 
 def channel_to_doc(channel: ChannelObject) -> dict:
@@ -113,15 +90,29 @@ def _require(doc: dict, key: str, context: str) -> Any:
     return doc[key]
 
 
+def _matrix_field(doc: dict, key: str, context: str) -> np.ndarray:
+    """The matrix payload at doc[key], named ``context.key`` in any error."""
+    return payload_to_matrix(_require(doc, key, context), f"{context}.{key}")
+
+
+def _kraus_set(n1: int, n2: int, ops: Any, field: str) -> KrausSet:
+    """A non-empty list of operator payloads as a KrausSet; operator k is field[k]."""
+    if not isinstance(ops, list) or not ops:
+        raise FileFormatError(f"{field}: expected a non-empty list")
+    matrices = [payload_to_matrix(op, f"{field}[{k}]") for k, op in enumerate(ops)]
+    return KrausSet(n1, n2, tuple(matrices))
+
+
 def _floats(values: Any, message: str) -> list[float]:
-    """A list of JSON numbers as floats, or FileFormatError(message) for a
-    non-list, a bool, a non-number or an integer beyond float range."""
-    if not isinstance(values, list) or not all(is_real(v) for v in values):
-        raise FileFormatError(message)
+    """A JSON list of numbers as floats, judged by ``linalg._as_numeric``;
+    anything else raises FileFormatError(message)."""
     try:
-        return [float(v) for v in values]
-    except OverflowError:
-        raise FileFormatError(f"{message} (an integer is beyond float range)") from None
+        vector = _as_numeric(values, message, float)
+    except ValueError:
+        raise FileFormatError(message) from None
+    if vector.ndim != 1:
+        raise FileFormatError(message)
+    return vector.tolist()
 
 
 def _parse_dims(doc: dict, context: str) -> tuple[int, int]:
@@ -152,15 +143,9 @@ def doc_to_channel(doc: dict) -> ChannelObject:
     payload = _require(doc, "payload", "channel file")
 
     if representation == "kraus":
-        ops = _require(payload, "operators", "payload")
-        if not isinstance(ops, list) or not ops:
-            raise FileFormatError("payload.operators: expected a non-empty list")
-        matrices = [
-            payload_to_matrix(op, f"payload.operators[{k}]") for k, op in enumerate(ops)
-        ]
-        return KrausSet(n1, n2, tuple(matrices))
+        return _kraus_set(n1, n2, _require(payload, "operators", "payload"), "payload.operators")
     if representation == "choi":
-        return ChoiMatrix(n1, n2, payload_to_matrix(_require(payload, "matrix", "payload"), "payload.matrix"))
+        return ChoiMatrix(n1, n2, _matrix_field(payload, "matrix", "payload"))
     if representation == "stinespring":
         ancilla_dim = _require(payload, "ancilla_dim", "payload")
         trace_dim = _require(payload, "trace_dim", "payload")
@@ -171,13 +156,9 @@ def doc_to_channel(doc: dict) -> ChannelObject:
             ancilla_dim=ancilla_dim,
             output_dim=n2,
             trace_dim=trace_dim,
-            unitary=payload_to_matrix(_require(payload, "unitary", "payload"), "payload.unitary"),
-            ancilla_state=payload_to_matrix(
-                _require(payload, "ancilla_state", "payload"), "payload.ancilla_state"
-            ),
-            projector=payload_to_matrix(
-                _require(payload, "projector", "payload"), "payload.projector"
-            ),
+            unitary=_matrix_field(payload, "unitary", "payload"),
+            ancilla_state=_matrix_field(payload, "ancilla_state", "payload"),
+            projector=_matrix_field(payload, "projector", "payload"),
         )
     raise FileFormatError(
         f"channel file: unknown representation {representation!r} "
@@ -211,20 +192,13 @@ def _parse_input_kind(value: Any) -> SchmidtInput | None:
     if value == "max_entangled":
         return None
     if isinstance(value, dict) and value.get("kind") == "schmidt":
-        alphas = _floats(
-            _require(value, "alphas", "config.input_kind"),
-            "config.input_kind.alphas: expected a list of numbers",
-        )
         return SchmidtInput(
-            alphas=np.asarray(alphas, dtype=float),
-            left_unitary=payload_to_matrix(
-                _require(value, "left_unitary", "config.input_kind"),
-                "config.input_kind.left_unitary",
+            alphas=_floats(
+                _require(value, "alphas", "config.input_kind"),
+                "config.input_kind.alphas: expected a list of numbers",
             ),
-            right_unitary=payload_to_matrix(
-                _require(value, "right_unitary", "config.input_kind"),
-                "config.input_kind.right_unitary",
-            ),
+            left_unitary=_matrix_field(value, "left_unitary", "config.input_kind"),
+            right_unitary=_matrix_field(value, "right_unitary", "config.input_kind"),
         )
     raise FileFormatError(
         "config.input_kind: expected 'max_entangled' or a schmidt object"
@@ -298,11 +272,7 @@ def doc_to_result_kraus(doc: dict) -> KrausSet:
     """
     _check_version(doc, "result file")
     n1, n2 = _parse_dims(doc, "result file")
-    ops = _require(doc, "kraus", "result file")
-    if not isinstance(ops, list) or not ops:
-        raise FileFormatError("result file: kraus must be a non-empty list")
-    matrices = [payload_to_matrix(op, f"kraus[{k}]") for k, op in enumerate(ops)]
-    return KrausSet(n1, n2, tuple(matrices))
+    return _kraus_set(n1, n2, _require(doc, "kraus", "result file"), "kraus")
 
 
 def dump_document(doc: dict) -> str:
@@ -316,10 +286,19 @@ def dump_document(doc: dict) -> str:
     return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        repeated = next(key for k, (key, _) in enumerate(pairs) if key in dict(pairs[:k]))
+        raise FileFormatError(f"repeated key {repeated!r} in a JSON object")
+    return doc
+
+
 def load_document(text: str) -> dict:
-    """Parse JSON text, mapping syntax errors to FileFormatError with location."""
+    """Parse JSON text, mapping syntax errors, and a key repeated in any object
+    (``json`` would keep its last value), to FileFormatError."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise FileFormatError(
             f"invalid JSON at line {err.lineno} column {err.colno}: {err.msg}"

@@ -392,6 +392,44 @@ class TestOutOfRangeNumbers:
         assert np.allclose(result["choi_eigenvalues"], [2, 0, 0, 0], atol=1e-6)
 
 
+IDENTITY_KRAUS_TEXT = '[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]'
+
+
+class TestRepeatedKeys:
+    @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            (
+                "tomograph",
+                '{"channel": {"name": "identity", "params": [], "dims": [2, 2]}, '
+                '"config": {"shots": 0, "seed": 7, "shots": "exact"}}',
+                "shots",
+            ),
+            (
+                "check",
+                '{"format_version": 1, "representation": "kraus", "dims": [2, 2], "dims": [3, 3], '
+                f'"payload": {{"operators": [{IDENTITY_KRAUS_TEXT}]}}}}',
+                "dims",
+            ),
+            (
+                "check",
+                '{"format_version": 1, "representation": "kraus", "dims": [2, 2], '
+                f'"payload": {{"operators": [{IDENTITY_KRAUS_TEXT}], "operators": []}}}}',
+                "operators",
+            ),
+        ],
+        ids=["config-key", "dims", "payload-key"],
+    )
+    def test_repeated_key_exits_2(self, tmp_path, capsys, command, text, key):
+        # json alone would keep the last value and run
+        path = tmp_path / "in.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, [command, str(path)])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == f"repeated key '{key}' in a JSON object"
+
+
 class TestCompare:
     def test_file_vs_itself(self, tmp_path, capsys):
         src = write_channel(tmp_path / "dep.json", zoo_channel("depolarizing", [0.5]))

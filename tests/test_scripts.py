@@ -56,6 +56,7 @@ def test_stage_timings_writes_a_labelled_table(tmp_path):
     for row in rows.values():
         assert row["best_ms"]["result_to_doc"] > 0
         assert row["best_ms"]["dump_document"] > 0
+        assert row["best_ms"]["payload_to_matrix"] > 0
 
 
 def test_cli_digests_cover_every_exit_code():

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import random_complex_matrix
 from choiforge.channels import ChoiMatrix, KrausSet, StinespringModel, kraus_to_choi, zoo_channel
+from choiforge.cli import main
 from choiforge.serialize import (
     FileFormatError,
     channel_to_doc,
@@ -73,9 +74,12 @@ class TestMatrixPayload:
         # repr tells -0.0 from 0.0 and 1 from 1.0, which == does not
         assert repr(payload) == repr(reference)
         assert all(type(x) is float for row in payload for pair in row for x in pair)
+        # decoding matches the per-entry complex() reference bit for bit
+        entries = np.array([[complex(re, im) for re, im in row] for row in reference])
+        assert payload_to_matrix(payload, "m").tobytes() == entries.tobytes()
 
     def test_ragged_rows_rejected(self):
-        with pytest.raises(FileFormatError, match="row 1"):
+        with pytest.raises(FileFormatError, match="^m must hold real numbers, got nested lists of unequal"):
             payload_to_matrix([[[0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "m")
 
     def test_non_pair_entries_rejected(self):
@@ -114,6 +118,42 @@ class TestChannelFiles:
         assert np.array_equal(recovered.unitary, model.unitary)
         assert np.array_equal(recovered.ancilla_state, model.ancilla_state)
         assert np.array_equal(recovered.projector, model.projector)
+
+    @pytest.mark.parametrize(
+        "entry, accepted",
+        [
+            (2**70, True),
+            (10**400, False),
+            (True, False),
+            ("0.5", False),
+            (None, False),
+            (float("nan"), False),
+            ("ragged", False),
+        ],
+        ids=["2^70", "1e400", "true", "str", "null", "nan", "ragged-row"],
+    )
+    def test_api_and_files_give_one_verdict(self, tmp_path, entry, accepted):
+        if entry == "ragged":
+            operator, payload = [[1, 0], [0]], [[[1, 0], [0, 0]], [[0, 0]]]
+        else:
+            operator, payload = [[entry, 0], [0, 1]], [[[entry, 0], [0, 0]], [[0, 0], [1, 0]]]
+        try:
+            KrausSet(2, 2, (operator,))
+            api_accepts = True
+        except ValueError:
+            api_accepts = False
+        text = json.dumps(
+            {"format_version": 1, "representation": "kraus", "dims": [2, 2], "payload": {"operators": [payload]}}
+        )
+        try:
+            doc_to_channel(load_document(text))
+            file_accepts = True
+        except FileFormatError:
+            file_accepts = False
+        assert api_accepts == file_accepts == accepted
+        path = tmp_path / "kraus.json"
+        path.write_text(text, encoding="utf-8")
+        assert (main(["check", str(path)]) == 2) != accepted
 
     def test_numpy_integer_dims_write_readable_files(self):
         # the constructors store dims as ints, so every file they write reads back

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -186,20 +187,37 @@ IDENTITY_CHANNEL = OpaqueChannel.from_kraus(KrausSet(2, 2, (I2,)))
 
 class TestRealNumberRule:
     @pytest.mark.parametrize(
-        "build, name",
+        "build, message",
         [
-            (lambda: SchmidtInput(["0.6", "0.8"], I2, I2), "alphas"),
-            (lambda: SchmidtInput([True, True], I2, I2), "alphas"),
-            (lambda: KrausSet(2, 2, (STRING_EYE,)), "kraus operator 0"),
-            (lambda: KrausSet(2, 2, (np.eye(2, dtype=bool),)), "kraus operator 0"),
-            (lambda: KrausSet(2, 2, (np.array([[None, 0], [0, 1]]),)), "kraus operator 0"),
-            (lambda: simulate_state_tomography([["0.5", "0"], ["0", "0.5"]], 10, 1), "state"),
-            (lambda: frobenius_distance(np.eye(2, dtype=bool), I2), "a"),
-            (lambda: frobenius_distance(I2, STRING_EYE), "b"),
-            (lambda: joint_output_state(IDENTITY_CHANNEL, PHI.astype(str)), "input_vector"),
+            (lambda: SchmidtInput(["0.6", "0.8"], I2, I2), "alphas must hold real numbers, got entry '0.6'"),
+            (lambda: SchmidtInput([True, True], I2, I2), "alphas must hold real numbers, got entry True"),
+            (lambda: KrausSet(2, 2, (STRING_EYE,)), "kraus operator 0 must hold numbers, got dtype <U1"),
+            (lambda: KrausSet(2, 2, (np.eye(2, dtype=bool),)), "kraus operator 0 must hold numbers, got dtype bool"),
+            (
+                lambda: KrausSet(2, 2, (np.array([[None, 0], [0, 1]]),)),
+                "kraus operator 0 must hold numbers, got dtype object",
+            ),
+            (
+                lambda: simulate_state_tomography([["0.5", "0"], ["0", "0.5"]], 10, 1),
+                "state must hold numbers, got entry '0.5'",
+            ),
+            (lambda: frobenius_distance(np.eye(2, dtype=bool), I2), "a must hold numbers, got dtype bool"),
+            (lambda: frobenius_distance(I2, STRING_EYE), "b must hold numbers, got dtype <U1"),
+            (
+                lambda: joint_output_state(IDENTITY_CHANNEL, PHI.astype(str)),
+                "input_vector must hold numbers, got dtype <U",
+            ),
             (
                 lambda: joint_output_state(OpaqueChannel(2, 2, lambda m: m != 0), PHI),
-                "evaluator output",
+                "evaluator output must hold numbers, got dtype bool",
+            ),
+            (
+                lambda: SchmidtInput(np.array([0.6 + 0.1j, 0.8]), I2, I2),
+                "alphas must hold real numbers, got dtype complex128",
+            ),
+            (
+                lambda: SchmidtInput(np.array([0.6 + 0j, 0.8]), I2, I2),
+                "alphas must hold real numbers, got dtype complex128",
             ),
         ],
         ids=[
@@ -213,26 +231,60 @@ class TestRealNumberRule:
             "distance-str",
             "input-vector-str",
             "evaluator-bool",
+            "alphas-complex-array",
+            "alphas-zero-imaginary-array",
         ],
     )
-    def test_non_numeric_arrays_rejected(self, build, name):
-        with pytest.raises(ValueError, match=f"^{name} must hold numbers, got dtype"):
+    def test_non_numeric_arrays_rejected(self, build, message):
+        # an array is judged by its dtype, a list by the types of its entries
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             build()
 
     @pytest.mark.parametrize(
-        "build, name, entry",
+        "build, message",
         [
-            (lambda: KrausSet(2, 2, ([[True, 0], [0, 1]],)), "kraus operator 0", "True"),
-            (lambda: KrausSet(2, 2, ([[1.0, 0.0], [0.0, np.True_]],)), "kraus operator 0", "np.True_"),
-            (lambda: KrausSet(2, 2, ([np.array([1, 0]), [0, False]],)), "kraus operator 0", "False"),
-            (lambda: SchmidtInput([0.6, True], I2, I2), "alphas", "True"),
-            (lambda: SchmidtInput((np.float64(0.6), np.False_), I2, I2), "alphas", "np.False_"),
+            (lambda: KrausSet(2, 2, ([[True, 0], [0, 1]],)), "kraus operator 0 must hold numbers, got entry True"),
+            (
+                lambda: KrausSet(2, 2, ([[1.0, 0.0], [0.0, np.True_]],)),
+                "kraus operator 0 must hold numbers, got entry np.True_",
+            ),
+            (
+                lambda: KrausSet(2, 2, ([np.array([1, 0]), [0, False]],)),
+                "kraus operator 0 must hold numbers, got entry False",
+            ),
+            (lambda: SchmidtInput([0.6, True], I2, I2), "alphas must hold real numbers, got entry True"),
+            (
+                lambda: SchmidtInput((np.float64(0.6), np.False_), I2, I2),
+                "alphas must hold real numbers, got entry np.False_",
+            ),
+            (
+                lambda: KrausSet(2, 2, ([[np.array(True), 0], [0, 1]],)),
+                "kraus operator 0 must hold numbers, got entry array(True)",
+            ),
+            (
+                lambda: KrausSet(2, 2, ([[np.array(1.0), 0], [0, 1]],)),
+                "kraus operator 0 must hold numbers, got entry array(1.)",
+            ),
+            (
+                lambda: SchmidtInput([0.6 + 0.1j, 0.8], I2, I2),
+                "alphas must hold real numbers, got entry (0.6+0.1j)",
+            ),
         ],
-        ids=["kraus-bool-int", "kraus-numpy-bool-float", "kraus-array-row-bool", "alphas-bool-float", "alphas-tuple"],
+        ids=[
+            "kraus-bool-int",
+            "kraus-numpy-bool-float",
+            "kraus-array-row-bool",
+            "alphas-bool-float",
+            "alphas-tuple",
+            "kraus-nested-0d-bool-array",
+            "kraus-nested-0d-float-array",
+            "alphas-complex-list",
+        ],
     )
-    def test_bools_mixed_into_number_lists_rejected(self, build, name, entry):
-        # numpy promotes these lists to int or float dtype; each entry is judged
-        with pytest.raises(ValueError, match=rf"^{name} must hold numbers, got entry {entry}$"):
+    def test_bools_mixed_into_number_lists_rejected(self, build, message):
+        # numpy promotes these lists to a number dtype, or keeps a nested 0-d
+        # array as one entry; the type of every entry is judged
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
 
     def test_integer_arrays_keep_their_bytes(self):

@@ -11,12 +11,18 @@ its caller as "caller > stage": the evaluator builds its Choi matrix with
 ``kraus_to_choi`` inside ``joint_output_state``, and the decompositions sit
 inside the stage that asks for them.
 
-Three more stages time what the CLI does with the last run's result,
+Five more stages time what the CLI does with the last run's result,
 outside ``run_tomography``, each best of ``--repeats`` calls:
 ``result_to_doc`` builds the result document and ``dump_document`` writes
 it as JSON text, as ``choiforge tomograph`` does; ``payload_to_matrix``
 decodes the document's ``estimated_choi`` payload, as ``check`` and
-``convert`` do with a Choi file.
+``convert`` do with a Choi file; ``load_document`` parses the dumped text
+and ``process_fidelity`` compares the result's Kraus set with the
+depolarizing Kraus set it came from, as ``choiforge compare`` does with a
+result file and its truth file. That truth has full Kraus rank n1**2. A
+finite-shot result is not trace preserving, so there the stage times the
+verdict that rejects it, and the row's ``fidelity`` is null, as in
+``compare``'s output.
 
 Each invocation adds one labelled table to ``--output`` and keeps the tables
 already there, so one file can hold the same grid for two checkouts:
@@ -42,6 +48,7 @@ import numpy as np  # noqa: E402
 import choiforge.serialize as serialize  # noqa: E402
 import choiforge.tomography as tomography  # noqa: E402
 from choiforge.channels import zoo_channel  # noqa: E402
+from choiforge.metrics import process_fidelity  # noqa: E402
 
 STAGES = (
     "joint_output_state",
@@ -99,10 +106,19 @@ def best_ms(call, repeats: int) -> float:
     return min(times)
 
 
+def compare_fidelity(a, b) -> float | None:
+    """``process_fidelity`` as ``choiforge compare`` calls it: None for a rejected map."""
+    try:
+        return process_fidelity(a, b)
+    except ValueError:
+        return None
+
+
 def time_grid(clock: StageClock, n1_values, repeats: int) -> list[dict]:
     rows = []
     for n1 in n1_values:
-        channel = tomography.OpaqueChannel.from_kraus(zoo_channel("depolarizing", [0.3], n1))
+        truth = zoo_channel("depolarizing", [0.3], n1)
+        channel = tomography.OpaqueChannel.from_kraus(truth)
         for shots in SHOTS:
             config = tomography.TomographyConfig(shots=shots, seed=1)
             tomography.run_tomography(channel, config)  # warm-up
@@ -121,6 +137,9 @@ def time_grid(clock: StageClock, n1_values, repeats: int) -> list[dict]:
             best["payload_to_matrix"] = best_ms(
                 lambda: serialize.payload_to_matrix(doc["estimated_choi"], "estimated_choi"), repeats
             )
+            text = serialize.dump_document(doc)
+            best["load_document"] = best_ms(lambda: serialize.load_document(text), repeats)
+            best["process_fidelity"] = best_ms(lambda: compare_fidelity(result.kraus, truth), repeats)
             rows.append(
                 {
                     "n1": n1,
@@ -128,6 +147,7 @@ def time_grid(clock: StageClock, n1_values, repeats: int) -> list[dict]:
                     "shots": "exact" if shots is tomography.EXACT else shots,
                     "decompositions_per_run": len(decompositions),
                     "decompositions": decompositions,
+                    "fidelity": compare_fidelity(result.kraus, truth),
                     "best_ms": {path: round(ms, 4) for path, ms in best.items()},
                 }
             )

@@ -177,13 +177,18 @@ class CpTpVerdict:
     deviation_from_identity: float
 
 
-def kraus_to_choi(kraus: KrausSet) -> ChoiMatrix:
-    """Assemble the unnormalized Choi matrix J = V V^dagger.
+def _kraus_factor(kraus: KrausSet) -> np.ndarray:
+    """The d x r factor V of the Choi matrix J = V V^dagger.
 
     Column k of V is vec(A_k), whose segment i is column i of A_k.
     """
     d = kraus.input_dim * kraus.output_dim
-    v = np.stack(kraus.operators).transpose(0, 2, 1).reshape(-1, d).T
+    return np.stack(kraus.operators).transpose(0, 2, 1).reshape(-1, d).T
+
+
+def kraus_to_choi(kraus: KrausSet) -> ChoiMatrix:
+    """Assemble the unnormalized Choi matrix J = V V^dagger (``_kraus_factor``)."""
+    v = _kraus_factor(kraus)
     return ChoiMatrix(kraus.input_dim, kraus.output_dim, v @ v.conj().T)
 
 
@@ -237,25 +242,32 @@ def stinespring_to_choi(model: StinespringModel) -> ChoiMatrix:
     return ChoiMatrix(n1, n2, (j + j.conj().T) / 2)
 
 
+def _trace_verdict(gram: np.ndarray, limit: float) -> tuple[bool, bool, float]:
+    """(trace preserving, trace non-increasing, ||G - I||_F) of a map with
+    G = sum_k A_k^dagger A_k: preserving when every eigenvalue of G - I is
+    within `limit` of zero, non-increasing when none is above it."""
+    gap = gram - np.eye(len(gram))
+    gaps = np.linalg.eigvalsh(gap)
+    return bool(np.max(np.abs(gaps)) <= limit), bool(gaps[-1] <= limit), float(np.linalg.norm(gap))
+
+
 def choi_cp_tp_verdict(choi: ChoiMatrix) -> CpTpVerdict:
     """CP and trace verdict of a map, every flag judged against bound(J).
 
     CP: the least eigenvalue of J is at least -bound(J). Tracing the output
-    factor from J gives the transpose of G = sum_k A_k^dagger A_k: trace
-    preserving when every eigenvalue of G - I is within the bound of zero,
-    trace non-increasing when none is above it.
+    factor from J gives the transpose of G = sum_k A_k^dagger A_k, which
+    ``_trace_verdict`` judges.
     """
-    n1 = choi.input_dim
     limit = bound(choi.matrix)
     min_eig = float(np.linalg.eigvalsh(choi.matrix)[0])
-    gram = partial_trace(choi.matrix, n1, choi.output_dim).T
-    gaps = np.linalg.eigvalsh(gram - np.eye(n1))
+    gram = partial_trace(choi.matrix, choi.input_dim, choi.output_dim).T
+    preserving, nonincreasing, deviation = _trace_verdict(gram, limit)
     return CpTpVerdict(
         is_cp=min_eig >= -limit,
         min_choi_eigenvalue=min_eig,
-        is_trace_preserving=bool(np.max(np.abs(gaps)) <= limit),
-        is_trace_nonincreasing=bool(gaps[-1] <= limit),
-        deviation_from_identity=float(np.linalg.norm(gram - np.eye(n1))),
+        is_trace_preserving=preserving,
+        is_trace_nonincreasing=nonincreasing,
+        deviation_from_identity=deviation,
     )
 
 

@@ -111,13 +111,15 @@ def _channel_to_choi(channel: ChannelObject) -> ChoiMatrix:
     return stinespring_to_choi(channel)
 
 
-def _load_channel_for_compare(path: str) -> ChoiMatrix:
-    """Accept a channel file or a tomography result file; yield its Choi matrix."""
+def _load_channel_for_compare(path: str) -> KrausSet | ChoiMatrix:
+    """Accept a channel file or a tomography result file; yield its Kraus set
+    (a Kraus file, a result file) or its Choi matrix (any other channel file)."""
     doc = _load_doc(path)
     if "representation" in doc:
-        return _channel_to_choi(doc_to_channel(doc))
+        channel = doc_to_channel(doc)
+        return channel if isinstance(channel, KrausSet) else _channel_to_choi(channel)
     if "kraus" in doc:
-        return kraus_to_choi(doc_to_result_kraus(doc))
+        return doc_to_result_kraus(doc)
     raise FileFormatError(f"{path}: neither a channel file nor a tomography result file")
 
 
@@ -166,11 +168,12 @@ def cmd_compare(args) -> dict:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise CommandError(EXIT_PARSE, f"--tol must be a finite nonnegative number, got {args.tol}")
     with _step(EXIT_PARSE):
-        choi_a = _load_channel_for_compare(args.file_a)
-        choi_b = _load_channel_for_compare(args.file_b)
-        distance = choi_distance(choi_a, choi_b)
+        channel_a = _load_channel_for_compare(args.file_a)
+        choi_a = _channel_to_choi(channel_a)
+        channel_b = _load_channel_for_compare(args.file_b)
+        distance = choi_distance(choi_a, _channel_to_choi(channel_b))
     try:
-        fidelity: float | None = process_fidelity(choi_a, choi_b)
+        fidelity: float | None = process_fidelity(channel_a, channel_b)
     except ValueError:
         fidelity = None  # undefined unless both maps are CP and trace preserving
     return {

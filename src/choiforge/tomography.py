@@ -410,6 +410,8 @@ def _max_entangled_input(n1: int) -> SchmidtInput:
 def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> TomographyResult:
     """Full pipeline: prepare, evolve once, estimate, reconstruct.
 
+    The channel's input_dim must be at least two, the least dimension of a
+    Schmidt input; a smaller one is rejected before the input is built.
     Deterministic for a fixed (seed, shots) pair. A finite shot count samples
     the evaluator output with ``simulate_state_tomography``, which judges it
     first. ``shots=EXACT`` skips the sampler: the evaluator output is the
@@ -420,6 +422,8 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
     inputs or an indefinite output), and then Tr <= 1 + EXACT_TOL is checked.
     """
     n1, n2 = channel.input_dim, channel.output_dim
+    if n1 < 2:
+        raise ValueError(f"tomography needs input_dim at least two, got {n1}")
     spec = _max_entangled_input(n1) if config.input_kind is None else config.input_kind
     if spec.alphas.size != n1:
         raise ValueError(f"schmidt input has {spec.alphas.size} coefficients, channel needs {n1}")

@@ -219,6 +219,17 @@ class TestTomograph:
         result = json.loads(out)
         assert result["seed"] == 43
 
+    def test_input_dim_one_exits_5(self, tmp_path, capsys):
+        exp = write_doc(
+            tmp_path / "exp.json",
+            experiment_doc({"name": "identity", "params": [], "dims": [1, 1]}),
+        )
+        code, out, err = run(capsys, ["tomograph", exp])
+        assert code == 5
+        assert out == ""
+        message = json.loads(err)["error"]
+        assert "input_dim" in message and "at least two" in message
+
     def test_invalid_schmidt_exits_5(self, tmp_path, capsys):
         from choiforge.serialize import matrix_to_payload
 
@@ -457,7 +468,29 @@ class TestCompare:
         )
         code, out, _ = run(capsys, ["compare", a, b])
         assert code == 0
-        assert json.loads(out)["equivalent"] is True
+        result = json.loads(out)
+        assert result["equivalent"] is True
+        assert result["process_fidelity"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_result_vs_choi_and_stinespring_files(self, tmp_path, capsys):
+        from choiforge.channels import StinespringModel, stinespring_to_choi
+
+        cnot = np.array(
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+        )
+        model = StinespringModel(2, 2, 2, 2, cnot, np.diag([1, 0]).astype(complex), np.eye(2))
+        exp = write_doc(tmp_path / "exp.json", experiment_doc(channel_to_doc(model)))
+        result_file = str(tmp_path / "result.json")
+        assert main(["tomograph", exp, "--output", result_file]) == 0
+        stinespring = write_channel(tmp_path / "st.json", model)
+        choi = write_channel(tmp_path / "choi.json", stinespring_to_choi(model))
+        capsys.readouterr()
+        for truth in (choi, stinespring):
+            code, out, _ = run(capsys, ["compare", result_file, truth])
+            assert code == 0
+            result = json.loads(out)
+            assert result["equivalent"] is True
+            assert result["process_fidelity"] == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_vs_dephasing_not_equivalent(self, tmp_path, capsys):
         a = write_channel(tmp_path / "id.json", KrausSet(2, 2, (I2,)))

@@ -4,6 +4,7 @@ import pytest
 from choiforge.channels import (
     ChoiMatrix,
     KrausSet,
+    haar_random_unitary,
     kraus_to_choi,
     random_cptp,
     zoo_channel,
@@ -79,8 +80,58 @@ class TestProcessFidelity:
         for _ in range(50):
             a = kraus_to_choi(random_cptp(2, 2, int(rng.integers(1, 5)), int(rng.integers(2**32))))
             b = kraus_to_choi(random_cptp(2, 2, int(rng.integers(1, 5)), int(rng.integers(2**32))))
-            # sqrt of near-zero eigenvalues amplifies machine noise to ~sqrt(eps)
-            assert process_fidelity(a, b) == pytest.approx(process_fidelity(b, a), abs=1e-7)
+            assert process_fidelity(a, b) == pytest.approx(process_fidelity(b, a), abs=1e-12)
+
+    def test_haar_unitary_pairs_match_trace_overlap(self):
+        # for unitary channels F = |Tr U^dag V|^2 / n^2, from either representation
+        rng = np.random.default_rng(42)
+        for k in range(25):
+            n = (2, 4, 8, 16)[k % 4]
+            u, v = haar_random_unitary(n, rng), haar_random_unitary(n, rng)
+            expected = abs(np.trace(u.conj().T @ v)) ** 2 / n**2
+            a, b = KrausSet(n, n, (u,)), KrausSet(n, n, (v,))
+            assert process_fidelity(a, b) == pytest.approx(expected, abs=1e-12)
+            assert process_fidelity(kraus_to_choi(a), kraus_to_choi(b)) == pytest.approx(
+                expected, abs=1e-12
+            )
+
+    def test_kraus_and_choi_inputs_give_the_same_outcome(self):
+        # a value within 1e-12, or a ValueError with the same message prefix
+        corpus = {
+            **zoo_corpus(),
+            "project_discard": zoo_channel("project_discard"),
+            "full_trace_non_tp": KrausSet(2, 2, (np.diag([np.sqrt(1.5), np.sqrt(0.5)]),)),
+            "amplified": KrausSet(2, 2, (np.sqrt(1.5) * I2,)),
+        }
+
+        def outcome(a, b):
+            try:
+                return process_fidelity(a, b)
+            except ValueError as err:
+                return str(err).split(":")[0]
+
+        for ka in corpus.values():
+            for kb in corpus.values():
+                expected = outcome(ka, kb)
+                ja, jb = kraus_to_choi(ka), kraus_to_choi(kb)
+                for a, b in ((ja, jb), (ka, jb), (ja, kb)):
+                    got = outcome(a, b)
+                    if isinstance(expected, str):
+                        assert got == expected
+                    else:
+                        assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_more_operators_than_choi_dimension(self):
+        # every depolarizing operator twice, scaled by 1/sqrt(2): 8 operators, d = 4
+        ops = zoo_channel("depolarizing", [0.5]).operators
+        doubled = KrausSet(2, 2, tuple(op / np.sqrt(2) for op in ops for _ in range(2)))
+        assert len(doubled.operators) > 4
+        j = kraus_to_choi(doubled)
+        for other in zoo_corpus().values():
+            assert process_fidelity(doubled, other) == pytest.approx(
+                process_fidelity(j, kraus_to_choi(other)), abs=1e-12
+            )
+        assert process_fidelity(doubled, doubled) == pytest.approx(1.0, abs=1e-12)
 
     def test_unity_iff_zero_distance_on_zoo_corpus(self):
         corpus = zoo_corpus()

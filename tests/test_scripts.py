@@ -51,12 +51,16 @@ def test_stage_timings_writes_a_labelled_table(tmp_path):
     rows = {row["shots"]: row for row in tables["after"]["rows"]}
     assert set(rows) == {"exact", 10**4}
     assert rows["exact"]["decompositions"] == ["eigh"]
+    assert rows["exact"]["fidelity"] > 1 - 1e-12
+    assert rows[10**4]["fidelity"] is None  # a finite-shot estimate is not trace preserving
     assert "simulate_state_tomography" not in rows["exact"]["best_ms"]
     assert rows[10**4]["best_ms"]["simulate_state_tomography > eigvalsh"] > 0
     for row in rows.values():
         assert row["best_ms"]["result_to_doc"] > 0
         assert row["best_ms"]["dump_document"] > 0
         assert row["best_ms"]["payload_to_matrix"] > 0
+        assert row["best_ms"]["load_document"] > 0
+        assert row["best_ms"]["process_fidelity"] > 0
 
 
 def test_cli_digests_cover_every_exit_code():

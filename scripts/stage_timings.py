@@ -56,7 +56,7 @@ STAGES = (
     "reconstruct_from_schmidt",
     "kraus_to_choi",
 )
-DECOMPOSITIONS = ("eigh", "eigvalsh", "eig", "eigvals", "svd")
+DECOMPOSITIONS = ("eigh", "eigvalsh", "eig", "eigvals", "svd", "cholesky")
 SHOTS = (tomography.EXACT, 10**4)
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from .linalg import (
     EXACT_TOL,
     _as_matrix,
+    _eigenvalue_below,
     bound,
     check_hermitian,
     check_int,
@@ -151,10 +152,9 @@ class StinespringModel:
         check_unitary(u, "unitary")
         na = self.ancilla_dim
         rho = _frozen_complex(self.ancilla_state, "ancilla state", (na, na))
-        limit = check_hermitian(rho, "ancilla state", EXACT_TOL)
-        eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-        if eigs[0] < -limit:
-            raise ValueError(f"ancilla state has negative eigenvalue {eigs[0]:.3e}")
+        lowest = _eigenvalue_below(rho, check_hermitian(rho, "ancilla state", EXACT_TOL))
+        if lowest is not None:
+            raise ValueError(f"ancilla state has negative eigenvalue {lowest:.3e}")
         if abs(np.trace(rho).real - 1.0) > EXACT_TOL:
             raise ValueError(f"ancilla state trace differs from 1 beyond {EXACT_TOL:g}")
         p = _frozen_complex(self.projector, "projector", (self.trace_dim, self.trace_dim))

@@ -113,6 +113,34 @@ def check_hermitian(m: np.ndarray, what: str, tol: float = TOL) -> float:
     return limit
 
 
+def _eigenvalue_below(m: np.ndarray, limit: float) -> float | None:
+    """None if H = (m + m^dagger)/2 of a finite square m has every eigenvalue
+    at least -limit; otherwise the least eigenvalue of H, from ``eigvalsh``.
+
+    One Cholesky factorization of A = H + s I, with s = limit - reserve,
+    proves the first case. The computed factor R satisfies R^dagger R = A + dA
+    with |dA| <= gamma |R^dagger| |R| (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., Thm 10.3), so lambda_min(A) >= -||dA||_2
+    >= -gamma tr(A) / (1 - gamma), and tr(A) <= scale = sum_i |H_ii| + d limit.
+    Forming H rounds it by at most (eps/2) ||H||_F, which a successful
+    factorization bounds by eps scale. The reserve covers both, so success
+    proves lambda_min(H) >= -limit. ``eigvalsh`` runs only when the
+    factorization fails, so a rejection names the eigenvalue.
+    """
+    d = len(m)
+    h = (m + m.conj().T) / 2
+    eps = np.finfo(float).eps
+    gamma = 2 * (d + 1) * eps  # Higham's gamma_{d+1} with u = eps/2, doubled for complex arithmetic
+    scale = float(np.abs(h.diagonal()).sum()) + d * limit
+    h.reshape(-1)[:: d + 1] += limit - (gamma + eps) * scale / (1 - gamma)
+    try:
+        np.linalg.cholesky(h)
+        return None
+    except np.linalg.LinAlgError:
+        lowest = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+    return lowest if lowest < -limit else None
+
+
 def check_unitary(u: np.ndarray, what: str) -> None:
     """Reject a finite square matrix unless max |u^dagger u - I| <= bound(u, EXACT_TOL)."""
     limit = bound(u, EXACT_TOL)

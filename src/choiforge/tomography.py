@@ -33,6 +33,7 @@ from .linalg import (
     TOL,
     _as_matrix,
     _as_numeric,
+    _eigenvalue_below,
     bound,
     check_hermitian,
     check_int,
@@ -252,13 +253,28 @@ def _check_state(rho: np.ndarray, limit: float, positivity_proved: bool = False)
     has already proved it, then Tr rho <= 1 + EXACT_TOL. Returns the trace;
     raises ValueError naming the first fault."""
     if not positivity_proved:
-        lowest = np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0]
-        if lowest < -limit:
+        lowest = _eigenvalue_below(rho, limit)
+        if lowest is not None:
             raise ValueError(f"state is not positive semidefinite: eigenvalue {lowest:.3e}")
     trace = float(np.trace(rho).real)
     if trace > 1.0 + EXACT_TOL:
         raise ValueError(f"state trace {trace} exceeds 1")
     return trace
+
+
+@functools.cache
+def _sampler_plan(dim: int) -> tuple[np.ndarray, ...]:
+    """What the sampler's table and scatter need of ``dim`` alone, built once
+    per dimension, every array read-only: the upper-triangle ``rows`` and
+    ``cols`` of the pair operators, their flat indices ``upper`` and
+    ``lower`` into a dim x dim matrix, the ladder ``levels`` 1..dim-1 and
+    their normalisers l(l+1)."""
+    rows, cols = np.triu_indices(dim, 1)
+    levels = np.arange(1.0, dim)  # float: l(l+1)*shots would overflow int64
+    plan = (rows, cols, rows * dim + cols, cols * dim + rows, levels, levels * (levels + 1))
+    for array in plan:
+        array.setflags(write=False)
+    return plan
 
 
 def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
@@ -281,9 +297,11 @@ def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
     finite count must be an integer in [1, MAX_SHOTS], where every count is
     exact in a float64.
     rho must be Hermitian and PSD to within bound(rho), with trace <= 1 +
-    EXACT_TOL, whatever the shot count: positivity costs one ``eigvalsh``
-    here. ``run_tomography`` calls this only for finite shots; an exact run
-    judges the evaluator output itself, on its one eigendecomposition.
+    EXACT_TOL, whatever the shot count. Positivity costs one Cholesky
+    certificate here (``linalg._eigenvalue_below``), and ``eigvalsh`` runs
+    only when the certificate fails. ``run_tomography`` calls this only for
+    finite shots; an exact run judges the evaluator output itself, on its one
+    eigendecomposition.
     """
     rho = _as_matrix(rho, "state")
     trace = _check_state(rho, check_hermitian(rho, "state"))
@@ -294,23 +312,33 @@ def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
 
     dim = rho.shape[0]
     estimate = np.zeros((dim, dim), dtype=complex)
-    success_prob = float(np.clip(trace, 0.0, 1.0))
+    success_prob = min(max(trace, 0.0), 1.0)
     if success_prob == 0.0:
         return estimate
 
     # one row of (first, second, zero) outcome probabilities per operator:
     # the identity, the symmetric pairs, the antisymmetric pairs, the ladder
-    rho_conditional = rho / trace
-    diag = rho_conditional.diagonal().real
-    rows, cols = np.triu_indices(dim, 1)
+    rows, cols, upper, lower, levels, norms = _sampler_plan(dim)
+    n_pairs = rows.size
+    diag = (rho.diagonal() / trace).real
     pair_mass = (diag[rows] + diag[cols]) / 2
-    off = rho_conditional[rows, cols]
+    off = rho.reshape(-1)[upper] / trace
     below = np.cumsum(diag)
-    first = np.concatenate(([1.0], pair_mass + off.real, pair_mass - off.imag, below[:-1]))
-    second = np.concatenate(([0.0], pair_mass - off.real, pair_mass + off.imag, diag[1:]))
-    zero = np.concatenate(([0.0], 1.0 - 2 * pair_mass, 1.0 - 2 * pair_mass, 1.0 - below[1:]))
-    probs = np.clip(np.stack((first, second, zero), axis=1), 0.0, None)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs = np.empty((dim * dim, 3))
+    probs[0] = (1.0, 0.0, 0.0)
+    sym = probs[1 : 1 + n_pairs]
+    asym = probs[1 + n_pairs : 1 + 2 * n_pairs]
+    ladder = probs[1 + 2 * n_pairs :]
+    sym[:, 0] = pair_mass + off.real
+    sym[:, 1] = pair_mass - off.real
+    sym[:, 2] = asym[:, 2] = 1.0 - 2 * pair_mass
+    asym[:, 0] = pair_mass - off.imag
+    asym[:, 1] = pair_mass + off.imag
+    ladder[:, 0] = below[:-1]
+    ladder[:, 1] = diag[1:]
+    ladder[:, 2] = 1.0 - below[1:]
+    np.maximum(probs, 0.0, out=probs)
+    probs /= (probs[:, 0] + probs[:, 1] + probs[:, 2])[:, None]  # sum(axis=1)'s bits, ~8x faster
 
     rng = np.random.default_rng(seed)
     successes = rng.binomial(shots, success_prob, size=dim * dim)
@@ -319,20 +347,18 @@ def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
     # invert: pair (j, k) gives entry (j, k); the identity and the ladder give
     # the diagonal, each ladder level l spreading over entries 0..l
     contrast = counts[:, 0] - counts[:, 1]
-    n_pairs = rows.size
-    sym = contrast[1 : 1 + n_pairs]
-    asym = contrast[1 + n_pairs : 1 + 2 * n_pairs]
-    upper = (sym - 1j * asym) / (2 * shots)
-    estimate[rows, cols] = upper
-    estimate[cols, rows] = upper.conj()
+    sym_counts, asym_counts = contrast[1 : 1 + n_pairs], contrast[1 + n_pairs : 1 + 2 * n_pairs]
+    entries = (sym_counts - 1j * asym_counts) / (2 * shots)
+    flat = estimate.reshape(-1)
+    flat[upper] = entries
+    flat[lower] = entries.conj()
 
-    levels = np.arange(1.0, dim)  # float: l(l+1)*shots would overflow int64
-    ladder = counts[1 + 2 * n_pairs :]
-    weights = (ladder[:, 0] - levels * ladder[:, 1]) / (levels * (levels + 1) * shots)
+    ladder_counts = counts[1 + 2 * n_pairs :]
+    weights = (ladder_counts[:, 0] - levels * ladder_counts[:, 1]) / (norms * shots)
     diagonal = np.full(dim, counts[0, 0] / (dim * shots))
     diagonal[:-1] += np.cumsum(weights[::-1])[::-1]
     diagonal[1:] -= levels * weights
-    np.fill_diagonal(estimate, diagonal)
+    flat[:: dim + 1] = diagonal
     return estimate
 
 
@@ -414,12 +440,15 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
     Schmidt input; a smaller one is rejected before the input is built.
     Deterministic for a fixed (seed, shots) pair. A finite shot count samples
     the evaluator output with ``simulate_state_tomography``, which judges it
-    first. ``shots=EXACT`` skips the sampler: the evaluator output is the
-    estimate, and it is judged in the sampler's order and with its messages.
-    ``reconstruct_from_schmidt`` judges Hermiticity, positivity is read off
-    the Choi estimate's one eigendecomposition (``eigvalsh`` runs on the
-    output only when that cannot prove it, as for strongly skewed Schmidt
-    inputs or an indefinite output), and then Tr <= 1 + EXACT_TOL is checked.
+    first: the run makes one eigendecomposition, the Choi estimate's, plus
+    the sampler's Cholesky certificate, and ``eigvalsh`` only when the
+    certificate fails. ``shots=EXACT`` skips the sampler: the evaluator
+    output is the estimate, and it is judged in the sampler's order and with
+    its messages. ``reconstruct_from_schmidt`` judges Hermiticity, positivity
+    is read off the Choi estimate's one eigendecomposition (the sampler's
+    certificate runs on the output only when that cannot prove it, as for
+    strongly skewed Schmidt inputs or an indefinite output), and then
+    Tr <= 1 + EXACT_TOL is checked.
     """
     n1, n2 = channel.input_dim, channel.output_dim
     if n1 < 2:

@@ -48,6 +48,57 @@ def hermitian_operator_basis(dim):
     return mats
 
 
+def reference_sampler(rho, shots, seed):
+    """Reference finite-shot sampler of ``SAMPLER_VERSION`` 4, one step at a time.
+
+    The body of ``simulate_state_tomography`` as first written, without its
+    checks: `rho` is a valid state and `shots` a finite count. The library
+    builds the same outcome-probability table with fewer numpy calls and
+    must draw the same stream, so tests require its estimates to match this
+    one byte for byte.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    trace = float(np.trace(rho).real)
+    dim = rho.shape[0]
+    estimate = np.zeros((dim, dim), dtype=complex)
+    success_prob = float(np.clip(trace, 0.0, 1.0))
+    if success_prob == 0.0:
+        return estimate
+
+    rho_conditional = rho / trace
+    diag = rho_conditional.diagonal().real
+    rows, cols = np.triu_indices(dim, 1)
+    pair_mass = (diag[rows] + diag[cols]) / 2
+    off = rho_conditional[rows, cols]
+    below = np.cumsum(diag)
+    first = np.concatenate(([1.0], pair_mass + off.real, pair_mass - off.imag, below[:-1]))
+    second = np.concatenate(([0.0], pair_mass - off.real, pair_mass + off.imag, diag[1:]))
+    zero = np.concatenate(([0.0], 1.0 - 2 * pair_mass, 1.0 - 2 * pair_mass, 1.0 - below[1:]))
+    probs = np.clip(np.stack((first, second, zero), axis=1), 0.0, None)
+    probs /= probs.sum(axis=1, keepdims=True)
+
+    rng = np.random.default_rng(seed % 2**64)
+    successes = rng.binomial(shots, success_prob, size=dim * dim)
+    counts = rng.multinomial(successes, probs)
+
+    contrast = counts[:, 0] - counts[:, 1]
+    n_pairs = rows.size
+    sym = contrast[1 : 1 + n_pairs]
+    asym = contrast[1 + n_pairs : 1 + 2 * n_pairs]
+    upper = (sym - 1j * asym) / (2 * shots)
+    estimate[rows, cols] = upper
+    estimate[cols, rows] = upper.conj()
+
+    levels = np.arange(1.0, dim)
+    ladder = counts[1 + 2 * n_pairs :]
+    weights = (ladder[:, 0] - levels * ladder[:, 1]) / (levels * (levels + 1) * shots)
+    diagonal = np.full(dim, counts[0, 0] / (dim * shots))
+    diagonal[:-1] += np.cumsum(weights[::-1])[::-1]
+    diagonal[1:] -= levels * weights
+    np.fill_diagonal(estimate, diagonal)
+    return estimate
+
+
 def apply_kraus(kraus, m):
     """Reference E(M) = sum_k A_k M A_k^dagger, straight from the definition.
 

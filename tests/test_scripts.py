@@ -54,7 +54,8 @@ def test_stage_timings_writes_a_labelled_table(tmp_path):
     assert rows["exact"]["fidelity"] > 1 - 1e-12
     assert rows[10**4]["fidelity"] is None  # a finite-shot estimate is not trace preserving
     assert "simulate_state_tomography" not in rows["exact"]["best_ms"]
-    assert rows[10**4]["best_ms"]["simulate_state_tomography > eigvalsh"] > 0
+    assert rows[10**4]["decompositions"] == ["cholesky", "eigh"]
+    assert rows[10**4]["best_ms"]["simulate_state_tomography > cholesky"] > 0
     for row in rows.values():
         assert row["best_ms"]["result_to_doc"] > 0
         assert row["best_ms"]["dump_document"] > 0

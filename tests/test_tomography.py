@@ -11,6 +11,7 @@ from conftest import (
     kraus_equivalent,
     random_complex_matrix,
     random_density,
+    reference_sampler,
 )
 from choiforge.channels import (
     KrausSet,
@@ -21,7 +22,7 @@ from choiforge.channels import (
     random_cptp,
     zoo_channel,
 )
-from choiforge.linalg import NotHermitianError, frobenius_distance
+from choiforge.linalg import EXACT_TOL, TOL, NotHermitianError, frobenius_distance
 from choiforge.tomography import (
     EXACT,
     MAX_SHOTS,
@@ -352,12 +353,27 @@ class TestSimulateStateTomography:
         b = simulate_state_tomography(rho, 5000, seed=123)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("dim", [4, 9, 16, 36, 64])
+    def test_matches_reference_sampler_bytes(self, dim):
+        # the same stream and the same arithmetic as the reference, whatever
+        # the numpy calls: estimates keep their bytes (SAMPLER_VERSION 4)
+        rng = np.random.default_rng(dim)
+        pure = np.zeros((dim, dim), dtype=complex)
+        pure[dim // 2, dim // 2] = 1.0  # most outcome probabilities are zero
+        states = (random_density(dim, rng), 0.5 * random_density(dim, rng), pure, np.zeros((dim, dim)))
+        for rho in states:
+            for shots in (1, 10**4, 10**6, MAX_SHOTS):
+                for seed in (0, 7, -1):
+                    estimate = simulate_state_tomography(rho, shots, seed)
+                    assert estimate.tobytes() == reference_sampler(rho, shots, seed).tobytes()
+
     @pytest.mark.parametrize("trace", [1.0, 0.8])
-    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 16])
     def test_matches_dense_basis_statistics(self, dim, trace):
         # every basis coefficient is (eigenvalues . counts) / shots of a
         # projective measurement in that operator's eigenbasis, so its mean
-        # and variance follow from the dense oracle basis in closed form
+        # and variance follow from the dense oracle basis in closed form; at
+        # d = 8 and 16 the ladder diagonal spreads over 8 and 16 entries
         rho = trace * random_density(dim, np.random.default_rng(40 + dim))
         shots, n_seeds = 100, 400
         basis = np.array(hermitian_operator_basis(dim))
@@ -425,6 +441,71 @@ class TestSimulateStateTomography:
                 simulate_state_tomography(rho, shots, seed=1)
             with pytest.raises(ValueError, match="MAX_SHOTS"):
                 TomographyConfig(shots=shots)
+
+
+def state_with_least_eigenvalue(dim, least, trace, rng):
+    """An exactly Hermitian dim x dim state with least eigenvalue `least`,
+    the rest of the spectrum positive, and trace `trace`."""
+    spectrum = np.r_[least, (trace - least) * rng.dirichlet(np.ones(dim - 1))]
+    u = haar_random_unitary(dim, rng)
+    rho = (u * spectrum) @ u.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """The list of np.linalg.eigvalsh calls made while the test runs."""
+    calls = []
+    original = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **kw: calls.append(1) or original(*a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.999, 1.001, 2.0])
+@pytest.mark.parametrize("dim", [2, 9, 64])
+class TestPositivityCertificate:
+    """Every positivity check accepts lambda_min = -factor * limit for factor
+    below 1 and rejects it, naming the eigenvalue, above 1. A Cholesky
+    factorization decides acceptance; eigvalsh runs only when it fails."""
+
+    def test_sampler(self, dim, factor, eigvalsh_calls):
+        rho = state_with_least_eigenvalue(dim, -factor * TOL, 0.9, np.random.default_rng(dim))
+        if factor < 1:
+            simulate_state_tomography(rho, 100, seed=0)
+            assert eigvalsh_calls == []
+        else:
+            message = f"state is not positive semidefinite: eigenvalue {-factor * TOL:.3e}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                simulate_state_tomography(rho, 100, seed=0)
+
+    def test_exact_run_fallback(self, dim, factor, eigvalsh_calls):
+        # with alpha ∝ (1, ..., 1, 1e-5) the Choi spectrum never proves
+        # positivity, so the run falls back to the certificate on its output
+        n1 = {2: 2, 9: 3, 64: 8}[dim]
+        alphas = np.r_[np.ones(n1 - 1), 1e-5]
+        spec = SchmidtInput(alphas / np.linalg.norm(alphas), np.eye(n1), np.eye(n1))
+        rho = state_with_least_eigenvalue(dim, -factor * TOL, 0.9, np.random.default_rng(dim))
+        channel = OpaqueChannel(n1, dim // n1, lambda m: rho)
+        config = TomographyConfig(input_kind=spec)
+        if factor < 1:
+            run_tomography(channel, config)
+            assert eigvalsh_calls == []
+        else:
+            message = f"state is not positive semidefinite: eigenvalue {-factor * TOL:.3e}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run_tomography(channel, config)
+
+    def test_stinespring_ancilla_state(self, dim, factor):
+        # the ancilla is held to EXACT_TOL, so at d = 64 the 0.999 margin of
+        # 1e-13 is near the factorization's float error, and eigvalsh may decide
+        rho = state_with_least_eigenvalue(dim, -factor * EXACT_TOL, 1.0, np.random.default_rng(dim))
+        model = (1, dim, 1, dim, np.eye(dim), rho, np.eye(dim))
+        if factor < 1:
+            StinespringModel(*model)
+        else:
+            message = f"ancilla state has negative eigenvalue {-factor * EXACT_TOL:.3e}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                StinespringModel(*model)
 
 
 class TestLargeDimensions:
@@ -689,10 +770,10 @@ class TestRunTomography:
     def test_one_eigendecomposition_per_run(self, monkeypatch, shots, schmidt):
         # every O(d^3) decomposition numpy offers is counted, whoever calls it.
         # An exact run judges the evaluator output on the Choi estimate's one
-        # eigh; a finite-shot run also pays the sampler's eigvalsh, which
-        # guards the Born probabilities it reads off the output
+        # eigh; a finite-shot run also pays the sampler's Cholesky certificate,
+        # which guards the Born probabilities it reads off the output
         calls = []
-        for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
+        for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "cholesky"):
             original = getattr(np.linalg, name)
             monkeypatch.setattr(
                 np.linalg,
@@ -708,7 +789,7 @@ class TestRunTomography:
             config = TomographyConfig(shots=shots, seed=2, input_kind=spec if schmidt else None)
             calls.clear()
             run_tomography(OpaqueChannel.from_kraus(truth), config)
-            assert calls == (["eigh"] if shots is EXACT else ["eigvalsh", "eigh"])
+            assert calls == (["eigh"] if shots is EXACT else ["cholesky", "eigh"])
 
     @pytest.mark.parametrize("alphas", [None, [0.8, 0.6], [1.0, 1e-5]])
     def test_exact_mode_judges_evaluator_output(self, alphas):

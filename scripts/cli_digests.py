@@ -17,7 +17,8 @@ Kraus set, fixed-seed finite-shot and exact experiments, and hand-written
 faulty documents, across all six subcommands and argparse usage errors.
 The faulty documents include number cases (an entry beyond float range, a
 ``2**70`` entry, a ``true`` entry, a ragged row, an ``[re, im, x]`` triple, a
-NaN, a bool zoo parameter) and a repeated config key.
+NaN, a bool zoo parameter), a repeated config key and a Kraus payload
+nested 5000 lists deep, past what ``json`` can parse.
 
 Run it against any checkout's package and diff the outputs:
 
@@ -160,6 +161,9 @@ def write_inputs() -> None:
         fh.write("{this is not json")
     with open("top_list.json", "w", encoding="utf-8") as fh:
         fh.write("[1, 2]")
+    with open("deep.json", "w", encoding="utf-8") as fh:  # json.dumps would recurse as deep
+        fh.write('{"format_version": 1, "representation": "kraus", "dims": [2, 2], '
+                 '"payload": {"operators": ' + "[" * 5000 + "]" * 5000 + "}}")
     with open("e_repeated_key.json", "w", encoding="utf-8") as fh:
         fh.write('{"channel": {"name": "identity", "params": [], "dims": [2, 2]}, "config": '
                  '{"shots": 0, "seed": 7, "shots": "exact"}}')  # json alone keeps the last "shots"
@@ -212,6 +216,7 @@ def corpus() -> list[list[str]]:
         ["compare", "r_stine.json", "stine.json"],
         ["compare", "k_project_discard.json", "k_project_discard.json"],
         ["compare", "amplified.json", "k_identity.json"],
+        ["compare", "noncp.json", "k_identity.json"],
         ["compare", "k_depolarizing.json", "c_depolarizing.json", "--tol", "0"],
         ["compare", "k_identity.json", "k_identity3.json"],
         ["compare", "k_identity.json", "neither.json"],

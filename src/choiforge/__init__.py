@@ -20,7 +20,6 @@ from .channels import (
 from .linalg import (
     NotHermitianError,
     frobenius_distance,
-    hermitian_eig,
     partial_trace,
 )
 from .metrics import ResourceReport, choi_distance, process_fidelity, resource_report
@@ -64,7 +63,6 @@ __all__ = [
     "default_kraus_threshold",
     "frobenius_distance",
     "haar_random_unitary",
-    "hermitian_eig",
     "joint_output_state",
     "kraus_to_choi",
     "partial_trace",

@@ -27,7 +27,6 @@ from .linalg import (
     check_hermitian,
     check_int,
     check_unitary,
-    hermitian_eig,
     is_int,
     is_real,
     partial_trace,
@@ -193,37 +192,42 @@ def kraus_to_choi(kraus: KrausSet) -> ChoiMatrix:
 
 
 def _eigen_operators(
-    w: np.ndarray, v: np.ndarray, input_dim: int, output_dim: int, threshold: float
-) -> np.ndarray:
-    """Operators from the eigenpairs (w, v) of a Choi matrix, stacked as (k, n2, n1).
+    matrix: np.ndarray, input_dim: int, output_dim: int, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of a Choi matrix, descending, and its operators, stacked
+    as (k, n2, n1): the one eigendecomposition from a Choi matrix to Kraus form.
 
-    Each unit eigenvector with eigenvalue above `threshold` is scaled by
-    sqrt(eigenvalue) and its n1 segments of length n2 become the columns of
-    one operator. Eigenvalues at or below the threshold, negative ones
-    included, are dropped; if none is above it, one zero operator stands in.
+    `matrix` is symmetrized as (m + m^dagger)/2 and decomposed by one
+    ``np.linalg.eigh``. Each unit eigenvector with eigenvalue above
+    `threshold` is scaled by sqrt(eigenvalue) and its n1 segments of length
+    n2 become the columns of one operator. Eigenvalues at or below the
+    threshold, negative ones included, are dropped; if none is above it, one
+    zero operator stands in. Judging the matrix is the caller's.
     """
+    w, v = np.linalg.eigh((matrix + matrix.conj().T) / 2)
+    w, v = w[::-1], v[:, ::-1]
     keep = w > threshold
     if not np.any(keep):
-        return np.zeros((1, output_dim, input_dim), dtype=complex)
+        return w, np.zeros((1, output_dim, input_dim), dtype=complex)
     scaled = v[:, keep] * np.sqrt(w[keep])
-    return scaled.T.reshape(-1, input_dim, output_dim).transpose(0, 2, 1)
+    return w, scaled.T.reshape(-1, input_dim, output_dim).transpose(0, 2, 1)
 
 
 def choi_to_kraus(choi: ChoiMatrix) -> KrausSet:
     """Extract a canonical Kraus set from a Choi matrix.
 
-    One operator per eigenvalue above ``KRAUS_DROP_THRESHOLD`` (see
-    ``_eigen_operators``). The result is trace-orthogonal,
+    One operator per eigenvalue above ``KRAUS_DROP_THRESHOLD``, from one
+    eigendecomposition (``_eigen_operators``); ``ChoiMatrix`` has already
+    judged J Hermitian. The result is trace-orthogonal,
     Tr(A_k^dagger A_l) = eigenvalue_k * delta_kl, and has at most n1*n2
     members; eigenvalues in [-bound(J), 0) are dropped as float noise,
     anything lower raises ``NotCompletelyPositiveError``.
     """
-    w, v = hermitian_eig(choi.matrix)
+    w, ops = _eigen_operators(choi.matrix, choi.input_dim, choi.output_dim, KRAUS_DROP_THRESHOLD)
     min_eig = float(w[-1])
     limit = bound(choi.matrix)
     if min_eig < -limit:
         raise NotCompletelyPositiveError(min_eig, limit)
-    ops = _eigen_operators(w, v, choi.input_dim, choi.output_dim, KRAUS_DROP_THRESHOLD)
     return KrausSet(choi.input_dim, choi.output_dim, tuple(ops))
 
 

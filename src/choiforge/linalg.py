@@ -160,20 +160,6 @@ def partial_trace(m, dim_a: int, dim_b: int) -> np.ndarray:
     return np.einsum("ijkj->ik", m.reshape(dim_a, dim_b, dim_a, dim_b))
 
 
-def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """``(eigenvalues, eigenvectors)`` of a Hermitian matrix, as ``np.linalg.eigh``
-    returns them but sorted descending: column k of eigenvectors belongs to
-    eigenvalue k.
-
-    The input is checked by ``check_hermitian`` and symmetrized as
-    (m + m^dagger)/2 before decomposing.
-    """
-    m = _as_matrix(m)
-    check_hermitian(m, "matrix")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
 def frobenius_distance(a, b) -> float:
     """sqrt of the summed squared entry differences."""
     x = _as_numeric(a, "a")

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChoiMatrix, KrausSet, _kraus_factor, _trace_verdict
-from .linalg import bound, check_int, frobenius_distance, partial_trace
+from .channels import ChoiMatrix, KrausSet, _kraus_factor, _trace_verdict, choi_to_kraus
+from .linalg import bound, check_int, frobenius_distance
 
 
 @dataclass(frozen=True)
@@ -45,31 +45,20 @@ def choi_distance(a: ChoiMatrix, b: ChoiMatrix) -> float:
 def _factor(channel: KrausSet | ChoiMatrix) -> np.ndarray:
     """A d x r factor V with J = V V^dagger, r <= d, of a CP, trace-preserving map.
 
-    A Kraus set is CP by construction; V is ``_kraus_factor``'s. A Choi
-    matrix's one eigh decides CP, its least eigenvalue against bound(J),
-    and gives V from the eigenpairs above n1 * 1e-12 (those of J/n1 at or
-    below 1e-12 count as zero). Trace preservation is judged by
-    ``_trace_verdict`` on G = Tr_out(J)^T against bound(J); for a Kraus set
-    G comes from the rows of V, and bound(J) from the diagonal of J, the
-    squared row norms |V_i|^2, because a PSD matrix's largest entry is on
-    its diagonal. The first failure raises ValueError. A V with more than
-    d columns is replaced by R^dagger from the thin QR of V^dagger, since
-    V V^dagger = R^dagger R.
+    A Choi matrix is judged CP and factored in one place, ``choi_to_kraus``,
+    which raises ``NotCompletelyPositiveError``; a Kraus set is CP by
+    construction. V is then ``_kraus_factor``'s. Trace preservation is
+    judged by ``_trace_verdict`` on G = Tr_out(J)^T, from the rows of V,
+    against bound(J), from the diagonal of J, the squared row norms |V_i|^2,
+    because a PSD matrix's largest entry is on its diagonal; a failure
+    raises ValueError. A V with more than d columns is replaced by R^dagger
+    from the thin QR of V^dagger, since V V^dagger = R^dagger R.
     """
-    n1 = channel.input_dim
-    if isinstance(channel, KrausSet):
-        v = _kraus_factor(channel)
-        limit = bound(np.sum(np.abs(v) ** 2, axis=1))  # bound(J), from J's diagonal
-        rows = v.reshape(n1, -1)  # Tr_out(J) = rows rows^dagger
-        gram = (rows @ rows.conj().T).T
-    else:
-        w, u = np.linalg.eigh(channel.matrix)
-        limit = bound(channel.matrix)
-        if w[0] < -limit:
-            raise ValueError(f"choi matrix is not positive semidefinite: eigenvalue {w[0]:.3e}")
-        keep = w > n1 * 1e-12
-        v = u[:, keep] * np.sqrt(w[keep])
-        gram = partial_trace(channel.matrix, n1, channel.output_dim).T
+    kraus = channel if isinstance(channel, KrausSet) else choi_to_kraus(channel)
+    v = _kraus_factor(kraus)
+    limit = bound(np.sum(np.abs(v) ** 2, axis=1))  # bound(J), from J's diagonal
+    rows = v.reshape(kraus.input_dim, -1)  # Tr_out(J) = rows rows^dagger
+    gram = (rows @ rows.conj().T).T
     preserving, _, deviation = _trace_verdict(gram, limit)
     if not preserving:
         raise ValueError(
@@ -85,10 +74,11 @@ def process_fidelity(a: KrausSet | ChoiMatrix, b: KrausSet | ChoiMatrix) -> floa
     """Uhlmann fidelity of the trace-normalized Choi states J/n1.
 
     F = Tr(sqrt(sqrt(rho1) rho2 sqrt(rho1)))**2; symmetric, 1 exactly when
-    the channels coincide. Either side may be a Kraus set or a Choi matrix,
-    and both must pass ``choi_cp_tp_verdict``'s CP check, then its trace
-    preservation check; the first that fails raises ValueError (``_factor``).
-    With J1 = V1 V1^dagger and J2 = V2 V2^dagger, Uhlmann's theorem gives
+    the channels coincide. Either side may be a Kraus set or a Choi matrix;
+    a Choi matrix goes through ``choi_to_kraus``. Both must be CP, then trace
+    preserving; the first that fails raises ValueError (``_factor``), a
+    ``NotCompletelyPositiveError`` for a Choi matrix that is not CP. With
+    J1 = V1 V1^dagger and J2 = V2 V2^dagger, Uhlmann's theorem gives
     F = ||V1^dagger V2||_tr**2 / n1**2: one r1 x r2 SVD.
     """
     _check_dims_match(a, b)

@@ -295,14 +295,17 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 
 
 def load_document(text: str) -> dict:
-    """Parse JSON text, mapping syntax errors, and a key repeated in any object
-    (``json`` would keep its last value), to FileFormatError."""
+    """Parse JSON text, mapping syntax errors, nesting too deep for ``json``'s
+    recursive parser, and a key repeated in any object (``json`` would keep
+    its last value), to FileFormatError."""
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise FileFormatError(
             f"invalid JSON at line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
+    except RecursionError:
+        raise FileFormatError("invalid JSON: nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise FileFormatError("top-level JSON value must be an object")
     return doc

@@ -381,15 +381,16 @@ def reconstruct_from_schmidt(
 
     With W = U diag(1/alpha), the Choi estimate is (W^dagger tensor I)
     rho_est (W tensor I): the estimate rotated by U^dagger with block (i, j)
-    divided by alpha_i alpha_j. Its one eigendecomposition, a single
-    ``np.linalg.eigh``, gives everything else: negative eigenvalues are
-    clipped, each eigenpair above `threshold` becomes an intermediate
-    operator, and the channel's Kraus operators are the intermediates times
-    V^dagger. Returns the Kraus set and the clipped negative eigenvalue mass
-    of the Choi estimate. `rho_est` must be finite and is judged Hermitian to
-    within bound(rho_est), but not positive; the rescaling amplifies its float
-    noise by up to 1/alpha_min^2, so the Choi estimate is not judged again but
-    symmetrized exactly, which makes it bitwise Hermitian.
+    divided by alpha_i alpha_j. Its one eigendecomposition,
+    ``channels._eigen_operators``, the step ``choi_to_kraus`` takes too,
+    gives everything else: negative eigenvalues are clipped, each eigenpair
+    above `threshold` becomes an intermediate operator, and the channel's
+    Kraus operators are the intermediates times V^dagger. Returns the Kraus
+    set and the clipped negative eigenvalue mass of the Choi estimate.
+    `rho_est` must be finite and is judged Hermitian to within
+    bound(rho_est), but not positive; the rescaling amplifies its float
+    noise by up to 1/alpha_min^2, so the Choi estimate is not judged again
+    but symmetrized exactly, which makes it bitwise Hermitian.
     """
     n1 = spec.alphas.size
     n2 = check_int(output_dim, "output_dim", 1)
@@ -403,10 +404,9 @@ def reconstruct_from_schmidt(
     left = (w.conj().T @ rho_est.reshape(n1, -1)).reshape(d, n1, n2)
     choi = (left.transpose(0, 2, 1) @ w).transpose(0, 2, 1).reshape(d, d)
 
-    evals, evecs = np.linalg.eigh((choi + choi.conj().T) / 2)
-    evals, evecs = evals[::-1].copy(), evecs[:, ::-1].copy()
+    evals, ops = _eigen_operators(choi, n1, n2, threshold)
     negativity_removed = float(np.sum(-evals[evals < 0.0]))
-    ops = _eigen_operators(evals, evecs, n1, n2, threshold) @ spec.right_unitary.conj().T
+    ops = ops @ spec.right_unitary.conj().T
     return KrausSet(n1, n2, tuple(ops)), negativity_removed
 
 

@@ -1,6 +1,7 @@
 """Shared numeric helpers and reference oracles for the test suite."""
 
 import numpy as np
+import pytest
 
 from choiforge.channels import kraus_to_choi
 from choiforge.metrics import choi_distance
@@ -128,3 +129,19 @@ def kraus_equivalent(k1, k2, tol):
     """Whether two Kraus sets describe the same channel: Choi distance below tol,
     which is blind to global phases and to unitary mixing of the operators."""
     return choi_distance(kraus_to_choi(k1), kraus_to_choi(k2)) < tol
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """The names of the O(d^3) numpy decompositions called while the test runs,
+    in call order, whoever calls them."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "cholesky"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg,
+            name,
+            lambda *a, name=name, original=original, **kw: calls.append(name)
+            or original(*a, **kw),
+        )
+    return calls

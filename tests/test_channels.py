@@ -7,6 +7,7 @@ from conftest import (
     apply_kraus,
     apply_stinespring,
     kraus_equivalent,
+    random_complex_matrix,
     random_density,
     random_hermitian,
 )
@@ -90,6 +91,16 @@ class TestChoiMatrixType:
         with pytest.raises(NotHermitianError):
             ChoiMatrix(2, 2, asymmetric)
 
+    def test_non_square_rejected(self):
+        # choi_to_kraus takes only a ChoiMatrix, so no non-square matrix reaches it
+        with pytest.raises(ValueError, match="shape"):
+            ChoiMatrix(2, 2, np.ones((4, 3)))
+
+    def test_non_hermitian_carries_deviation(self):
+        with pytest.raises(NotHermitianError) as excinfo:
+            ChoiMatrix(1, 2, np.array([[0, 1], [0, 0]], dtype=complex))
+        assert excinfo.value.deviation == pytest.approx(1.0)
+
     def test_non_psd_still_constructible(self):
         j = ChoiMatrix(2, 2, np.diag([1.0, 1.0, 1.0, -0.1]).astype(complex))
         assert choi_cp_tp_verdict(j).min_choi_eigenvalue == pytest.approx(-0.1)
@@ -164,14 +175,54 @@ class TestKrausToChoi:
         assert frobenius_distance(j.matrix, oracle) < 1e-12
 
 
+def vec(op):
+    """Column k of the Choi factor: the columns of `op` stacked."""
+    return op.T.reshape(-1)
+
+
 class TestChoiToKraus:
     def test_rank_one_choi_gives_identity(self):
         j = ChoiMatrix(2, 2, 2 * np.outer(PHI, PHI.conj()))
         k = choi_to_kraus(j)
         assert len(k.operators) == 1
         op = k.operators[0]
+        assert np.linalg.norm(vec(op)) ** 2 == pytest.approx(2.0, abs=1e-12)
+        assert abs(np.vdot(PHI, vec(op))) / np.linalg.norm(vec(op)) == pytest.approx(1.0, abs=1e-12)
         phase = op[0, 0] / abs(op[0, 0])
         assert frobenius_distance(op / phase, I2) < 1e-12
+
+    def test_operators_in_descending_eigenvalue_order(self):
+        # a preparation map from dimension 1: each operator is one eigenvector
+        k = choi_to_kraus(ChoiMatrix(1, 2, np.diag([0.5, 1.0]).astype(complex)))
+        weights = [np.linalg.norm(op) ** 2 for op in k.operators]
+        assert weights == pytest.approx([1.0, 0.5], abs=1e-12)
+        assert abs(abs(k.operators[0][1, 0]) - 1) < 1e-12
+        assert abs(abs(k.operators[1][0, 0]) - np.sqrt(0.5)) < 1e-12
+
+    def test_operators_are_scaled_eigenvectors(self):
+        k = choi_to_kraus(ChoiMatrix(1, 2, I2 + X / 2))
+        assert [np.linalg.norm(op) ** 2 for op in k.operators] == pytest.approx([1.5, 0.5], abs=1e-12)
+        assert np.allclose(np.abs(k.operators[0][:, 0]), [np.sqrt(0.75)] * 2, atol=1e-12)
+        assert abs(np.vdot(k.operators[0][:, 0], k.operators[1][:, 0])) < 1e-12
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_reconstruction_and_orthogonality(self, seed, n1, n2):
+        d = n1 * n2
+        g = random_complex_matrix(d, d, np.random.default_rng(seed))
+        j = ChoiMatrix(n1, n2, g @ g.conj().T)
+        k = choi_to_kraus(j)
+        vs = np.stack([vec(op) for op in k.operators], axis=1)
+        weights = np.sum(np.abs(vs) ** 2, axis=0)
+        scale = np.abs(j.matrix).max()
+        assert np.all(np.diff(weights) <= 1e-12 * scale)  # descending
+        assert np.abs(vs.conj().T @ vs - np.diag(weights)).max() < 1e-10 * scale
+        assert np.abs(j.matrix @ vs - vs * weights).max() < 1e-10 * scale  # eigenvectors
+        assert frobenius_distance(kraus_to_choi(k).matrix, j.matrix) < 1e-10 * scale
+
+    def test_one_decomposition(self, decompositions):
+        choi_to_kraus(kraus_to_choi(random_cptp(3, 2, 4, seed=6)))
+        assert decompositions == ["eigh"]
 
     def test_identity_choi_roundtrip(self):
         j = ChoiMatrix(2, 2, np.eye(4, dtype=complex))

@@ -139,6 +139,20 @@ class TestCheck:
         assert code == 4
         assert "check failed" in json.loads(err)["error"]
 
+    def test_deeply_nested_payload_exits_2(self, tmp_path, capsys):
+        # written as raw text: json.dumps would recurse as deeply as json.loads
+        src = tmp_path / "deep.json"
+        operators = "[" * 5000 + "]" * 5000
+        src.write_text(
+            '{"format_version": 1, "representation": "kraus", "dims": [2, 2], '
+            f'"payload": {{"operators": {operators}}}}}',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, ["check", str(src)])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "invalid JSON: nested too deeply to parse", "exit_code": 2}
+
     @pytest.mark.parametrize("key", ["ancilla_dim", "trace_dim"])
     def test_stinespring_bool_dims_exit_2(self, tmp_path, capsys, key):
         from choiforge.channels import StinespringModel

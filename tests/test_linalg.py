@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import random_complex_matrix, random_density, random_hermitian
 from choiforge.channels import ZOO_CHANNEL_NAMES, haar_random_unitary, kraus_to_choi, zoo_channel
@@ -13,7 +11,6 @@ from choiforge.linalg import (
     check_hermitian,
     check_int,
     frobenius_distance,
-    hermitian_eig,
     is_int,
     is_real,
     partial_trace,
@@ -72,46 +69,6 @@ class TestPartialTrace:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             partial_trace(np.eye(5), 2, 2)
-
-
-class TestHermitianEig:
-    def test_pauli_z(self):
-        w, v = hermitian_eig(Z)
-        assert np.allclose(w, [1, -1])
-        assert abs(abs(v[0, 0]) - 1) < 1e-12
-        assert abs(abs(v[1, 1]) - 1) < 1e-12
-
-    def test_pauli_x(self):
-        w, v = hermitian_eig(X)
-        assert np.allclose(w, [1, -1])
-        top = v[:, 0]
-        assert np.allclose(np.abs(top), [1 / np.sqrt(2)] * 2, atol=1e-12)
-
-    def test_rank_one_projector(self):
-        w, v = hermitian_eig(2 * np.outer(PHI, PHI.conj()))
-        assert np.allclose(w, [2, 0, 0, 0], atol=1e-12)
-        top = v[:, 0]
-        overlap = abs(np.vdot(PHI, top))
-        assert abs(overlap - 1) < 1e-12
-
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
-    @settings(max_examples=60, deadline=None)
-    def test_reconstruction_and_orthonormality(self, seed, dim):
-        h = random_hermitian(dim, np.random.default_rng(seed))
-        w, v = hermitian_eig(h)
-        assert np.all(np.diff(w) <= 1e-12)  # descending
-        assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-10
-        assert frobenius_distance((v * w) @ v.conj().T, h) < 1e-9
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            hermitian_eig(np.ones((2, 3)))
-
-    def test_non_hermitian_carries_deviation(self):
-        m = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(NotHermitianError) as excinfo:
-            hermitian_eig(m)
-        assert excinfo.value.deviation == pytest.approx(1.0)
 
 
 ZOO_PARAMS = {

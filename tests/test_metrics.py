@@ -4,6 +4,7 @@ import pytest
 from choiforge.channels import (
     ChoiMatrix,
     KrausSet,
+    NotCompletelyPositiveError,
     haar_random_unitary,
     kraus_to_choi,
     random_cptp,
@@ -161,17 +162,29 @@ class TestProcessFidelity:
             process_fidelity(j_id, j)
 
     def test_positivity_is_judged_first(self):
-        # neither PSD nor trace preserving: the positivity message wins
+        # neither PSD nor trace preserving: the positivity error wins
         bad = ChoiMatrix(2, 2, np.diag([3.0, 0.4, 0.4, -0.3]).astype(complex))
         j_id = kraus_to_choi(KrausSet(2, 2, (I2,)))
-        with pytest.raises(ValueError, match="positive semidefinite"):
+        with pytest.raises(NotCompletelyPositiveError) as excinfo:
             process_fidelity(bad, j_id)
+        assert excinfo.value.min_eigenvalue == pytest.approx(-0.3)
 
     def test_non_psd_rejected(self):
         bad = ChoiMatrix(2, 2, np.diag([1.5, 0.4, 0.4, -0.3]).astype(complex))
         j_id = kraus_to_choi(KrausSet(2, 2, (I2,)))
-        with pytest.raises(ValueError, match="positive semidefinite"):
-            process_fidelity(bad, j_id)
+        for a, b in ((bad, j_id), (j_id, bad)):
+            with pytest.raises(NotCompletelyPositiveError, match="not completely positive"):
+                process_fidelity(a, b)
+
+    @pytest.mark.parametrize("kinds", ["kk", "ck", "kc", "cc"])
+    def test_one_eigh_per_choi_side(self, decompositions, kinds):
+        # a Choi side is factored by choi_to_kraus's one eigh; each side's
+        # trace verdict is one n1 x n1 eigvalsh, and the overlap one SVD
+        sides = [random_cptp(3, 2, 2, seed=1), random_cptp(3, 2, 5, seed=2)]
+        a, b = (kraus_to_choi(k) if kind == "c" else k for kind, k in zip(kinds, sides))
+        process_fidelity(a, b)
+        per_side = {"k": ["eigvalsh"], "c": ["eigh", "eigvalsh"]}
+        assert decompositions == per_side[kinds[0]] + per_side[kinds[1]] + ["svd"]
 
     def test_dimension_mismatch(self):
         j2 = kraus_to_choi(zoo_channel("identity", [], 2))

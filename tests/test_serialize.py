@@ -368,3 +368,9 @@ class TestDocumentIo:
     def test_non_object_toplevel_rejected(self):
         with pytest.raises(FileFormatError, match="object"):
             load_document("[1, 2]")
+
+    def test_nesting_too_deep_for_json_rejected(self):
+        # json's parser recurses once per level and raises RecursionError
+        deep = '{"payload": ' + "[" * 5000 + "]" * 5000 + "}"
+        with pytest.raises(FileFormatError, match="nested too deeply"):
+            load_document(deep)

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     apply_kraus,
@@ -17,12 +19,21 @@ from choiforge.channels import (
     KrausSet,
     StinespringModel,
     choi_cp_tp_verdict,
+    choi_to_kraus,
     haar_random_unitary,
     kraus_to_choi,
     random_cptp,
     zoo_channel,
 )
-from choiforge.linalg import EXACT_TOL, TOL, NotHermitianError, frobenius_distance
+from choiforge.linalg import EXACT_TOL, TOL, NotHermitianError, bound, frobenius_distance
+from choiforge.serialize import (
+    channel_to_doc,
+    doc_to_channel,
+    doc_to_result_kraus,
+    dump_document,
+    load_document,
+    result_to_doc,
+)
 from choiforge.tomography import (
     EXACT,
     MAX_SHOTS,
@@ -452,15 +463,6 @@ def state_with_least_eigenvalue(dim, least, trace, rng):
     return (rho + rho.conj().T) / 2
 
 
-@pytest.fixture
-def eigvalsh_calls(monkeypatch):
-    """The list of np.linalg.eigvalsh calls made while the test runs."""
-    calls = []
-    original = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **kw: calls.append(1) or original(*a, **kw))
-    return calls
-
-
 @pytest.mark.parametrize("factor", [0.5, 0.999, 1.001, 2.0])
 @pytest.mark.parametrize("dim", [2, 9, 64])
 class TestPositivityCertificate:
@@ -468,17 +470,17 @@ class TestPositivityCertificate:
     below 1 and rejects it, naming the eigenvalue, above 1. A Cholesky
     factorization decides acceptance; eigvalsh runs only when it fails."""
 
-    def test_sampler(self, dim, factor, eigvalsh_calls):
+    def test_sampler(self, dim, factor, decompositions):
         rho = state_with_least_eigenvalue(dim, -factor * TOL, 0.9, np.random.default_rng(dim))
         if factor < 1:
             simulate_state_tomography(rho, 100, seed=0)
-            assert eigvalsh_calls == []
+            assert "eigvalsh" not in decompositions
         else:
             message = f"state is not positive semidefinite: eigenvalue {-factor * TOL:.3e}"
             with pytest.raises(ValueError, match=re.escape(message)):
                 simulate_state_tomography(rho, 100, seed=0)
 
-    def test_exact_run_fallback(self, dim, factor, eigvalsh_calls):
+    def test_exact_run_fallback(self, dim, factor, decompositions):
         # with alpha ∝ (1, ..., 1, 1e-5) the Choi spectrum never proves
         # positivity, so the run falls back to the certificate on its output
         n1 = {2: 2, 9: 3, 64: 8}[dim]
@@ -489,7 +491,7 @@ class TestPositivityCertificate:
         config = TomographyConfig(input_kind=spec)
         if factor < 1:
             run_tomography(channel, config)
-            assert eigvalsh_calls == []
+            assert "eigvalsh" not in decompositions
         else:
             message = f"state is not positive semidefinite: eigenvalue {-factor * TOL:.3e}"
             with pytest.raises(ValueError, match=re.escape(message)):
@@ -534,6 +536,37 @@ class TestLargeDimensions:
         assert np.array_equal(est, est.conj().T)
         assert np.trace(est).real == pytest.approx(1.0)
         assert frobenius_distance(est, rho) < 2 * np.sqrt(dim / shots)
+
+
+@st.composite
+def dimension_cases(draw):
+    """(n1, n2, Kraus rank, seed): n1 in 2..8, n2 in 1..8, n1*n2 <= 64, and
+    every rank a trace-preserving ``random_cptp`` allows, ceil(n1/n2)..n1*n2."""
+    n1 = draw(st.integers(2, 8))
+    n2 = draw(st.integers(1, min(8, 64 // n1)))
+    rank = draw(st.integers(-(-n1 // n2), n1 * n2))
+    return n1, n2, rank, draw(st.integers(0, 2**32 - 1))
+
+
+@given(dimension_cases())
+@settings(max_examples=25, deadline=None)
+def test_exact_run_recovers_rank_at_every_dimension(case):
+    n1, n2, rank, seed = case
+    truth = random_cptp(n1, n2, rank, seed)
+    choi = kraus_to_choi(truth)
+    config = TomographyConfig()
+    result = run_tomography(OpaqueChannel.from_kraus(truth), config)
+    assert len(result.kraus.operators) == rank
+    assert np.abs(result.estimated_choi.matrix - choi.matrix).max() <= bound(choi.matrix)
+    assert len(choi_to_kraus(choi).operators) == rank
+
+    channel = doc_to_channel(load_document(dump_document(channel_to_doc(truth))))
+    assert [op.tobytes() for op in channel.operators] == [op.tobytes() for op in truth.operators]
+    doc = result_to_doc(result, config)
+    parsed = load_document(dump_document(doc))
+    assert parsed == doc
+    kraus = doc_to_result_kraus(parsed)
+    assert [op.tobytes() for op in kraus.operators] == [op.tobytes() for op in result.kraus.operators]
 
 
 class TestProjectToPsd:
@@ -767,29 +800,20 @@ class TestRunTomography:
 
     @pytest.mark.parametrize("shots", [EXACT, 1000])
     @pytest.mark.parametrize("schmidt", [False, True])
-    def test_one_eigendecomposition_per_run(self, monkeypatch, shots, schmidt):
+    def test_one_eigendecomposition_per_run(self, decompositions, shots, schmidt):
         # every O(d^3) decomposition numpy offers is counted, whoever calls it.
         # An exact run judges the evaluator output on the Choi estimate's one
         # eigh; a finite-shot run also pays the sampler's Cholesky certificate,
         # which guards the Born probabilities it reads off the output
-        calls = []
-        for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "cholesky"):
-            original = getattr(np.linalg, name)
-            monkeypatch.setattr(
-                np.linalg,
-                name,
-                lambda *a, name=name, original=original, **kw: calls.append(name)
-                or original(*a, **kw),
-            )
         rng = np.random.default_rng(9)
         cases = ((2, zoo_channel("amplitude_damping", [0.3])), (4, random_cptp(4, 4, 3, 5)))
         for n1, truth in cases:
             alphas = np.sqrt(np.arange(1.0, n1 + 1) / np.sum(np.arange(1.0, n1 + 1)))
             spec = SchmidtInput(alphas, haar_random_unitary(n1, rng), haar_random_unitary(n1, rng))
             config = TomographyConfig(shots=shots, seed=2, input_kind=spec if schmidt else None)
-            calls.clear()
+            decompositions.clear()
             run_tomography(OpaqueChannel.from_kraus(truth), config)
-            assert calls == (["eigh"] if shots is EXACT else ["cholesky", "eigh"])
+            assert decompositions == (["eigh"] if shots is EXACT else ["cholesky", "eigh"])
 
     @pytest.mark.parametrize("alphas", [None, [0.8, 0.6], [1.0, 1e-5]])
     def test_exact_mode_judges_evaluator_output(self, alphas):

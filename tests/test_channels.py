@@ -186,10 +186,16 @@ class TestChoiToKraus:
         k = choi_to_kraus(j)
         assert len(k.operators) == 1
         op = k.operators[0]
-        assert np.linalg.norm(vec(op)) ** 2 == pytest.approx(2.0, abs=1e-12)
-        assert abs(np.vdot(PHI, vec(op))) / np.linalg.norm(vec(op)) == pytest.approx(1.0, abs=1e-12)
         phase = op[0, 0] / abs(op[0, 0])
         assert frobenius_distance(op / phase, I2) < 1e-12
+
+    def test_rank_one_projector(self):
+        # the one operator is the top eigenvector of 2|PHI><PHI|, scaled by sqrt(2)
+        k = choi_to_kraus(ChoiMatrix(2, 2, 2 * np.outer(PHI, PHI.conj())))
+        assert len(k.operators) == 1
+        top = vec(k.operators[0])
+        assert np.linalg.norm(top) ** 2 == pytest.approx(2.0, abs=1e-12)
+        assert abs(np.vdot(PHI, top)) / np.linalg.norm(top) == pytest.approx(1.0, abs=1e-12)
 
     def test_operators_in_descending_eigenvalue_order(self):
         # a preparation map from dimension 1: each operator is one eigenvector

@@ -2,10 +2,12 @@
 """Per-stage wall time of run_tomography, for the BENCH_*.json trail.
 
 Wraps the module-level names ``run_tomography`` calls (``joint_output_state``,
-``simulate_state_tomography``, ``reconstruct_from_schmidt``,
-``kraus_to_choi``) and numpy's O(d^3) decompositions, then times
-depolarizing(0.3) runs over a grid of n1 and shot budgets with BLAS pinned to
-one thread. Each stage reports its best inclusive time over ``--repeats``
+``simulate_state_tomography``, ``reconstruct_from_schmidt``, its core
+``_schmidt_kraus`` for an estimate already judged, which a finite-shot run
+calls directly, and ``kraus_to_choi``; a name the package lacks is skipped,
+so the script also times older checkouts) and numpy's O(d^3) decompositions,
+then times depolarizing(0.3) runs over a grid of n1 and shot budgets with
+BLAS pinned to one thread. Each stage reports its best inclusive time over ``--repeats``
 runs, after one warm-up run. A stage called inside another is reported under
 its caller as "caller > stage": the evaluator builds its Choi matrix with
 ``kraus_to_choi`` inside ``joint_output_state``, and the decompositions sit
@@ -24,6 +26,13 @@ finite-shot result is not trace preserving, so there the stage times the
 verdict that rejects it, and the row's ``fidelity`` is null, as in
 ``compare``'s output.
 
+Each row also holds ``python_calls_per_run``: the Python-level function
+calls (``sys.setprofile`` "call" events) of one run, counted after a warm-up
+run and before the timing wrappers are installed, so the count repeats
+exactly. The table's ``probe`` holds the same count for
+``OpaqueChannel.from_kraus(random_cptp(3, 3, 2, 3))`` at seed 5, exact and
+at 1e4 shots.
+
 Each invocation adds one labelled table to ``--output`` and keeps the tables
 already there, so one file can hold the same grid for two checkouts:
 
@@ -40,6 +49,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -47,13 +57,14 @@ import numpy as np  # noqa: E402
 
 import choiforge.serialize as serialize  # noqa: E402
 import choiforge.tomography as tomography  # noqa: E402
-from choiforge.channels import zoo_channel  # noqa: E402
+from choiforge.channels import random_cptp, zoo_channel  # noqa: E402
 from choiforge.metrics import process_fidelity  # noqa: E402
 
 STAGES = (
     "joint_output_state",
     "simulate_state_tomography",
     "reconstruct_from_schmidt",
+    "_schmidt_kraus",
     "kraus_to_choi",
 )
 DECOMPOSITIONS = ("eigh", "eigvalsh", "eig", "eigvals", "svd", "cholesky")
@@ -91,9 +102,53 @@ class StageClock:
         """Replace the stage names in ``choiforge.tomography`` and the
         decompositions in ``np.linalg`` by timed wrappers, for this process."""
         for name in STAGES:
-            setattr(tomography, name, self.wrap(name, getattr(tomography, name)))
+            if hasattr(tomography, name):
+                setattr(tomography, name, self.wrap(name, getattr(tomography, name)))
         for name in DECOMPOSITIONS:
             setattr(np.linalg, name, self.wrap(name, getattr(np.linalg, name)))
+
+
+def python_calls(channel, config) -> int:
+    """Python-level function calls made by one ``run_tomography``, after a warm-up run."""
+    tomography.run_tomography(channel, config)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        tomography.run_tomography(channel, config)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def grid_channel(n1: int):
+    """The depolarizing(0.3) truth of the grid and its opaque channel."""
+    truth = zoo_channel("depolarizing", [0.3], n1)
+    return truth, tomography.OpaqueChannel.from_kraus(truth)
+
+
+def count_calls(n1_values) -> tuple[dict, list[dict]]:
+    """``python_calls`` of every grid point, keyed by (n1, shots), and of the probe."""
+    grid = {
+        (n1, shots): python_calls(grid_channel(n1)[1], tomography.TomographyConfig(shots=shots, seed=1))
+        for n1 in n1_values
+        for shots in SHOTS
+    }
+    probe_channel = tomography.OpaqueChannel.from_kraus(random_cptp(3, 3, 2, 3))
+    probe = [
+        {
+            "shots": "exact" if shots is tomography.EXACT else shots,
+            "python_calls_per_run": python_calls(
+                probe_channel, tomography.TomographyConfig(shots=shots, seed=5)
+            ),
+        }
+        for shots in SHOTS
+    ]
+    return grid, probe
 
 
 def best_ms(call, repeats: int) -> float:
@@ -114,11 +169,10 @@ def compare_fidelity(a, b) -> float | None:
         return None
 
 
-def time_grid(clock: StageClock, n1_values, repeats: int) -> list[dict]:
+def time_grid(clock: StageClock, n1_values, repeats: int, calls: dict) -> list[dict]:
     rows = []
     for n1 in n1_values:
-        truth = zoo_channel("depolarizing", [0.3], n1)
-        channel = tomography.OpaqueChannel.from_kraus(truth)
+        truth, channel = grid_channel(n1)
         for shots in SHOTS:
             config = tomography.TomographyConfig(shots=shots, seed=1)
             tomography.run_tomography(channel, config)  # warm-up
@@ -145,6 +199,7 @@ def time_grid(clock: StageClock, n1_values, repeats: int) -> list[dict]:
                     "n1": n1,
                     "d": n1 * n1,
                     "shots": "exact" if shots is tomography.EXACT else shots,
+                    "python_calls_per_run": calls[n1, shots],
                     "decompositions_per_run": len(decompositions),
                     "decompositions": decompositions,
                     "fidelity": compare_fidelity(result.kraus, truth),
@@ -159,7 +214,7 @@ def main():
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument(
-        "--n1", type=int, nargs="+", default=[2, 8, 12, 16], help="input dimensions"
+        "--n1", type=int, nargs="+", default=[2, 3, 8, 12, 16], help="input dimensions"
     )
     parser.add_argument(
         "--repeats", type=int, default=5, help="timed runs per grid point; the best is kept"
@@ -170,9 +225,10 @@ def main():
     if args.repeats < 1 or min(args.n1) < 2:
         parser.error("--repeats must be at least 1 and every --n1 at least 2")
 
+    calls, probe = count_calls(args.n1)  # before the wrappers add calls of their own
     clock = StageClock()
     clock.install()
-    rows = time_grid(clock, args.n1, args.repeats)
+    rows = time_grid(clock, args.n1, args.repeats, calls)
 
     output = Path(args.output)
     doc = json.loads(output.read_text()) if output.exists() else {"tables": {}}
@@ -184,6 +240,7 @@ def main():
         "python": platform.python_version(),
         "cores": os.cpu_count(),
         "rows": rows,
+        "probe": {"channel": "random_cptp(3, 3, 2, 3)", "seed": 5, "rows": probe},
     }
     output.write_text(json.dumps(doc, indent=2) + "\n")
 
@@ -191,8 +248,11 @@ def main():
         stages = ", ".join(f"{path} {ms:.3f}" for path, ms in row["best_ms"].items())
         print(
             f"n1={row['n1']:>2} shots={row['shots']!s:>5} "
+            f"calls={row['python_calls_per_run']} "
             f"decompositions={row['decompositions_per_run']} ms: {stages}"
         )
+    for row in probe:
+        print(f"probe shots={row['shots']!s:>5} calls={row['python_calls_per_run']}")
 
 
 if __name__ == "__main__":

@@ -79,9 +79,13 @@ def _check_dims(channel, *names: str) -> None:
 class KrausSet:
     """Channel E(M) = sum_k A_k M A_k^dagger with n2 x n1 operators A_k.
 
-    The constructor checks dimensions and shapes only; whether the set is
-    trace preserving or merely trace non-increasing is reported by
-    ``choi_cp_tp_verdict``.
+    The constructor judges user and file input: dimensions, shapes and
+    finite entries, each operator copied into a read-only C-contiguous
+    array. Whether the set is trace preserving or merely trace
+    non-increasing is reported by ``choi_cp_tp_verdict``. A Kraus set the
+    package computes from judged input, the eigen operators of
+    ``choi_to_kraus`` and ``reconstruct_from_schmidt``, is frozen by
+    ``_derived`` instead and not judged again.
     """
 
     input_dim: int
@@ -105,9 +109,13 @@ class ChoiMatrix:
     """Unnormalized Choi matrix of an n1 -> n2 map.
 
     Block (i, j), of size n2 x n2 and indexed by the reference factor, holds
-    E(|i><j|). Hermiticity is enforced here; positivity is a property of the
-    map and is checked by ``choi_to_kraus`` / ``choi_cp_tp_verdict``, so that
-    non-CP matrices can still be loaded and diagnosed.
+    E(|i><j|). Hermiticity of user and file input is enforced here;
+    positivity is a property of the map and is checked by ``choi_to_kraus`` /
+    ``choi_cp_tp_verdict``, so that non-CP matrices can still be loaded and
+    diagnosed. A Choi matrix the package computes from judged input,
+    J = V V^dagger of ``kraus_to_choi`` and the symmetrized J of
+    ``stinespring_to_choi``, is frozen by ``_derived`` instead and not
+    judged again.
     """
 
     input_dim: int
@@ -120,6 +128,27 @@ class ChoiMatrix:
         m = _frozen_complex(self.matrix, "choi matrix", (n, n))
         check_hermitian(m, "choi matrix")
         object.__setattr__(self, "matrix", m)
+
+
+def _derived(cls, input_dim: int, output_dim: int, data: np.ndarray):
+    """A ``KrausSet`` or ``ChoiMatrix`` of arrays the package has just computed
+    from input already judged, so nothing is judged again.
+
+    `data` is a fresh complex array: the Choi matrix, or the Kraus operators
+    stacked as (k, n2, n1). It is made C-contiguous (a copy only if it is
+    not) and read-only, as ``_frozen_complex`` leaves an input, and a Kraus
+    set's operators are its k views.
+    """
+    data = np.ascontiguousarray(data)
+    data.setflags(write=False)
+    derived = object.__new__(cls)
+    object.__setattr__(derived, "input_dim", input_dim)
+    object.__setattr__(derived, "output_dim", output_dim)
+    if cls is KrausSet:
+        object.__setattr__(derived, "operators", tuple(data))
+    else:
+        object.__setattr__(derived, "matrix", data)
+    return derived
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,13 +211,21 @@ def _kraus_factor(kraus: KrausSet) -> np.ndarray:
     Column k of V is vec(A_k), whose segment i is column i of A_k.
     """
     d = kraus.input_dim * kraus.output_dim
-    return np.stack(kraus.operators).transpose(0, 2, 1).reshape(-1, d).T
+    return np.array(kraus.operators).transpose(0, 2, 1).reshape(-1, d).T
 
 
 def kraus_to_choi(kraus: KrausSet) -> ChoiMatrix:
-    """Assemble the unnormalized Choi matrix J = V V^dagger (``_kraus_factor``)."""
+    """Assemble the unnormalized Choi matrix J = V V^dagger (``_kraus_factor``).
+
+    J is Hermitian by construction from a judged Kraus set, so it is frozen
+    (``_derived``), not judged again. Only its finiteness is checked: V V^dagger
+    overflows when the operators hold entries above about 1e154.
+    """
     v = _kraus_factor(kraus)
-    return ChoiMatrix(kraus.input_dim, kraus.output_dim, v @ v.conj().T)
+    j = v @ v.conj().T
+    if not np.isfinite(j).all():
+        raise ValueError("choi matrix contains non-finite entries")
+    return _derived(ChoiMatrix, kraus.input_dim, kraus.output_dim, j)
 
 
 def _eigen_operators(
@@ -221,14 +258,15 @@ def choi_to_kraus(choi: ChoiMatrix) -> KrausSet:
     judged J Hermitian. The result is trace-orthogonal,
     Tr(A_k^dagger A_l) = eigenvalue_k * delta_kl, and has at most n1*n2
     members; eigenvalues in [-bound(J), 0) are dropped as float noise,
-    anything lower raises ``NotCompletelyPositiveError``.
+    anything lower raises ``NotCompletelyPositiveError``. The operators are
+    frozen (``_derived``), not judged again.
     """
     w, ops = _eigen_operators(choi.matrix, choi.input_dim, choi.output_dim, KRAUS_DROP_THRESHOLD)
     min_eig = float(w[-1])
     limit = bound(choi.matrix)
     if min_eig < -limit:
         raise NotCompletelyPositiveError(min_eig, limit)
-    return KrausSet(choi.input_dim, choi.output_dim, tuple(ops))
+    return _derived(KrausSet, choi.input_dim, choi.output_dim, ops)
 
 
 def stinespring_to_choi(model: StinespringModel) -> ChoiMatrix:
@@ -236,6 +274,7 @@ def stinespring_to_choi(model: StinespringModel) -> ChoiMatrix:
 
     With U indexed as U[(o t), (i a)] (output o, traced-out t, system i,
     ancilla a), J[(i o), (j p)] = sum U[o t i a] rho_a[a b] conj(U[p s j b]) P[s t].
+    J is symmetrized exactly and frozen (``_derived``), not judged again.
     """
     n1, n2 = model.system_dim, model.output_dim
     u = model.unitary.reshape(n2, model.trace_dim, n1, model.ancilla_dim)
@@ -243,7 +282,7 @@ def stinespring_to_choi(model: StinespringModel) -> ChoiMatrix:
     right = np.einsum("psjb,st->jptb", u.conj(), model.projector)
     d = n1 * n2
     j = left.reshape(d, -1) @ right.reshape(d, -1).T
-    return ChoiMatrix(n1, n2, (j + j.conj().T) / 2)
+    return _derived(ChoiMatrix, n1, n2, (j + j.conj().T) / 2)
 
 
 def _trace_verdict(gram: np.ndarray, limit: float) -> tuple[bool, bool, float]:

@@ -33,6 +33,8 @@ def is_int(value) -> bool:
 
 
 _REAL_TYPES = (int, float, np.integer, np.floating)
+# numpy's limit on the dimensions of an array (NPY_MAXDIMS)
+_MAX_DIMS = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
 
 
 def is_real(value) -> bool:
@@ -58,7 +60,8 @@ def _as_numeric(a, name: str, dtype=complex) -> np.ndarray:
     complex `dtype`); other input, a nested list say, by the types of its
     entries, each ``is_real`` (or complex, for a complex `dtype`). A bool, a
     str, None, a nested array, a ragged row or an integer beyond float range
-    fails, where numpy would read ``[True, 0]`` as ``[1, 0]``.
+    fails, where numpy would read ``[True, 0]`` as ``[1, 0]``. Lists nested
+    deeper than numpy's limit on dimensions fail as such, not as ragged.
     """
     real = np.dtype(dtype).kind == "f"
     must = f"{name} must hold {'real ' if real else ''}numbers, got"
@@ -74,6 +77,8 @@ def _as_numeric(a, name: str, dtype=complex) -> np.ndarray:
         raise ValueError(ragged) from None
     bad = {t for t in set(map(type, entries.ravel())) if t is bool or not issubclass(t, kinds)}
     if list in bad:
+        if entries.ndim == _MAX_DIMS:  # numpy stopped at its limit, not at a ragged row
+            raise ValueError(f"{must} lists nested more than {_MAX_DIMS} deep")
         raise ValueError(ragged)
     if bad:
         entry = next(e for e in entries.flat if type(e) in bad)

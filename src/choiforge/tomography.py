@@ -22,6 +22,7 @@ from .channels import (
     KrausSet,
     StinespringModel,
     _check_dims,
+    _derived,
     _eigen_operators,
     _frozen_complex,
     _normalize_seed,
@@ -156,6 +157,18 @@ class SchmidtInput:
         object.__setattr__(self, "right_unitary", v)
 
 
+def _check_threshold(threshold, name: str):
+    """``threshold`` if it is a real number (``linalg.is_real``), finite and
+    nonnegative; anything else raises ValueError naming `name`."""
+    try:
+        valid = is_real(threshold) and math.isfinite(threshold) and threshold >= 0
+    except OverflowError:  # an int that no float can hold
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be finite and nonnegative, got {threshold!r}")
+    return threshold
+
+
 def _check_shots(shots) -> int | None:
     """``shots`` as an int in [1, MAX_SHOTS], or EXACT; anything else raises ValueError."""
     if shots is EXACT:
@@ -189,17 +202,8 @@ class TomographyConfig:
     def __post_init__(self):
         object.__setattr__(self, "shots", _check_shots(self.shots))
         object.__setattr__(self, "seed", check_int(self.seed, "seed"))
-        threshold = self.kraus_threshold
-        try:
-            valid = threshold is None or (
-                is_real(threshold) and math.isfinite(threshold) and threshold >= 0
-            )
-        except OverflowError:  # an int that no float can hold
-            valid = False
-        if not valid:
-            raise ValueError(
-                f"kraus_threshold must be finite and nonnegative, got {threshold!r}"
-            )
+        if self.kraus_threshold is not None:
+            _check_threshold(self.kraus_threshold, "kraus_threshold")
         if self.input_kind is not None and not isinstance(self.input_kind, SchmidtInput):
             raise ValueError("input_kind must be None (maximally entangled) or a SchmidtInput")
 
@@ -364,8 +368,10 @@ def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
 
 def default_kraus_threshold(shots: int | None, input_dim: int) -> float:
     """Eigenvalue cutoff: numerically-zero in EXACT mode, 3x the plug-in
-    noise scale input_dim/sqrt(shots) otherwise."""
+    noise scale input_dim/sqrt(shots) otherwise. ``input_dim`` is an integer
+    of at least 1 (``linalg.is_int``)."""
     _check_shots(shots)
+    input_dim = check_int(input_dim, "input_dim", 1)
     if shots is EXACT:
         return KRAUS_DROP_THRESHOLD
     return max(KRAUS_DROP_THRESHOLD, 3.0 * input_dim / math.sqrt(shots))
@@ -388,26 +394,35 @@ def reconstruct_from_schmidt(
     Kraus operators are the intermediates times V^dagger. Returns the Kraus
     set and the clipped negative eigenvalue mass of the Choi estimate.
     `rho_est` must be finite and is judged Hermitian to within
-    bound(rho_est), but not positive; the rescaling amplifies its float
-    noise by up to 1/alpha_min^2, so the Choi estimate is not judged again
-    but symmetrized exactly, which makes it bitwise Hermitian.
+    bound(rho_est), but not positive; `threshold` must be a finite,
+    nonnegative real number. The rescaling amplifies the float noise of
+    `rho_est` by up to 1/alpha_min^2, so the Choi estimate is not judged
+    again but symmetrized exactly, which makes it bitwise Hermitian, and the
+    eigen operators are frozen (``channels._derived``), not judged again.
     """
-    n1 = spec.alphas.size
     n2 = check_int(output_dim, "output_dim", 1)
     rho_est = _as_matrix(rho_est, "state")
-    d = n1 * n2
+    d = spec.alphas.size * n2
     if rho_est.shape != (d, d):
         raise ValueError(f"estimate has shape {rho_est.shape}, expected {(d, d)}")
     check_hermitian(rho_est, "state")
+    return _schmidt_kraus(rho_est, spec, n2, _check_threshold(threshold, "threshold"))
 
+
+def _schmidt_kraus(
+    rho_est: np.ndarray, spec: SchmidtInput, n2: int, threshold: float
+) -> tuple[KrausSet, float]:
+    """``reconstruct_from_schmidt`` of a d x d complex estimate that is
+    already judged, or Hermitian by construction as the sampler's is."""
+    n1 = spec.alphas.size
+    d = n1 * n2
     w = spec.left_unitary / spec.alphas
     left = (w.conj().T @ rho_est.reshape(n1, -1)).reshape(d, n1, n2)
     choi = (left.transpose(0, 2, 1) @ w).transpose(0, 2, 1).reshape(d, d)
 
     evals, ops = _eigen_operators(choi, n1, n2, threshold)
     negativity_removed = float(np.sum(-evals[evals < 0.0]))
-    ops = ops @ spec.right_unitary.conj().T
-    return KrausSet(n1, n2, tuple(ops)), negativity_removed
+    return _derived(KrausSet, n1, n2, ops @ spec.right_unitary.conj().T), negativity_removed
 
 
 def _positivity_proved(negativity_removed: float, spec: SchmidtInput, limit: float, d: int) -> bool:
@@ -442,13 +457,14 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
     the evaluator output with ``simulate_state_tomography``, which judges it
     first: the run makes one eigendecomposition, the Choi estimate's, plus
     the sampler's Cholesky certificate, and ``eigvalsh`` only when the
-    certificate fails. ``shots=EXACT`` skips the sampler: the evaluator
-    output is the estimate, and it is judged in the sampler's order and with
-    its messages. ``reconstruct_from_schmidt`` judges Hermiticity, positivity
-    is read off the Choi estimate's one eigendecomposition (the sampler's
-    certificate runs on the output only when that cannot prove it, as for
-    strongly skewed Schmidt inputs or an indefinite output), and then
-    Tr <= 1 + EXACT_TOL is checked.
+    certificate fails. The sampler's estimate, Hermitian by construction, is
+    reconstructed without a second judgement. ``shots=EXACT`` skips the
+    sampler: the evaluator output is the estimate, and it is judged in the
+    sampler's order and with its messages. ``reconstruct_from_schmidt``
+    judges Hermiticity, positivity is read off the Choi estimate's one
+    eigendecomposition (the sampler's certificate runs on the output only
+    when that cannot prove it, as for strongly skewed Schmidt inputs or an
+    indefinite output), and then Tr <= 1 + EXACT_TOL is checked.
     """
     n1, n2 = channel.input_dim, channel.output_dim
     if n1 < 2:
@@ -471,7 +487,7 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
         _check_state(rho_out, limit, positivity_proved=proved)
     else:
         raw_estimate = simulate_state_tomography(rho_out, config.shots, config.seed)
-        kraus, negativity_removed = reconstruct_from_schmidt(raw_estimate, spec, n2, threshold)
+        kraus, negativity_removed = _schmidt_kraus(raw_estimate, spec, n2, threshold)
 
     shots_used = 0 if config.shots is EXACT else config.shots * (n1 * n2) ** 2
     return TomographyResult(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from choiforge import channels, cli, linalg, metrics, serialize, tomography
 from choiforge.channels import kraus_to_choi
 from choiforge.metrics import choi_distance
 
@@ -144,4 +145,23 @@ def decompositions(monkeypatch):
             lambda *a, name=name, original=original, **kw: calls.append(name)
             or original(*a, **kw),
         )
+    return calls
+
+
+@pytest.fixture
+def judgements(monkeypatch):
+    """The names of the judging helpers ``check_hermitian`` and
+    ``_frozen_complex`` called while the test runs, in call order, patched
+    in every choiforge module that looks them up."""
+    calls = []
+    for module in (linalg, channels, tomography, metrics, serialize, cli):
+        for name in ("check_hermitian", "_frozen_complex"):
+            original = getattr(module, name, None)
+            if original is not None:
+                monkeypatch.setattr(
+                    module,
+                    name,
+                    lambda *a, name=name, original=original, **kw: calls.append(name)
+                    or original(*a, **kw),
+                )
     return calls

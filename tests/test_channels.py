@@ -404,6 +404,29 @@ class TestStinespring:
             apply_stinespring(cnot_dephasing_model(), np.eye(3))
 
 
+class TestDerivedArrays:
+    def test_conversions_freeze_without_judging(self, judgements):
+        # what a conversion computes from a judged channel is frozen, read-only
+        # and C-contiguous as a constructor leaves its input, and not judged again
+        kraus = random_cptp(3, 2, 2, 1)
+        model = cnot_dephasing_model()
+        judgements.clear()
+        choi = kraus_to_choi(kraus)
+        outputs = (choi.matrix, *choi_to_kraus(choi).operators, stinespring_to_choi(model).matrix)
+        assert judgements == []
+        for array in outputs:
+            assert not array.flags.writeable
+            assert array.flags.c_contiguous
+            with pytest.raises(ValueError):
+                array[0, 0] = 5.0
+
+    def test_overflowing_choi_matrix_rejected(self):
+        # finite operators whose V V^dagger overflows: J is not judged Hermitian
+        # again, but it must still be finite
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            kraus_to_choi(KrausSet(2, 2, (1e200 * I2,)))
+
+
 class TestCheckCpTp:
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7, 1.0])
     def test_amplitude_damping_trace_preserving(self, gamma):

@@ -6,6 +6,7 @@ import pytest
 
 from choiforge.channels import ChoiMatrix, KrausSet, kraus_to_choi, zoo_channel
 from choiforge.cli import main
+from choiforge.linalg import _MAX_DIMS
 from choiforge.serialize import channel_to_doc, dump_document
 from choiforge.tomography import SAMPLER_VERSION
 
@@ -152,6 +153,23 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert json.loads(err) == {"error": "invalid JSON: nested too deeply to parse", "exit_code": 2}
+
+    def test_payload_nested_past_numpy_dimensions_exits_2(self, tmp_path, capsys):
+        # deep enough to pass numpy's 64-dimension limit, shallow enough to parse
+        src = tmp_path / "deep.json"
+        operators = "[" * 900 + "0.0" + "]" * 900
+        src.write_text(
+            '{"format_version": 1, "representation": "kraus", "dims": [2, 2], '
+            f'"payload": {{"operators": {operators}}}}}',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, ["check", str(src)])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "error": f"payload.operators[0] must hold real numbers, got lists nested more than {_MAX_DIMS} deep",
+            "exit_code": 2,
+        }
 
     @pytest.mark.parametrize("key", ["ancilla_dim", "trace_dim"])
     def test_stinespring_bool_dims_exit_2(self, tmp_path, capsys, key):

@@ -6,7 +6,9 @@ from choiforge.channels import ZOO_CHANNEL_NAMES, haar_random_unitary, kraus_to_
 from choiforge.linalg import (
     EXACT_TOL,
     TOL,
+    _MAX_DIMS,
     NotHermitianError,
+    _as_numeric,
     bound,
     check_hermitian,
     check_int,
@@ -43,6 +45,25 @@ class TestIsInt:
                 check_int(bad, "kraus_count", 1)
         with pytest.raises(ValueError, match=">= 1, got 0"):
             check_int(0, "kraus_count", 1)
+
+
+def nested(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+class TestNumberRule:
+    def test_deep_nesting_is_not_ragged(self):
+        # numpy builds at most _MAX_DIMS (64) dimensions; one list more is an entry
+        assert _as_numeric(nested(0.0, _MAX_DIMS), "m").ndim == _MAX_DIMS
+        message = f"^m must hold numbers, got lists nested more than {_MAX_DIMS} deep$"
+        with pytest.raises(ValueError, match=message):
+            _as_numeric(nested(0.0, _MAX_DIMS + 6), "m")
+
+    def test_ragged_rows_are_ragged(self):
+        with pytest.raises(ValueError, match="^m must hold numbers, got nested lists of unequal length$"):
+            _as_numeric([[1.0, 2.0], [3.0]], "m")
 
 
 class TestPartialTrace:

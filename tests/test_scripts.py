@@ -48,6 +48,13 @@ def test_stage_timings_writes_a_labelled_table(tmp_path):
         assert result.returncode == 0, result.stderr
     tables = json.loads(output.read_text())["tables"]
     assert set(tables) == {"before", "after"}
+    # the call count of a run repeats exactly, at every grid point and in the probe
+    counts = [
+        [row["python_calls_per_run"] for row in table["rows"] + table["probe"]["rows"]]
+        for table in tables.values()
+    ]
+    assert counts[0] == counts[1]
+    assert all(type(count) is int and count > 0 for count in counts[0])
     rows = {row["shots"]: row for row in tables["after"]["rows"]}
     assert set(rows) == {"exact", 10**4}
     assert rows["exact"]["decompositions"] == ["eigh"]

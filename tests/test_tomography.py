@@ -615,6 +615,11 @@ class TestThresholdDefaults:
         assert default_kraus_threshold(10**6, 2) == pytest.approx(3 * 2 / 1000.0)
         assert default_kraus_threshold(10**4, 3) == pytest.approx(3 * 3 / 100.0)
 
+    @pytest.mark.parametrize("input_dim", [2.5, True, -3])
+    def test_input_dim_follows_the_integer_rule(self, input_dim):
+        with pytest.raises(ValueError, match="^input_dim must be an integer >= 1"):
+            default_kraus_threshold(10**4, input_dim)
+
 
 class TestReconstructMaxEntangled:
     def test_identity_joint_state(self):
@@ -689,6 +694,18 @@ class TestReconstructSchmidt:
             if shots is EXACT:
                 error = frobenius_distance(result.estimated_choi.matrix, kraus_to_choi(truth).matrix)
                 assert error < 1e-4
+
+    @pytest.mark.parametrize(
+        "threshold", [-1.0, float("nan"), float("inf"), "0.1", True], ids=repr
+    )
+    def test_threshold_is_judged(self, threshold):
+        # a negative cutoff would take square roots of negative eigenvalues,
+        # NaN would keep no eigenpair, and a str or bool is no real number
+        truth = random_cptp(2, 2, 2, 1)
+        rho_out = joint_output_state(OpaqueChannel.from_kraus(truth), PHI)
+        estimate = simulate_state_tomography(rho_out, 1000, seed=0)
+        with pytest.raises(ValueError, match="^threshold must be finite and nonnegative"):
+            reconstruct_from_schmidt(estimate, uniform(2), 2, threshold=threshold)
 
     def test_nonpositive_coefficient_rejected(self):
         # a negative coefficient is also below the conditioning floor; the
@@ -814,6 +831,30 @@ class TestRunTomography:
             decompositions.clear()
             run_tomography(OpaqueChannel.from_kraus(truth), config)
             assert decompositions == (["eigh"] if shots is EXACT else ["cholesky", "eigh"])
+
+    @pytest.mark.parametrize("shots", [EXACT, 1000])
+    @pytest.mark.parametrize("schmidt", [False, True])
+    @pytest.mark.parametrize("stinespring", [False, True])
+    def test_one_hermiticity_judgement_per_run(self, judgements, shots, schmidt, stinespring):
+        # the evaluator output is judged once, by the sampler or, in an exact
+        # run, by reconstruct_from_schmidt; J = V V^dagger, the sampler's
+        # estimate and the eigen operators are computed from it and frozen
+        rng = np.random.default_rng(6)
+        if stinespring:
+            channel = OpaqueChannel.from_stinespring(random_stinespring(rng))
+        else:
+            channel = OpaqueChannel.from_kraus(random_cptp(3, 3, 2, 3))
+        n1 = channel.input_dim
+        alphas = np.sqrt(np.arange(1.0, n1 + 1) / np.sum(np.arange(1.0, n1 + 1)))
+        spec = SchmidtInput(alphas, haar_random_unitary(n1, rng), haar_random_unitary(n1, rng))
+        config = TomographyConfig(shots=shots, seed=5, input_kind=spec if schmidt else None)
+        run_tomography(channel, config)  # builds the cached uniform input once
+        judgements.clear()
+        result = run_tomography(channel, config)
+        assert judgements == ["check_hermitian"]
+        for array in (*result.kraus.operators, result.estimated_choi.matrix):
+            assert not array.flags.writeable
+            assert array.flags.c_contiguous
 
     @pytest.mark.parametrize("alphas", [None, [0.8, 0.6], [1.0, 1e-5]])
     def test_exact_mode_judges_evaluator_output(self, alphas):

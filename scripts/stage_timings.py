@@ -7,14 +7,16 @@ Wraps the module-level names ``run_tomography`` calls (``joint_output_state``,
 calls directly, and ``kraus_to_choi``; a name the package lacks is skipped,
 so the script also times older checkouts) and numpy's O(d^3) decompositions,
 then times depolarizing(0.3) runs over a grid of n1 and shot budgets with
-BLAS pinned to one thread. Each stage reports its best inclusive time over ``--repeats``
-runs, after one warm-up run. A stage called inside another is reported under
-its caller as "caller > stage": the evaluator builds its Choi matrix with
-``kraus_to_choi`` inside ``joint_output_state``, and the decompositions sit
-inside the stage that asks for them.
+BLAS pinned to one thread. Each stage reports its best inclusive time over
+``--repeats`` runs, after one warm-up run, in ``best_ms``, and the first
+quartile, median and third quartile of those runs in ``quartiles_ms``, which
+show how far the runs spread on a shared machine. A stage called inside
+another is reported under its caller as "caller > stage": the evaluator
+builds its Choi matrix with ``kraus_to_choi`` inside ``joint_output_state``,
+and the decompositions sit inside the stage that asks for them.
 
 Five more stages time what the CLI does with the last run's result,
-outside ``run_tomography``, each best of ``--repeats`` calls:
+outside ``run_tomography``, each over ``--repeats`` calls:
 ``result_to_doc`` builds the result document and ``dump_document`` writes
 it as JSON text, as ``choiforge tomograph`` does; ``payload_to_matrix``
 decodes the document's ``estimated_choi`` payload, as ``check`` and
@@ -151,14 +153,14 @@ def count_calls(n1_values) -> tuple[dict, list[dict]]:
     return grid, probe
 
 
-def best_ms(call, repeats: int) -> float:
-    """Best wall time of `repeats` calls, in ms."""
+def times_ms(call, repeats: int) -> list[float]:
+    """Wall time of each of `repeats` calls, in ms."""
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
         call()
         times.append((time.perf_counter() - start) * 1e3)
-    return min(times)
+    return times
 
 
 def compare_fidelity(a, b) -> float | None:
@@ -176,24 +178,24 @@ def time_grid(clock: StageClock, n1_values, repeats: int, calls: dict) -> list[d
         for shots in SHOTS:
             config = tomography.TomographyConfig(shots=shots, seed=1)
             tomography.run_tomography(channel, config)  # warm-up
-            best: dict[str, float] = {}
+            times: dict[str, list[float]] = {}
             for _ in range(repeats):
                 clock.reset()
                 start = time.perf_counter()
                 result = tomography.run_tomography(channel, config)
                 total = (time.perf_counter() - start) * 1e3
                 for path, ms in {"run_tomography": total, **clock.ms}.items():
-                    best[path] = min(best.get(path, ms), ms)
+                    times.setdefault(path, []).append(ms)
             decompositions = list(clock.decompositions)
             doc = serialize.result_to_doc(result, config)  # warm-up
-            best["result_to_doc"] = best_ms(lambda: serialize.result_to_doc(result, config), repeats)
-            best["dump_document"] = best_ms(lambda: serialize.dump_document(doc), repeats)
-            best["payload_to_matrix"] = best_ms(
+            times["result_to_doc"] = times_ms(lambda: serialize.result_to_doc(result, config), repeats)
+            times["dump_document"] = times_ms(lambda: serialize.dump_document(doc), repeats)
+            times["payload_to_matrix"] = times_ms(
                 lambda: serialize.payload_to_matrix(doc["estimated_choi"], "estimated_choi"), repeats
             )
             text = serialize.dump_document(doc)
-            best["load_document"] = best_ms(lambda: serialize.load_document(text), repeats)
-            best["process_fidelity"] = best_ms(lambda: compare_fidelity(result.kraus, truth), repeats)
+            times["load_document"] = times_ms(lambda: serialize.load_document(text), repeats)
+            times["process_fidelity"] = times_ms(lambda: compare_fidelity(result.kraus, truth), repeats)
             rows.append(
                 {
                     "n1": n1,
@@ -203,7 +205,11 @@ def time_grid(clock: StageClock, n1_values, repeats: int, calls: dict) -> list[d
                     "decompositions_per_run": len(decompositions),
                     "decompositions": decompositions,
                     "fidelity": compare_fidelity(result.kraus, truth),
-                    "best_ms": {path: round(ms, 4) for path, ms in best.items()},
+                    "best_ms": {path: round(min(ms), 4) for path, ms in times.items()},
+                    "quartiles_ms": {
+                        path: [round(q, 4) for q in np.percentile(ms, [25, 50, 75]).tolist()]
+                        for path, ms in times.items()
+                    },
                 }
             )
     return rows
@@ -217,7 +223,10 @@ def main():
         "--n1", type=int, nargs="+", default=[2, 3, 8, 12, 16], help="input dimensions"
     )
     parser.add_argument(
-        "--repeats", type=int, default=5, help="timed runs per grid point; the best is kept"
+        "--repeats",
+        type=int,
+        default=5,
+        help="timed runs per grid point; the best and the quartiles are kept",
     )
     parser.add_argument("--label", default="current", help="name of this table in the output file")
     parser.add_argument("--output", required=True, help="JSON file to add the table to")

@@ -155,7 +155,10 @@ def check_unitary(u: np.ndarray, what: str) -> None:
 
 def partial_trace(m, dim_a: int, dim_b: int) -> np.ndarray:
     """Trace out the second factor of a bipartite matrix on dimensions (dim_a, dim_b),
-    keeping the dim_a x dim_a first factor."""
+    keeping the dim_a x dim_a first factor. Both dimensions are integers of at
+    least 1 (``is_int``)."""
+    dim_a = check_int(dim_a, "dim_a", 1)
+    dim_b = check_int(dim_b, "dim_b", 1)
     m = _as_matrix(m)
     n = dim_a * dim_b
     if m.shape != (n, n):

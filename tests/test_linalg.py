@@ -91,6 +91,14 @@ class TestPartialTrace:
         with pytest.raises(ValueError, match="does not match"):
             partial_trace(np.eye(5), 2, 2)
 
+    @pytest.mark.parametrize("bad", [2.0, True, 0, -2])
+    def test_dimensions_follow_the_integer_rule(self, bad):
+        # neither dimension is truncated or handed to numpy's reshape unjudged
+        with pytest.raises(ValueError, match=rf"^dim_a must be an integer >= 1, got {bad!r}$"):
+            partial_trace(np.eye(4) / 4, bad, 2)
+        with pytest.raises(ValueError, match=rf"^dim_b must be an integer >= 1, got {bad!r}$"):
+            partial_trace(np.eye(4) / 4, 2, bad)
+
 
 ZOO_PARAMS = {
     "identity": [],

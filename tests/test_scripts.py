@@ -3,47 +3,63 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
+from choiforge.channels import ZOO_CHANNEL_NAMES
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["exact_recovery_demo.py"],
-        ["exact_recovery_demo.py", "--schmidt-seed", "5"],
-        ["shot_noise_study.py", "--seeds", "2"],
-    ],
-)
-def test_script_exits_0(argv):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+def _run(script, *argv):
+    """Run scripts/`script` against the package in src/ and return the finished process."""
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         timeout=120,
     )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout
+
+
+def test_every_script_is_run():
+    # a script no test runs can go stale unnoticed
+    run_here = set(re.findall(r'_run\(\s*"([\w.]+)"', Path(__file__).read_text()))
+    assert run_here == {path.name for path in (ROOT / "scripts").glob("*.py")}
+
+
+def test_study_is_byte_identical_and_exact_uniform_rows_recover():
+    runs = [_run("study.py", "--n1", "2", "3") for _ in range(2)]
+    for result in runs:
+        assert result.returncode == 0, result.stderr
+    assert runs[0].stdout == runs[1].stdout
+    rows = [json.loads(line) for line in runs[0].stdout.splitlines()]
+    cells = [(r["channel"], r["n1"], r["n2"], r["input"], r["shots"]) for r in rows]
+    assert len(set(cells)) == len(cells) == 135
+    assert {r["n1"] for r in rows} == {2, 3}
+    assert {r["input"] for r in rows} == {"uniform", "ramp", "skewed"}
+    assert {r["shots"] for r in rows} == {"exact", 10**4, 10**6}
+    assert {r["channel"].split("(")[0] for r in rows} == set(ZOO_CHANNEL_NAMES)
+    assert (2, 3) in {(r["n1"], r["n2"]) for r in rows}
+    for row in rows:
+        assert row["runs"] == (1 if row["shots"] == "exact" else 8) == len(row["rank"])
+        for stat in ("trace_excess", "frobenius", "operator", "negativity_removed"):
+            low, median, high = row[stat]
+            assert low <= median <= high
+    exact = [r for r in rows if r["shots"] == "exact" and r["input"] == "uniform"]
+    assert len(exact) == 15
+    for row in exact:
+        assert row["rank"] == [row["true_rank"]], row["channel"]
+        assert row["frobenius"][2] < 1e-12, row["channel"]
 
 
 def test_stage_timings_writes_a_labelled_table(tmp_path):
     output = tmp_path / "bench.json"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     for label in ("before", "after"):
-        argv = ["--n1", "2", "--repeats", "1", "--label", label, "--output", str(output)]
-        result = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "stage_timings.py"), *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
+        result = _run(
+            "stage_timings.py", "--n1", "2", "--repeats", "3", "--label", label, "--output", str(output)
         )
         assert result.returncode == 0, result.stderr
     tables = json.loads(output.read_text())["tables"]
@@ -69,20 +85,13 @@ def test_stage_timings_writes_a_labelled_table(tmp_path):
         assert row["best_ms"]["payload_to_matrix"] > 0
         assert row["best_ms"]["load_document"] > 0
         assert row["best_ms"]["process_fidelity"] > 0
+        assert set(row["quartiles_ms"]) == set(row["best_ms"])
+        for path, (q1, median, q3) in row["quartiles_ms"].items():
+            assert row["best_ms"][path] <= q1 <= median <= q3
 
 
 def test_cli_digests_cover_every_exit_code():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    runs = [
-        subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "cli_digests.py")],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        for _ in range(2)
-    ]
+    runs = [_run("cli_digests.py") for _ in range(2)]
     for result in runs:
         assert result.returncode == 0, result.stderr
     # each run builds its corpus in a fresh temporary directory: same digests

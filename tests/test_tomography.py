@@ -408,6 +408,40 @@ class TestSimulateStateTomography:
             coefficients.var(axis=0, ddof=1), expected_var, rtol=0.35, atol=1e-15
         )
 
+    @pytest.mark.parametrize("dim, trace", [(64, 1.0), (64, 0.8), (256, 1.0)])
+    def test_ladder_diagonal_statistics_at_large_dimension(self, dim, trace):
+        # the dense basis costs O(d^4) here, but ladder operator l is
+        # diag(1, ..., 1, -l, 0, ...) / sqrt(l(l+1)): its coefficient reads
+        # only the estimate's diagonal, and its outcome probabilities are
+        # prefix sums of diag(rho), so mean and variance are closed form
+        rho = trace * random_density(dim, np.random.default_rng(40 + dim))
+        shots, n_seeds = 100, 100
+        levels = np.arange(1, dim)
+        norms = np.sqrt(levels * (levels + 1))
+
+        def ladder(diagonal):
+            below = np.cumsum(diagonal, axis=-1)[..., :-1]
+            return (below - levels * diagonal[..., 1:]) / norms
+
+        diagonals = np.array(
+            [simulate_state_tomography(rho, shots, seed=s).diagonal().real for s in range(n_seeds)]
+        )
+        coefficients = ladder(diagonals)
+        probs = rho.diagonal().real / trace
+        first = trace * ladder(probs)
+        second = trace * (np.cumsum(probs)[:-1] + levels**2 * probs[1:]) / norms**2
+        expected_var = (second - first**2) / shots
+
+        stderr = np.sqrt(expected_var / n_seeds)
+        assert np.all(np.abs(coefficients.mean(axis=0) - first) <= 5 * stderr)
+        ratio = coefficients.var(axis=0, ddof=1) / expected_var
+        # levels are independent draws, so their mean ratio sits within 5
+        # standard errors of 1 (about 5% at d = 256); with 100 samples a
+        # single level only gets a loose bound, and rare -l outcomes make
+        # its ratio heavy-tailed
+        assert abs(ratio.mean() - 1.0) <= 5 * ratio.std(ddof=1) / np.sqrt(levels.size)
+        assert np.all((ratio > 0.25) & (ratio < 3.0))
+
     def test_zero_trace_state_gives_zero_estimate(self):
         est = simulate_state_tomography(np.zeros((3, 3)), 500, seed=4)
         assert np.array_equal(est, np.zeros((3, 3)))

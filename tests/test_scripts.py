@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from choiforge.channels import ZOO_CHANNEL_NAMES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -28,6 +30,24 @@ def test_every_script_is_run():
     # a script no test runs can go stale unnoticed
     run_here = set(re.findall(r'_run\(\s*"([\w.]+)"', Path(__file__).read_text()))
     assert run_here == {path.name for path in (ROOT / "scripts").glob("*.py")}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["study.py", "--n1", "2"],
+        ["cli_digests.py"],
+        ["stage_timings.py", "--n1", "2", "--repeats", "1", "--output"],
+    ],
+)
+def test_script_exits_0(argv, tmp_path):
+    # each script runs to the end with a small input and leaves output behind
+    output = tmp_path / "out.json"
+    if argv[-1] == "--output":
+        argv = [*argv, str(output)]
+    result = _run(*argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout or output.read_text()
 
 
 def test_study_is_byte_identical_and_exact_uniform_rows_recover():

@@ -5,9 +5,11 @@ Builds a corpus of input files in a temporary work directory, runs each
 command through ``choiforge.cli.main`` in-process with that directory as the
 working directory, and prints one JSON line per command: the argv, the exit
 code (or the exception type, if the command raised), the sha256 of stdout
-and of stderr, and ``document``, the sha256 of stdout parsed and re-dumped
-with sorted keys (null when stdout is empty). A change that moves only the
-layout of the JSON on stdout changes ``stdout`` but keeps ``document``.
+and of stderr, ``document``, the sha256 of stdout parsed and re-dumped with
+sorted keys, and ``strict_json``, whether stdout parses as JSON (RFC 8259)
+when the ``NaN`` and ``Infinity`` constants Python's ``json`` would accept
+are rejected; both are null when stdout is empty. A change that moves only
+the layout of the JSON on stdout changes ``stdout`` but keeps ``document``.
 Every path in the corpus is relative, so the digests do not depend on where
 the work directory is.
 
@@ -17,8 +19,10 @@ Kraus set, fixed-seed finite-shot and exact experiments, and hand-written
 faulty documents, across all six subcommands and argparse usage errors.
 The faulty documents include number cases (an entry beyond float range, a
 ``2**70`` entry, a ``true`` entry, a ragged row, an ``[re, im, x]`` triple, a
-NaN, a bool zoo parameter), a repeated config key and a Kraus payload
-nested 5000 lists deep, past what ``json`` can parse.
+NaN, a bool zoo parameter), a repeated config key, a Kraus payload
+nested 5000 lists deep, past what ``json`` can parse, and files whose
+arithmetic overflows float range: Choi matrices ``diag(1e300, ...)`` and
+``diag(-1e300, ...)`` and a Kraus operator of ``1e200`` entries.
 
 Run it against any checkout's package and diff the outputs:
 
@@ -99,6 +103,11 @@ def write_inputs() -> None:
     nan_entry["payload"]["matrix"][0][0][0] = float("nan")
     big_entry = channel_doc("choi", [2, 2], {"matrix": payload(np.eye(4))})
     big_entry["payload"]["matrix"][0][0][0] = 10**400
+    overflow = {
+        "overflow_choi.json": channel_doc("choi", [2, 2], {"matrix": payload(1e300 * np.eye(4))}),
+        "overflow_choi_neg.json": channel_doc("choi", [2, 2], {"matrix": payload(-1e300 * np.eye(4))}),
+        "overflow_kraus.json": kraus_file(payload(np.full((2, 2), 1e200))),
+    }
     docs = {
         "stine.json": stine,
         "noncp.json": noncp,
@@ -118,6 +127,7 @@ def write_inputs() -> None:
         "stine_bool.json": {**stine, "payload": {**stine["payload"], "ancilla_dim": True}},
         "stine_nonunitary.json": {**stine, "payload": {**stine["payload"], "unitary": payload(2 * cnot)}},
         "neither.json": {"format_version": 1, "dims": [2, 2]},
+        **overflow,
         "e_identity.json": experiment(zoo_spec("identity")),
         "e_depolarizing.json": experiment(zoo_spec("depolarizing", [0.3])),
         "e_depolarizing_finite.json": experiment(zoo_spec("depolarizing", [0.3]), shots=2000, seed=42),
@@ -221,6 +231,8 @@ def corpus() -> list[list[str]]:
         ["compare", "k_identity.json", "k_identity3.json"],
         ["compare", "k_identity.json", "neither.json"],
         ["compare", "k_identity.json", "big_entry.json"],
+        ["compare", "overflow_choi.json", "overflow_choi_neg.json"],
+        ["compare", "overflow_kraus.json", "overflow_kraus.json"],
         ["compare", "k_identity.json", "k_identity.json", "--tol", "nan"],
         ["compare", "k_identity.json", "k_identity.json", "--tol", "inf"],
         ["compare", "k_identity.json", "k_identity.json", "--tol", "-1"],
@@ -236,6 +248,19 @@ def corpus() -> list[list[str]]:
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text: str) -> bool:
+    """Whether `text` parses as JSON without the NaN and Infinity extensions."""
+    try:
+        json.loads(text, parse_constant=_reject_constant)
+    except ValueError:
+        return False
+    return True
 
 
 def run(argv: list[str]) -> dict:
@@ -254,6 +279,7 @@ def run(argv: list[str]) -> dict:
         "stdout": sha256(stdout),
         "stderr": sha256(err.getvalue()),
         "document": sha256(json.dumps(json.loads(stdout), sort_keys=True)) if stdout else None,
+        "strict_json": strict_json(stdout) if stdout else None,
     }
 
 

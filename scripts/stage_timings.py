@@ -4,29 +4,33 @@
 Wraps the module-level names ``run_tomography`` calls (``joint_output_state``,
 ``simulate_state_tomography``, ``reconstruct_from_schmidt``, its core
 ``_schmidt_kraus`` for an estimate already judged, which a finite-shot run
-calls directly, and ``kraus_to_choi``; a name the package lacks is skipped,
-so the script also times older checkouts) and numpy's O(d^3) decompositions,
-then times depolarizing(0.3) runs over a grid of n1 and shot budgets with
-BLAS pinned to one thread. Each stage reports its best inclusive time over
-``--repeats`` runs, after one warm-up run, in ``best_ms``, and the first
-quartile, median and third quartile of those runs in ``quartiles_ms``, which
-show how far the runs spread on a shared machine. A stage called inside
+calls directly, and ``kraus_to_choi``, which the evaluator calls; a name the
+package lacks is skipped, so the script also times older checkouts) and
+numpy's O(d^3) decompositions, then times depolarizing(0.3) runs over a grid
+of n1 and shot budgets with BLAS pinned to one thread. Each stage reports its
+best inclusive time over ``--repeats`` runs, after one warm-up run, in
+``best_ms``, and the first quartile, median and third quartile of those runs
+in ``quartiles_ms``, which show how far the runs spread on a shared machine. A stage called inside
 another is reported under its caller as "caller > stage": the evaluator
 builds its Choi matrix with ``kraus_to_choi`` inside ``joint_output_state``,
 and the decompositions sit inside the stage that asks for them.
 
-Five more stages time what the CLI does with the last run's result,
-outside ``run_tomography``, each over ``--repeats`` calls:
-``result_to_doc`` builds the result document and ``dump_document`` writes
-it as JSON text, as ``choiforge tomograph`` does; ``payload_to_matrix``
-decodes the document's ``estimated_choi`` payload, as ``check`` and
-``convert`` do with a Choi file; ``load_document`` parses the dumped text
-and ``process_fidelity`` compares the result's Kraus set with the
-depolarizing Kraus set it came from, as ``choiforge compare`` does with a
-result file and its truth file. That truth has full Kraus rank n1**2. A
-finite-shot result is not trace preserving, so there the stage times the
-verdict that rejects it, and the row's ``fidelity`` is null, as in
-``compare``'s output.
+Six more stages time what the CLI does with the last run's result,
+outside ``run_tomography``, each over ``--repeats`` calls. A run ends at
+its Kraus set; ``TomographyResult.estimated_choi`` builds J = V V^dagger on
+first access and keeps it. So ``kraus_to_choi`` times that build from the
+result's Kraus set on its own, and ``result_to_doc``, which reads the kept
+J, times the rest of the result document, as ``choiforge tomograph`` builds
+it; at an older checkout whose run builds J itself, this step replaces the
+run's top-level ``kraus_to_choi`` stage. ``dump_document`` writes the
+document as JSON text; ``payload_to_matrix`` decodes its ``estimated_choi``
+payload, as ``check`` and ``convert`` do with a Choi file;
+``load_document`` parses the dumped text and ``process_fidelity`` compares
+the result's Kraus set with the depolarizing Kraus set it came from, as
+``choiforge compare`` does with a result file and its truth file. That
+truth has full Kraus rank n1**2. A finite-shot result is not trace
+preserving, so there the stage times the verdict that rejects it, and the
+row's ``fidelity`` is null, as in ``compare``'s output.
 
 Each row also holds ``python_calls_per_run``: the Python-level function
 calls (``sys.setprofile`` "call" events) of one run, counted after a warm-up
@@ -59,7 +63,7 @@ import numpy as np  # noqa: E402
 
 import choiforge.serialize as serialize  # noqa: E402
 import choiforge.tomography as tomography  # noqa: E402
-from choiforge.channels import random_cptp, zoo_channel  # noqa: E402
+from choiforge.channels import kraus_to_choi, random_cptp, zoo_channel  # noqa: E402
 from choiforge.metrics import process_fidelity  # noqa: E402
 
 STAGES = (
@@ -187,7 +191,8 @@ def time_grid(clock: StageClock, n1_values, repeats: int, calls: dict) -> list[d
                 for path, ms in {"run_tomography": total, **clock.ms}.items():
                     times.setdefault(path, []).append(ms)
             decompositions = list(clock.decompositions)
-            doc = serialize.result_to_doc(result, config)  # warm-up
+            times["kraus_to_choi"] = times_ms(lambda: kraus_to_choi(result.kraus), repeats)
+            doc = serialize.result_to_doc(result, config)  # warm-up; builds J once
             times["result_to_doc"] = times_ms(lambda: serialize.result_to_doc(result, config), repeats)
             times["dump_document"] = times_ms(lambda: serialize.dump_document(doc), repeats)
             times["payload_to_matrix"] = times_ms(

@@ -386,7 +386,9 @@ def _unit_interval(name: str, label: str, value: float) -> float:
 
 
 def _drop_zero_operators(ops: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-    kept = tuple(op for op in ops if np.linalg.norm(op) > 1e-12)
+    """The operators with a nonzero entry; a parameter at 0 leaves exact zeros,
+    and any other value, however small, keeps its operators."""
+    kept = tuple(op for op in ops if np.any(op))
     return kept if kept else (ops[0],)
 
 

@@ -4,8 +4,10 @@ Each ``cmd_*`` handler returns its JSON payload or raises; ``main`` alone
 writes the payload to stdout and ``--output``, or the JSON diagnostic to
 stderr. The exit codes live in one place, ``_step``, which maps what a
 step raises: 0 success, 2 parse/validation failure (including an
-``--output`` path that cannot be written), 3 complete-positivity violation,
-4 check failure, 5 configuration error.
+``--output`` path that cannot be written and a value that overflows float
+range), 3 complete-positivity violation, 4 check failure, 5 configuration
+error. ``main`` runs each handler with numpy float overflow raising, so no
+``Infinity`` reaches the payload and no numpy warning reaches stderr.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
+
+import numpy as np
 
 from .channels import (
     ChoiMatrix,
@@ -70,14 +74,16 @@ class CommandError(Exception):
 @contextmanager
 def _step(code: int, **extra):
     """Map what a step raises to its exit code: a non-CP map to 3 with the
-    eigenvalue, a file-format fault to 2, any other ValueError to ``code``
-    with ``extra`` diagnostic fields."""
+    eigenvalue, a file-format fault or a float overflow to 2, any other
+    ValueError to ``code`` with ``extra`` diagnostic fields."""
     try:
         yield
     except NotCompletelyPositiveError as err:
         raise CommandError(EXIT_NOT_CP, str(err), min_choi_eigenvalue=err.min_eigenvalue) from err
     except FileFormatError as err:
         raise CommandError(EXIT_PARSE, str(err)) from err
+    except FloatingPointError as err:
+        raise CommandError(EXIT_PARSE, f"a value overflowed float range: {err}") from err
     except ValueError as err:
         raise CommandError(code, str(err), **extra) from err
 
@@ -160,8 +166,7 @@ def cmd_tomograph(args) -> dict:
             channel = OpaqueChannel.from_kraus(channel_spec)
         else:
             channel = OpaqueChannel.from_stinespring(channel_spec)
-        result = run_tomography(channel, config)
-    return result_to_doc(result, config)
+        return result_to_doc(run_tomography(channel, config), config)
 
 
 def cmd_compare(args) -> dict:
@@ -172,10 +177,10 @@ def cmd_compare(args) -> dict:
         choi_a = _channel_to_choi(channel_a)
         channel_b = _load_channel_for_compare(args.file_b)
         distance = choi_distance(choi_a, _channel_to_choi(channel_b))
-    try:
-        fidelity: float | None = process_fidelity(channel_a, channel_b)
-    except ValueError:
-        fidelity = None  # undefined unless both maps are CP and trace preserving
+        try:
+            fidelity: float | None = process_fidelity(channel_a, channel_b)
+        except ValueError:
+            fidelity = None  # undefined unless both maps are CP and trace preserving
     return {
         "choi_distance": distance,
         "process_fidelity": fidelity,
@@ -274,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload, failure = args.handler(args), None
+        with np.errstate(over="raise"):
+            payload, failure = args.handler(args), None
     except CommandError as err:
         payload, failure = err.payload, err
     if payload is not None:

@@ -210,25 +210,26 @@ class TomographyConfig:
 
 @dataclass(frozen=True, eq=False)
 class TomographyResult:
-    """Reconstruction output plus diagnostics.
+    """Reconstruction output plus diagnostics: the Kraus set is the result.
 
-    ``estimated_choi`` is reassembled from the returned Kraus set, so the two
-    always agree exactly. ``raw_state_estimate`` is the joint-state estimate
-    before any positivity step. ``negativity_removed`` is the total magnitude
-    of the negative eigenvalues clipped from the Choi estimate, the raw
-    estimate rescaled by the input's Schmidt coefficients (n1 times the raw
-    estimate for the maximally entangled input). ``shots_used`` counts state
-    preparations across all ensemble measurements (0 in EXACT mode) and
-    ``success_trace`` is the trace of the raw estimate, below 1 for
-    trace-decreasing channels.
+    ``negativity_removed`` is the total magnitude of the negative eigenvalues
+    clipped from the Choi estimate, the joint-state estimate rescaled by the
+    input's Schmidt coefficients (n1 times the estimate for the maximally
+    entangled input). ``shots_used`` counts state preparations across all
+    ensemble measurements (0 in EXACT mode) and ``success_trace`` is the
+    trace of the joint-state estimate, below 1 for trace-decreasing channels.
+    ``estimated_choi``, J = ``kraus_to_choi(kraus)``, is built on first
+    access and kept.
     """
 
-    estimated_choi: ChoiMatrix
     kraus: KrausSet
-    raw_state_estimate: np.ndarray
     negativity_removed: float
     shots_used: int
     success_trace: float
+
+    @functools.cached_property
+    def estimated_choi(self) -> ChoiMatrix:
+        return kraus_to_choi(self.kraus)
 
 
 def prepare_schmidt_input(spec: SchmidtInput) -> np.ndarray:
@@ -480,21 +481,14 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
         else default_kraus_threshold(config.shots, n1)
     )
     if config.shots is EXACT:
-        raw_estimate = rho_out.copy()  # an evaluator may hand back an array it keeps
         kraus, negativity_removed = reconstruct_from_schmidt(rho_out, spec, n2, threshold)
         limit = bound(rho_out)
         proved = _positivity_proved(negativity_removed, spec, limit, n1 * n2)
-        _check_state(rho_out, limit, positivity_proved=proved)
+        success_trace = _check_state(rho_out, limit, positivity_proved=proved)
+        shots_used = 0
     else:
-        raw_estimate = simulate_state_tomography(rho_out, config.shots, config.seed)
-        kraus, negativity_removed = _schmidt_kraus(raw_estimate, spec, n2, threshold)
-
-    shots_used = 0 if config.shots is EXACT else config.shots * (n1 * n2) ** 2
-    return TomographyResult(
-        estimated_choi=kraus_to_choi(kraus),
-        kraus=kraus,
-        raw_state_estimate=raw_estimate,
-        negativity_removed=negativity_removed,
-        shots_used=shots_used,
-        success_trace=float(np.trace(raw_estimate).real),
-    )
+        estimate = simulate_state_tomography(rho_out, config.shots, config.seed)
+        kraus, negativity_removed = _schmidt_kraus(estimate, spec, n2, threshold)
+        success_trace = float(np.trace(estimate).real)
+        shots_used = config.shots * (n1 * n2) ** 2
+    return TomographyResult(kraus, negativity_removed, shots_used, success_trace)

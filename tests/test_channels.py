@@ -504,6 +504,17 @@ class TestZoo:
         assert len(k.operators) == 1
         assert frobenius_distance(k.operators[0], I2) < 1e-15
 
+    @pytest.mark.parametrize(
+        "name, param, count",
+        [("depolarizing", 1e-26, 4), ("depolarizing", 1e-24, 4), ("amplitude_damping", 1e-30, 2)],
+    )
+    def test_tiny_parameter_keeps_every_operator(self, name, param, count):
+        # only exact zeros are dropped: a tiny p > 0 is not the identity channel
+        k = zoo_channel(name, [param])
+        assert len(k.operators) == count
+        assert all(np.any(op) for op in k.operators)
+        assert choi_cp_tp_verdict(kraus_to_choi(k)).is_trace_preserving
+
     def test_fully_depolarizing_equals_pauli_set(self):
         assert kraus_equivalent(zoo_channel("depolarizing", [1.0]), SIGMA_HALVES, 1e-10)
 

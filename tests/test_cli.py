@@ -434,6 +434,29 @@ class TestOutOfRangeNumbers:
         assert result["success_trace"] == pytest.approx(1.0, abs=1e-6)
         assert np.allclose(result["choi_eigenvalues"], [2, 0, 0, 0], atol=1e-6)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "big.json"],
+            ["compare", "big.json", "negative_big.json"],
+            ["compare", "big_kraus.json", "big_kraus.json"],
+            ["compare", "near_max.json", "near_max.json"],
+        ],
+        ids=["check-verdict", "compare-distance", "compare-kraus-choi", "compare-fidelity"],
+    )
+    def test_overflow_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        # every entry is a finite float, but the arithmetic overflows: no
+        # Infinity on stdout (not JSON) and no numpy warning before the diagnostic
+        monkeypatch.chdir(tmp_path)
+        for name, scale in (("big.json", 1e300), ("negative_big.json", -1e300), ("near_max.json", 1.5e308)):
+            write_channel(tmp_path / name, ChoiMatrix(2, 2, scale * np.eye(4, dtype=complex)))
+        write_channel(tmp_path / "big_kraus.json", KrausSet(2, 2, (np.full((2, 2), 1e200),)))
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"].startswith("a value overflowed float range")
+
 
 IDENTITY_KRAUS_TEXT = '[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]'
 

@@ -100,6 +100,9 @@ def test_stage_timings_writes_a_labelled_table(tmp_path):
     assert rows[10**4]["decompositions"] == ["cholesky", "eigh"]
     assert rows[10**4]["best_ms"]["simulate_state_tomography > cholesky"] > 0
     for row in rows.values():
+        # a run ends at its Kraus set: J is built only by the document step
+        assert "joint_output_state > kraus_to_choi" in row["best_ms"]
+        assert row["best_ms"]["kraus_to_choi"] > 0
         assert row["best_ms"]["result_to_doc"] > 0
         assert row["best_ms"]["dump_document"] > 0
         assert row["best_ms"]["payload_to_matrix"] > 0
@@ -119,8 +122,20 @@ def test_cli_digests_cover_every_exit_code():
     lines = [json.loads(line) for line in runs[0].stdout.splitlines()]
     assert len(lines) >= 90
     assert {line["exit"] for line in lines} == {0, 2, 3, 4, 5}
-    assert all(set(line) == {"argv", "exit", "stdout", "stderr", "document"} for line in lines)
+    fields = {"argv", "exit", "stdout", "stderr", "document", "strict_json"}
+    assert all(set(line) == fields for line in lines)
     empty = hashlib.sha256(b"").hexdigest()
     assert all((line["document"] is None) == (line["stdout"] == empty) for line in lines)
+    assert all((line["strict_json"] is None) == (line["stdout"] == empty) for line in lines)
+    # no command writes NaN or Infinity, which are not JSON (RFC 8259)
+    assert all(line["strict_json"] is not False for line in lines)
+    overflow = [line for line in lines if any("overflow_" in arg for arg in line["argv"])]
+    assert {" ".join(line["argv"][:2]) for line in overflow if line["exit"] == 2} == {
+        "check overflow_choi.json",
+        "check overflow_choi_neg.json",
+        "check overflow_kraus.json",
+        "compare overflow_choi.json",
+        "compare overflow_kraus.json",
+    }
     unwritable = [line for line in lines if "missing/x.json" in line["argv"]]
     assert unwritable and all(line["exit"] == 2 for line in unwritable)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -15,6 +16,7 @@ from conftest import (
     random_density,
     reference_sampler,
 )
+import choiforge.tomography as tomography
 from choiforge.channels import (
     KrausSet,
     StinespringModel,
@@ -42,6 +44,7 @@ from choiforge.tomography import (
     SchmidtConditioningError,
     SchmidtInput,
     TomographyConfig,
+    TomographyResult,
     default_kraus_threshold,
     joint_output_state,
     prepare_schmidt_input,
@@ -58,6 +61,20 @@ PHI = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 def uniform(n):
     """The maximally entangled input as a SchmidtInput."""
     return SchmidtInput(np.full(n, 1 / np.sqrt(n)), np.eye(n), np.eye(n))
+
+
+def kraus_bytes(kraus):
+    return [op.tobytes() for op in kraus.operators]
+
+
+def staged_run(channel, spec, shots, seed):
+    """A run from the public stages alone: the joint-state estimate and the
+    Kraus set and clipped mass reconstructed from it at the default cutoff."""
+    n1 = channel.input_dim
+    rho_out = joint_output_state(channel, prepare_schmidt_input(spec))
+    estimate = simulate_state_tomography(rho_out, shots, seed)
+    threshold = default_kraus_threshold(shots, n1)
+    return estimate, *reconstruct_from_schmidt(estimate, spec, channel.output_dim, threshold)
 
 
 def blockwise_image(apply_fn, bipartite, n1, n2):
@@ -557,10 +574,11 @@ class TestLargeDimensions:
         assert first.success_trace == pytest.approx(1.0)
         assert first.shots_used == 10**4 * 64**2
         assert choi.tobytes() == second.estimated_choi.matrix.tobytes()
-        assert first.raw_state_estimate.tobytes() == second.raw_state_estimate.tobytes()
-        assert [op.tobytes() for op in first.kraus.operators] == [
-            op.tobytes() for op in second.kraus.operators
-        ]
+        assert kraus_bytes(first.kraus) == kraus_bytes(second.kraus)
+        assert (first.success_trace, first.negativity_removed) == (
+            second.success_trace,
+            second.negativity_removed,
+        )
 
     def test_d_256_state_estimate(self):
         # E||est - rho||_F^2 <= d Tr(rho) / shots for an orthonormal basis
@@ -570,6 +588,67 @@ class TestLargeDimensions:
         assert np.array_equal(est, est.conj().T)
         assert np.trace(est).real == pytest.approx(1.0)
         assert frobenius_distance(est, rho) < 2 * np.sqrt(dim / shots)
+
+
+class TestResult:
+    """The result is what the run computed: the Kraus set and three numbers.
+    J is built from the Kraus set on first access to ``estimated_choi``."""
+
+    def test_fields_are_the_kraus_set_and_diagnostics(self):
+        names = [field.name for field in dataclasses.fields(TomographyResult)]
+        assert names == ["kraus", "negativity_removed", "shots_used", "success_trace"]
+
+    @pytest.mark.parametrize("shots", [EXACT, 1000])
+    def test_estimated_choi_is_built_once_and_read_only(self, shots):
+        channel = OpaqueChannel.from_kraus(random_cptp(3, 3, 2, 4))
+        result = run_tomography(channel, TomographyConfig(shots=shots, seed=6))
+        choi = result.estimated_choi
+        assert choi.matrix.tobytes() == kraus_to_choi(result.kraus).matrix.tobytes()
+        assert result.estimated_choi is choi
+        assert not choi.matrix.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.estimated_choi = kraus_to_choi(result.kraus)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del result.estimated_choi
+
+    @pytest.mark.parametrize("shots", [EXACT, 1000])
+    @pytest.mark.parametrize("stinespring", [False, True])
+    def test_a_run_builds_no_choi_matrix(self, monkeypatch, shots, stinespring):
+        # the one kraus_to_choi of a Kraus-evaluator run is the evaluator's own;
+        # a Stinespring evaluator calls none. J comes on first access, once
+        calls = []
+        real = tomography.kraus_to_choi
+        monkeypatch.setattr(tomography, "kraus_to_choi", lambda k: calls.append(1) or real(k))
+        if stinespring:
+            channel = OpaqueChannel.from_stinespring(random_stinespring(np.random.default_rng(2)))
+        else:
+            channel = OpaqueChannel.from_kraus(random_cptp(3, 3, 2, 4))
+        result = run_tomography(channel, TomographyConfig(shots=shots, seed=6))
+        evaluator_calls = 0 if stinespring else 1
+        assert len(calls) == evaluator_calls
+        choi = result.estimated_choi
+        assert len(calls) == evaluator_calls + 1
+        assert result.estimated_choi is choi
+        assert len(calls) == evaluator_calls + 1
+
+    @pytest.mark.parametrize("shots", [EXACT, 1000])
+    @pytest.mark.parametrize("schmidt", [False, True])
+    def test_public_stages_reproduce_a_run(self, shots, schmidt):
+        # the joint-state estimate a run reconstructs from is the sampler's
+        # output on the one evaluator call, and the public stages give it back
+        n1 = 3
+        rng = np.random.default_rng(8)
+        spec = uniform(n1)
+        if schmidt:
+            alphas = np.sqrt(np.arange(1.0, n1 + 1) / np.sum(np.arange(1.0, n1 + 1)))
+            spec = SchmidtInput(alphas, haar_random_unitary(n1, rng), haar_random_unitary(n1, rng))
+        channel = OpaqueChannel.from_kraus(random_cptp(n1, n1, 2, 7))
+        config = TomographyConfig(shots=shots, seed=11, input_kind=spec if schmidt else None)
+        result = run_tomography(channel, config)
+        estimate, kraus, mass = staged_run(channel, spec, shots, 11)
+        assert kraus_bytes(result.kraus) == kraus_bytes(kraus)
+        assert result.negativity_removed == mass
+        assert result.success_trace == float(np.trace(estimate).real)
 
 
 @st.composite
@@ -838,7 +917,8 @@ class TestRunTomography:
         cfg = TomographyConfig(shots=5000, seed=77)
         a = run_tomography(ch, cfg)
         b = run_tomography(ch, cfg)
-        assert np.array_equal(a.raw_state_estimate, b.raw_state_estimate)
+        assert kraus_bytes(a.kraus) == kraus_bytes(b.kraus)
+        assert (a.success_trace, a.negativity_removed) == (b.success_trace, b.negativity_removed)
         assert np.array_equal(a.estimated_choi.matrix, b.estimated_choi.matrix)
 
     def test_exact_mode_clips_only_float_noise(self):
@@ -918,9 +998,14 @@ class TestRunTomography:
         # several faults report the first in that order
         with pytest.raises(ValueError, match="positive semidefinite"):
             run(np.diag([0.7, 0.6, 0.0, -0.1]))
-        # a negative eigenvalue within bound(rho) = 1e-8 is float noise
-        result = run(np.diag([0.6, 0.4, 0.0, -5e-9]))
-        assert result.raw_state_estimate[3, 3] == -5e-9
+        # a negative eigenvalue within bound(rho) = 1e-8 is float noise, and
+        # the evaluator output is the estimate, as it came
+        out = np.diag([0.6, 0.4, 0.0, -5e-9]).astype(complex)
+        result = run(out)
+        assert result.success_trace == float(np.trace(out).real)
+        kraus, mass = reconstruct_from_schmidt(out, spec or uniform(2), 2)
+        assert kraus_bytes(result.kraus) == kraus_bytes(kraus)
+        assert result.negativity_removed == mass
 
     def test_exact_mode_positivity_survives_ill_conditioned_rescaling(self):
         # with alpha ∝ (1, 1e-5) the Choi estimate's float error, up to
@@ -950,8 +1035,10 @@ class TestRunTomography:
         channel = OpaqueChannel.from_kraus(zoo_channel("identity", [], n1))
         config = TomographyConfig(shots=1000, seed=3, input_kind=spec if schmidt else None)
         result = run_tomography(channel, config)
+        estimate, kraus, _ = staged_run(channel, spec, 1000, 3)
+        assert kraus_bytes(result.kraus) == kraus_bytes(kraus)
         lift = np.kron(spec.left_unitary / spec.alphas, np.eye(n1))
-        choi_raw = lift.conj().T @ result.raw_state_estimate @ lift
+        choi_raw = lift.conj().T @ estimate @ lift
         eigs = np.linalg.eigvalsh(choi_raw)
         assert result.negativity_removed > 0.0
         assert result.negativity_removed == pytest.approx(-np.sum(eigs[eigs < 0]), rel=1e-9)
@@ -1003,9 +1090,9 @@ class TestRunTomography:
         assert (type(config.shots), type(config.seed)) == (int, int)
         channel = OpaqueChannel.from_kraus(zoo_channel("depolarizing", [0.3]))
         same = run_tomography(channel, TomographyConfig(shots=100, seed=2))
-        assert run_tomography(channel, config).raw_state_estimate.tobytes() == (
-            same.raw_state_estimate.tobytes()
-        )
+        coerced = run_tomography(channel, config)
+        assert kraus_bytes(coerced.kraus) == kraus_bytes(same.kraus)
+        assert coerced.success_trace == same.success_trace
 
     def test_schmidt_dimension_mismatch(self):
         ch = OpaqueChannel.from_kraus(zoo_channel("identity", [], 3))

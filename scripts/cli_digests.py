@@ -21,8 +21,9 @@ The faulty documents include number cases (an entry beyond float range, a
 ``2**70`` entry, a ``true`` entry, a ragged row, an ``[re, im, x]`` triple, a
 NaN, a bool zoo parameter), a repeated config key, a Kraus payload
 nested 5000 lists deep, past what ``json`` can parse, and files whose
-arithmetic overflows float range: Choi matrices ``diag(1e300, ...)`` and
-``diag(-1e300, ...)`` and a Kraus operator of ``1e200`` entries.
+arithmetic overflows float range: Choi matrices ``diag(1e300, ...)``,
+``diag(-1e300, ...)`` and ``diag(1.5e308, ...)``, whose partial trace alone
+overflows, and a Kraus operator of ``1e200`` entries.
 
 Run it against any checkout's package and diff the outputs:
 
@@ -106,6 +107,7 @@ def write_inputs() -> None:
     overflow = {
         "overflow_choi.json": channel_doc("choi", [2, 2], {"matrix": payload(1e300 * np.eye(4))}),
         "overflow_choi_neg.json": channel_doc("choi", [2, 2], {"matrix": payload(-1e300 * np.eye(4))}),
+        "overflow_choi_near_max.json": channel_doc("choi", [2, 2], {"matrix": payload(1.5e308 * np.eye(4))}),
         "overflow_kraus.json": kraus_file(payload(np.full((2, 2), 1e200))),
     }
     docs = {

@@ -387,9 +387,9 @@ def _unit_interval(name: str, label: str, value: float) -> float:
 
 def _drop_zero_operators(ops: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     """The operators with a nonzero entry; a parameter at 0 leaves exact zeros,
-    and any other value, however small, keeps its operators."""
-    kept = tuple(op for op in ops if np.any(op))
-    return kept if kept else (ops[0],)
+    and any other value, however small, keeps its operators. Every caller's
+    first operator is nonzero, so the set is never empty."""
+    return tuple(op for op in ops if np.any(op))
 
 
 def zoo_channel(

@@ -368,21 +368,20 @@ def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
 
 
 def default_kraus_threshold(shots: int | None, input_dim: int) -> float:
-    """Eigenvalue cutoff: numerically-zero in EXACT mode, 3x the plug-in
-    noise scale input_dim/sqrt(shots) otherwise. ``input_dim`` is an integer
-    of at least 1 (``linalg.is_int``)."""
+    """Eigenvalue cutoff, the one place a Kraus cutoff is decided:
+    ``KRAUS_DROP_THRESHOLD``, numerically zero, in EXACT mode, and 3x the
+    plug-in noise scale input_dim/sqrt(shots) otherwise, which is at least
+    3/sqrt(MAX_SHOTS). ``input_dim`` is an integer of at least 1
+    (``linalg.is_int``)."""
     _check_shots(shots)
     input_dim = check_int(input_dim, "input_dim", 1)
     if shots is EXACT:
         return KRAUS_DROP_THRESHOLD
-    return max(KRAUS_DROP_THRESHOLD, 3.0 * input_dim / math.sqrt(shots))
+    return 3.0 * input_dim / math.sqrt(shots)
 
 
 def reconstruct_from_schmidt(
-    rho_est,
-    spec: SchmidtInput,
-    output_dim: int,
-    threshold: float = KRAUS_DROP_THRESHOLD,
+    rho_est, spec: SchmidtInput, output_dim: int, threshold: float
 ) -> tuple[KrausSet, float]:
     """Kraus operators from the joint output of a maximum-Schmidt input.
 
@@ -396,10 +395,12 @@ def reconstruct_from_schmidt(
     set and the clipped negative eigenvalue mass of the Choi estimate.
     `rho_est` must be finite and is judged Hermitian to within
     bound(rho_est), but not positive; `threshold` must be a finite,
-    nonnegative real number. The rescaling amplifies the float noise of
-    `rho_est` by up to 1/alpha_min^2, so the Choi estimate is not judged
-    again but symmetrized exactly, which makes it bitwise Hermitian, and the
-    eigen operators are frozen (``channels._derived``), not judged again.
+    nonnegative real number and has no default: pass
+    ``default_kraus_threshold(shots, n1)`` for the cutoff ``run_tomography``
+    would use. The rescaling amplifies the float noise of `rho_est` by up
+    to 1/alpha_min^2, so the Choi estimate is not judged again but
+    symmetrized exactly, which makes it bitwise Hermitian, and the eigen
+    operators are frozen (``channels._derived``), not judged again.
     """
     n2 = check_int(output_dim, "output_dim", 1)
     rho_est = _as_matrix(rho_est, "state")

@@ -59,6 +59,10 @@ class TestKrausSetType:
         with pytest.raises(ValueError, match="at least one"):
             KrausSet(2, 2, ())
 
+    def test_one_dimensional_operator_rejected(self):
+        with pytest.raises(ValueError, match=r"^kraus operator 0 must be 2-dimensional, got shape \(2,\)$"):
+            KrausSet(2, 2, ([1.0, 0.0],))
+
     def test_operators_are_locked(self):
         k = KrausSet(2, 2, (I2,))
         with pytest.raises(ValueError):
@@ -536,6 +540,17 @@ class TestZoo:
         for call in (lambda: random_cptp(2, 3, 7, 0), lambda: zoo_channel("random_cptp", [0, 7], 2, 3)):
             with pytest.raises(ValueError, match="kraus_count 7 too large: at most input_dim\\*output_dim = 6"):
                 call()
+
+    def test_random_cptp_kraus_count_too_small_for_an_isometry(self):
+        # V is (output_dim * count) x input_dim; fewer rows than columns cannot be an isometry
+        message = r"^kraus_count 2 too small: need output_dim\*count >= input_dim$"
+        with pytest.raises(ValueError, match=message):
+            random_cptp(4, 1, 2, 0)
+
+    @pytest.mark.parametrize("name", ["amplitude_damping", "phase_damping"])
+    def test_qubit_channels_reject_other_dimensions(self, name):
+        with pytest.raises(ValueError, match=rf"^{name} is defined for qubits \(dimension 2\)$"):
+            zoo_channel(name, [0.3], input_dim=3)
 
     def test_depolarizing_dimension_three(self):
         k = zoo_channel("depolarizing", [0.4], input_dim=3)

@@ -67,6 +67,14 @@ class TestConvert:
 
         assert np.linalg.norm(matrix_of(choi1) - matrix_of(choi2)) < 1e-8
 
+    def test_kraus_file_to_kraus_is_the_same_document(self, tmp_path, capsys):
+        # a Kraus set is not decomposed again: its operators come back as written
+        channel = zoo_channel("amplitude_damping", [0.3])
+        src = write_channel(tmp_path / "ad.json", channel)
+        code, out, _ = run(capsys, ["convert", src, "--to", "kraus"])
+        assert code == 0
+        assert json.loads(out) == channel_to_doc(channel)
+
     def test_stinespring_converts_to_kraus(self, tmp_path, capsys):
         from choiforge.channels import StinespringModel
 
@@ -441,8 +449,15 @@ class TestOutOfRangeNumbers:
             ["compare", "big.json", "negative_big.json"],
             ["compare", "big_kraus.json", "big_kraus.json"],
             ["compare", "near_max.json", "near_max.json"],
+            ["check", "near_max.json"],
         ],
-        ids=["check-verdict", "compare-distance", "compare-kraus-choi", "compare-fidelity"],
+        ids=[
+            "check-verdict",
+            "compare-distance",
+            "compare-kraus-choi",
+            "compare-fidelity",
+            "check-partial-trace",
+        ],
     )
     def test_overflow_exits_2(self, tmp_path, monkeypatch, capsys, argv):
         # every entry is a finite float, but the arithmetic overflows: no
@@ -560,6 +575,14 @@ class TestCompare:
         code, _, err = run(capsys, ["compare", a, b])
         assert code == 2
         assert json.loads(err)["error"]
+
+    def test_neither_channel_nor_result_exits_2(self, tmp_path, capsys):
+        a = write_channel(tmp_path / "a.json", zoo_channel("identity"))
+        b = write_doc(tmp_path / "b.json", {"format_version": 1, "dims": [2, 2]})
+        code, out, err = run(capsys, ["compare", a, b])
+        assert (code, out) == (2, "")
+        message = f"{b}: neither a channel file nor a tomography result file"
+        assert json.loads(err) == {"error": message, "exit_code": 2}
 
     def test_trace_decreasing_fidelity_is_null(self, tmp_path, capsys):
         a = write_channel(tmp_path / "proj.json", zoo_channel("project_discard"))

@@ -65,6 +65,11 @@ class TestNumberRule:
         with pytest.raises(ValueError, match="^m must hold numbers, got nested lists of unequal length$"):
             _as_numeric([[1.0, 2.0], [3.0]], "m")
 
+    def test_arrays_of_unequal_shapes_are_ragged(self):
+        # numpy itself refuses to stack these, even as objects
+        with pytest.raises(ValueError, match="^m must hold numbers, got nested lists of unequal length$"):
+            _as_numeric([np.zeros((2, 2)), np.zeros((2, 3))], "m")
+
 
 class TestPartialTrace:
     def test_max_entangled_marginal(self):
@@ -112,6 +117,10 @@ ZOO_PARAMS = {
 
 
 class TestBound:
+    def test_check_hermitian_rejects_non_square(self):
+        with pytest.raises(ValueError, match=r"^m must be square, got shape \(2, 3\)$"):
+            check_hermitian(np.zeros((2, 3), dtype=complex), "m")
+
     @pytest.mark.parametrize("name", ZOO_CHANNEL_NAMES)
     def test_unit_scale_choi_matrices_get_the_bare_bound(self, name):
         dims = (2,) if name in ("amplitude_damping", "phase_damping") else (2, 3, 4)

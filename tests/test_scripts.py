@@ -133,6 +133,8 @@ def test_cli_digests_cover_every_exit_code():
     assert {" ".join(line["argv"][:2]) for line in overflow if line["exit"] == 2} == {
         "check overflow_choi.json",
         "check overflow_choi_neg.json",
+        "check overflow_choi_near_max.json",
+        "convert overflow_choi_near_max.json",
         "check overflow_kraus.json",
         "compare overflow_choi.json",
         "compare overflow_kraus.json",

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,16 @@ class TestChannelFiles:
         with pytest.raises(ValueError, match="shape"):
             doc_to_channel(doc)
 
+    def test_payload_must_be_an_object(self):
+        doc = channel_to_doc(zoo_channel("identity"))
+        doc["payload"] = [1]
+        with pytest.raises(FileFormatError, match="^payload: expected an object$"):
+            doc_to_channel(doc)
+
+    def test_only_channel_objects_serialize(self):
+        with pytest.raises(TypeError, match="^cannot serialize ndarray as a channel$"):
+            channel_to_doc(np.eye(2))
+
 
 def assert_same_kraus(actual, expected):
     assert isinstance(actual, KrausSet)
@@ -276,6 +287,33 @@ class TestExperimentFiles:
         }
         with pytest.raises(FileFormatError, match="shots"):
             parse_experiment_config(doc)
+
+    @pytest.mark.parametrize(
+        "parse, doc, message",
+        [
+            (
+                parse_experiment_channel,
+                {"name": "depolarizing", "params": [[0.3]], "dims": [2, 2]},
+                "channel zoo spec: params must be a list of numbers",
+            ),
+            (
+                parse_experiment_channel,
+                {"name": 3, "params": [], "dims": [2, 2]},
+                "channel zoo spec: name must be a string",
+            ),
+            (
+                parse_experiment_config,
+                {"config": {"input_kind": "bell"}},
+                "config.input_kind: expected 'max_entangled' or a schmidt object",
+            ),
+            (parse_experiment_config, {"config": [1]}, "experiment.config: expected an object"),
+            (parse_experiment_config, {"config": {"seed": 1.5}}, "config.seed: expected an integer"),
+        ],
+        ids=["zoo-nested-params", "zoo-name-int", "input-kind-bell", "config-list", "seed-float"],
+    )
+    def test_malformed_experiment_rejected(self, parse, doc, message):
+        with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
+            parse(doc)
 
     def test_negative_shots_is_config_error(self):
         doc = {

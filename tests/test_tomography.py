@@ -204,6 +204,11 @@ class TestJointOutputState:
         with pytest.raises(ValueError, match="evaluator returned shape"):
             joint_output_state(bad, PHI)
 
+    def test_evaluator_rejects_a_wrong_input_shape(self):
+        evaluator = OpaqueChannel.from_kraus(KrausSet(2, 2, (I2,))).evaluator
+        with pytest.raises(ValueError, match=r"^bipartite input has shape \(3, 3\), expected \(4, 4\)$"):
+            evaluator(np.eye(3))
+
     def test_wrong_vector_length(self):
         ch = OpaqueChannel.from_kraus(KrausSet(2, 2, (I2,)))
         with pytest.raises(ValueError, match="length"):
@@ -717,7 +722,16 @@ class TestProjectToPsd:
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(NotHermitianError):
-            reconstruct_from_schmidt(np.array([[0, 1], [0, 0]], dtype=complex), uniform(2), 1)
+            reconstruct_from_schmidt(
+                np.array([[0, 1], [0, 0]], dtype=complex),
+                uniform(2),
+                1,
+                default_kraus_threshold(EXACT, 2),
+            )
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"^estimate has shape \(3, 3\), expected \(4, 4\)$"):
+            reconstruct_from_schmidt(np.eye(3) / 3, uniform(2), 2, default_kraus_threshold(EXACT, 2))
 
 
 class TestThresholdDefaults:
@@ -728,6 +742,14 @@ class TestThresholdDefaults:
         assert default_kraus_threshold(10**6, 2) == pytest.approx(3 * 2 / 1000.0)
         assert default_kraus_threshold(10**4, 3) == pytest.approx(3 * 3 / 100.0)
 
+    def test_finite_mode_has_no_floor(self):
+        # the least finite cutoff, 3/sqrt(2**53) ~ 3.3e-8, is far above 1e-10
+        assert default_kraus_threshold(MAX_SHOTS, 1) == 3 / math.sqrt(2**53)
+
+    def test_reconstruction_needs_a_threshold(self):
+        with pytest.raises(TypeError, match="threshold"):
+            reconstruct_from_schmidt(np.outer(PHI, PHI.conj()), uniform(2), 2)
+
     @pytest.mark.parametrize("input_dim", [2.5, True, -3])
     def test_input_dim_follows_the_integer_rule(self, input_dim):
         with pytest.raises(ValueError, match="^input_dim must be an integer >= 1"):
@@ -736,14 +758,18 @@ class TestThresholdDefaults:
 
 class TestReconstructMaxEntangled:
     def test_identity_joint_state(self):
-        kraus, _ = reconstruct_from_schmidt(np.outer(PHI, PHI.conj()), uniform(2), 2)
+        kraus, _ = reconstruct_from_schmidt(
+            np.outer(PHI, PHI.conj()), uniform(2), 2, default_kraus_threshold(EXACT, 2)
+        )
         choi = kraus_to_choi(kraus)
         assert frobenius_distance(choi.matrix, 2 * np.outer(PHI, PHI.conj())) < 1e-12
         assert len(kraus.operators) == 1
         assert kraus_equivalent(kraus, KrausSet(2, 2, (I2,)), 1e-9)
 
     def test_maximally_mixed_joint_state(self):
-        kraus, _ = reconstruct_from_schmidt(np.eye(4) / 4, uniform(2), 2)
+        kraus, _ = reconstruct_from_schmidt(
+            np.eye(4) / 4, uniform(2), 2, default_kraus_threshold(EXACT, 2)
+        )
         choi = kraus_to_choi(kraus)
         assert frobenius_distance(choi.matrix, np.eye(4) / 2) < 1e-12
         assert len(kraus.operators) == 4
@@ -752,7 +778,9 @@ class TestReconstructMaxEntangled:
     def test_amplitude_damping_end_to_end_exact(self):
         truth = zoo_channel("amplitude_damping", [0.5])
         rho_out = joint_output_state(OpaqueChannel.from_kraus(truth), PHI)
-        kraus, _ = reconstruct_from_schmidt(rho_out, uniform(2), 2)
+        kraus, _ = reconstruct_from_schmidt(
+            rho_out, uniform(2), 2, default_kraus_threshold(EXACT, 2)
+        )
         assert kraus_equivalent(kraus, truth, 1e-9)
 
 
@@ -761,14 +789,16 @@ class TestReconstructSchmidt:
         # uniform coefficients with identity bases rescale the estimate by n1
         truth = zoo_channel("amplitude_damping", [0.4])
         rho_out = joint_output_state(OpaqueChannel.from_kraus(truth), PHI)
-        kraus, _ = reconstruct_from_schmidt(rho_out, uniform(2), 2)
+        kraus, _ = reconstruct_from_schmidt(
+            rho_out, uniform(2), 2, default_kraus_threshold(EXACT, 2)
+        )
         assert frobenius_distance(kraus_to_choi(kraus).matrix, 2 * rho_out) < 1e-12
 
     def test_identity_channel_skewed_alphas(self):
         ch = OpaqueChannel.from_kraus(KrausSet(2, 2, (I2,)))
         spec = SchmidtInput([0.8, 0.6], I2, I2)
         rho_out = joint_output_state(ch, prepare_schmidt_input(spec))
-        kraus, _ = reconstruct_from_schmidt(rho_out, spec, 2)
+        kraus, _ = reconstruct_from_schmidt(rho_out, spec, 2, default_kraus_threshold(EXACT, 2))
         assert len(kraus.operators) == 1
         assert kraus_equivalent(kraus, KrausSet(2, 2, (I2,)), 1e-9)
 
@@ -780,7 +810,7 @@ class TestReconstructSchmidt:
         ch = OpaqueChannel.from_kraus(truth)
         spec = SchmidtInput([0.8, 0.6], u, w)
         rho_out = joint_output_state(ch, prepare_schmidt_input(spec))
-        kraus, _ = reconstruct_from_schmidt(rho_out, spec, 2)
+        kraus, _ = reconstruct_from_schmidt(rho_out, spec, 2, default_kraus_threshold(EXACT, 2))
         assert kraus_equivalent(kraus, truth, 1e-8)
 
     def test_tiny_coefficient_raises_conditioning_error(self):
@@ -1003,7 +1033,9 @@ class TestRunTomography:
         out = np.diag([0.6, 0.4, 0.0, -5e-9]).astype(complex)
         result = run(out)
         assert result.success_trace == float(np.trace(out).real)
-        kraus, mass = reconstruct_from_schmidt(out, spec or uniform(2), 2)
+        kraus, mass = reconstruct_from_schmidt(
+            out, spec or uniform(2), 2, default_kraus_threshold(EXACT, 2)
+        )
         assert kraus_bytes(result.kraus) == kraus_bytes(kraus)
         assert result.negativity_removed == mass
 
@@ -1081,7 +1113,7 @@ class TestRunTomography:
                 simulate_state_tomography(I2 / 2, 100, seed=seed)
         for bad in (True, 2.0):
             with pytest.raises(ValueError, match="output_dim"):
-                reconstruct_from_schmidt(I2 / 2, uniform(2), bad)
+                reconstruct_from_schmidt(I2 / 2, uniform(2), bad, default_kraus_threshold(EXACT, 2))
             with pytest.raises(ValueError, match="input_dim"):
                 OpaqueChannel(bad, 2, lambda m: m)
             with pytest.raises(ValueError, match="output_dim"):

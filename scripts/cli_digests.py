@@ -14,7 +14,10 @@ Every path in the corpus is relative, so the digests do not depend on where
 the work directory is.
 
 The corpus covers the channel zoo (written by the corpus's own ``zoo``
-commands), a Stinespring model, a non-CP Choi matrix, a trace-increasing
+commands) and each of its rules broken once (an unknown name, a wrong
+parameter count from ``zoo`` and from an experiment's zoo spec, unequal
+dimensions, a qubit channel at dimension 3, a parameter value out of
+range), a Stinespring model, a non-CP Choi matrix, a trace-increasing
 Kraus set, fixed-seed finite-shot and exact experiments, and hand-written
 faulty documents, across all six subcommands and argparse usage errors.
 The faulty documents include number cases (an entry beyond float range, a
@@ -161,6 +164,7 @@ def write_inputs() -> None:
         "e_nan_threshold.json": experiment(zoo_spec("identity"), kraus_threshold=float("nan")),
         "e_big_threshold.json": experiment(zoo_spec("identity"), kraus_threshold=10**400),
         "e_unknown_zoo.json": experiment(zoo_spec("teleporter")),
+        "e_unitary_no_params.json": experiment(zoo_spec("unitary")),
         "e_bad_param.json": experiment(zoo_spec("depolarizing", [1.5])),
         "e_missing_channel.json": {"config": {"shots": "exact"}},
         "e_missing_config.json": {"channel": zoo_spec("identity")},
@@ -195,6 +199,11 @@ def corpus() -> list[list[str]]:
         ["zoo", "--name", "random_cptp", "--params", "3", "2"],
         ["zoo", "--name", "identity", "--dims", "2", "2", "7"],
         ["zoo", "--name", "amplitude_damping", "--params", "0.5", "--dims", "3"],
+        ["zoo", "--name", "depolarizing"],
+        ["zoo", "--name", "random_cptp", "--params", "3"],
+        ["zoo", "--name", "identity", "--params", "1"],
+        ["zoo", "--name", "depolarizing", "--params", "0.3", "--dims", "2", "3"],
+        ["zoo", "--name", "phase_damping", "--params", "0.5", "--dims", "3"],
         ["zoo", "--name", "identity", "--output", "missing/x.json"],
         ["resources", "--dims", "2", "2"],
         ["resources", "--dims", "2", "3"],

@@ -34,15 +34,17 @@ from .linalg import (
 
 KRAUS_DROP_THRESHOLD = 1e-10
 
-ZOO_CHANNEL_NAMES = (
-    "identity",
-    "unitary",
-    "depolarizing",
-    "amplitude_damping",
-    "phase_damping",
-    "project_discard",
-    "random_cptp",
-)
+_ZOO_PARAM_COUNTS = {
+    "identity": 0,
+    "unitary": 1,
+    "depolarizing": 1,
+    "amplitude_damping": 1,
+    "phase_damping": 1,
+    "project_discard": 0,
+    "random_cptp": 2,
+}
+
+ZOO_CHANNEL_NAMES = tuple(_ZOO_PARAM_COUNTS)
 
 
 class NotCompletelyPositiveError(ValueError):
@@ -354,20 +356,6 @@ def random_cptp(input_dim: int, output_dim: int, kraus_count: int, seed: int) ->
     return KrausSet(input_dim, output_dim, ops)
 
 
-def _weyl_operators(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    omega = np.exp(2j * np.pi / dim)
-    shift = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        shift[(j + 1) % dim, j] = 1.0
-    clock = np.diag(omega ** np.arange(dim))
-    return shift, clock
-
-
-def _require_params(name: str, params: Sequence[float], count: int) -> None:
-    if len(params) != count:
-        raise ValueError(f"channel '{name}' takes {count} parameter(s), got {len(params)}")
-
-
 def _integer_param(name: str, label: str, value: float) -> int:
     """A seed or count from the float parameter vector: an integer, or an
     integral float such as 7.0, which is the one place a float becomes an int."""
@@ -385,13 +373,6 @@ def _unit_interval(name: str, label: str, value: float) -> float:
     return float(value)
 
 
-def _drop_zero_operators(ops: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """The operators with a nonzero entry; a parameter at 0 leaves exact zeros,
-    and any other value, however small, keeps its operators. Every caller's
-    first operator is nonzero, so the set is never empty."""
-    return tuple(op for op in ops if np.any(op))
-
-
 def zoo_channel(
     name: str,
     params: Sequence[float] = (),
@@ -405,7 +386,7 @@ def zoo_channel(
       unitary                 (seed,)          Haar-random unitary conjugation
       depolarizing            (p,)             (1-p) rho + p Tr(rho) I/n
       amplitude_damping       (gamma,)         qubit only
-      phase_damping           (lam,)           qubit only
+      phase_damping           (lambda,)        qubit only
       project_discard         ()               rho -> |0><0| rho |0><0|
       random_cptp             (seed, count)    random trace-preserving channel
 
@@ -423,55 +404,47 @@ def zoo_channel(
     if name != "random_cptp" and out != n:
         raise ValueError(f"channel '{name}' requires equal input/output dimensions")
 
+    count = _ZOO_PARAM_COUNTS[name]
+    if len(params) != count:
+        raise ValueError(f"channel '{name}' takes {count} parameter(s), got {len(params)}")
+    if name in ("amplitude_damping", "phase_damping") and n != 2:
+        raise ValueError(f"{name} is defined for qubits (dimension 2)")
+
     if name == "identity":
-        _require_params(name, params, 0)
         return KrausSet(n, n, (np.eye(n, dtype=complex),))
-
     if name == "unitary":
-        _require_params(name, params, 1)
         return KrausSet(n, n, (haar_random_unitary(n, _integer_param(name, "seed", params[0])),))
-
-    if name == "depolarizing":
-        _require_params(name, params, 1)
-        p = _unit_interval(name, "p", params[0])
-        shift, clock = _weyl_operators(n)
-        ops = [np.sqrt(1.0 - p + p / n**2) * np.eye(n, dtype=complex)]
-        for a in range(n):
-            for b in range(n):
-                if a == 0 and b == 0:
-                    continue
-                ops.append(
-                    (np.sqrt(p) / n)
-                    * (np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b))
-                )
-        return KrausSet(n, n, _drop_zero_operators(ops))
-
-    if name == "amplitude_damping":
-        _require_params(name, params, 1)
-        if n != 2:
-            raise ValueError("amplitude_damping is defined for qubits (dimension 2)")
-        gamma = _unit_interval(name, "gamma", params[0])
-        a0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex)
-        a1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
-        return KrausSet(2, 2, _drop_zero_operators([a0, a1]))
-
-    if name == "phase_damping":
-        _require_params(name, params, 1)
-        if n != 2:
-            raise ValueError("phase_damping is defined for qubits (dimension 2)")
-        lam = _unit_interval(name, "lambda", params[0])
-        a0 = np.diag([1.0, np.sqrt(1.0 - lam)]).astype(complex)
-        a1 = np.diag([0.0, np.sqrt(lam)]).astype(complex)
-        return KrausSet(2, 2, _drop_zero_operators([a0, a1]))
-
     if name == "project_discard":
-        _require_params(name, params, 0)
         proj = np.zeros((n, n), dtype=complex)
         proj[0, 0] = 1.0
         return KrausSet(n, n, (proj,))
+    if name == "random_cptp":
+        seed = _integer_param(name, "seed", params[0])
+        return random_cptp(n, out, _integer_param(name, "count", params[1]), seed)
 
-    # random_cptp
-    _require_params(name, params, 2)
-    seed = _integer_param(name, "seed", params[0])
-    count = _integer_param(name, "count", params[1])
-    return random_cptp(n, out, count, seed)
+    if name == "depolarizing":
+        p = _unit_interval(name, "p", params[0])
+        shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
+        clock = np.diag(np.exp(2j * np.pi / n) ** np.arange(n))
+        ops = [np.sqrt(1.0 - p + p / n**2) * np.eye(n, dtype=complex)]
+        ops += [
+            (np.sqrt(p) / n) * (np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b))
+            for a in range(n)
+            for b in range(n)
+            if a or b
+        ]
+    elif name == "amplitude_damping":
+        gamma = _unit_interval(name, "gamma", params[0])
+        ops = [
+            np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex),
+            np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex),
+        ]
+    else:  # phase_damping
+        lam = _unit_interval(name, "lambda", params[0])
+        ops = [
+            np.diag([1.0, np.sqrt(1.0 - lam)]).astype(complex),
+            np.diag([0.0, np.sqrt(lam)]).astype(complex),
+        ]
+    # a parameter at 0 leaves exact zero operators; any other value, however
+    # small, keeps them. The first operator is never zero, so the set is never empty.
+    return KrausSet(n, n, tuple(op for op in ops if np.any(op)))

@@ -12,6 +12,7 @@ from conftest import (
     random_hermitian,
 )
 from choiforge.channels import (
+    ZOO_CHANNEL_NAMES,
     ChoiMatrix,
     KrausSet,
     NotCompletelyPositiveError,
@@ -33,6 +34,11 @@ Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.diag([1, -1]).astype(complex)
 PHI = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 SIGMA_HALVES = KrausSet(2, 2, (I2 / 2, X / 2, Y / 2, Z / 2))  # fully depolarizing
+# parameters each zoo name takes, as README states them
+ZOO_PARAM_COUNTS = {
+    name: {"identity": 0, "project_discard": 0, "random_cptp": 2}.get(name, 1)
+    for name in ZOO_CHANNEL_NAMES
+}
 
 
 def unit_matrix(n, i, j):
@@ -625,13 +631,32 @@ class TestZoo:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             zoo_channel("depolarizing", [1.5])
 
-    def test_wrong_parameter_count(self):
-        with pytest.raises(ValueError, match="parameter"):
-            zoo_channel("identity", [0.5])
+    @pytest.mark.parametrize("name", ZOO_CHANNEL_NAMES)
+    def test_wrong_parameter_count(self, name):
+        count = ZOO_PARAM_COUNTS[name]
+        for k in (count + 1, count - 1) if count else (count + 1,):
+            message = rf"^channel '{name}' takes {count} parameter\(s\), got {k}$"
+            with pytest.raises(ValueError, match=message):
+                zoo_channel(name, [0.5] * k)
 
-    def test_square_only_channels_reject_rectangular(self):
-        with pytest.raises(ValueError, match="equal input/output"):
-            zoo_channel("identity", [], input_dim=2, output_dim=3)
+    @pytest.mark.parametrize("name", [name for name in ZOO_CHANNEL_NAMES if name != "random_cptp"])
+    def test_square_only_channels_reject_rectangular(self, name):
+        params = [0.5] * ZOO_PARAM_COUNTS[name]
+        with pytest.raises(ValueError, match=rf"^channel '{name}' requires equal input/output dimensions$"):
+            zoo_channel(name, params, input_dim=2, output_dim=3)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("amplitude_damping", [], 3), r"^channel 'amplitude_damping' takes 1 parameter\(s\), got 0$"),
+            (("phase_damping", [1.5], 3), r"^phase_damping is defined for qubits \(dimension 2\)$"),
+            (("unitary", [], 2, 3), r"^channel 'unitary' requires equal input/output dimensions$"),
+        ],
+    )
+    def test_first_broken_rule_wins(self, args, message):
+        # name, dimensions, equal dimensions, count, qubit, then the values
+        with pytest.raises(ValueError, match=message):
+            zoo_channel(*args)
 
     def test_haar_unitary_is_unitary(self):
         for dim in (2, 3, 5):

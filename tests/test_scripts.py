@@ -139,5 +139,16 @@ def test_cli_digests_cover_every_exit_code():
         "compare overflow_choi.json",
         "compare overflow_kraus.json",
     }
+    # each zoo rule broken once, from the command line and from an experiment's zoo spec
+    exits = {" ".join(line["argv"]): line["exit"] for line in lines}
+    for argv in (
+        "zoo --name depolarizing",
+        "zoo --name random_cptp --params 3",
+        "zoo --name identity --params 1",
+        "zoo --name depolarizing --params 0.3 --dims 2 3",
+        "zoo --name phase_damping --params 0.5 --dims 3",
+        "tomograph e_unitary_no_params.json --output r_unitary_no_params.json",
+    ):
+        assert exits[argv] == 2, argv
     unwritable = [line for line in lines if "missing/x.json" in line["argv"]]
     assert unwritable and all(line["exit"] == 2 for line in unwritable)

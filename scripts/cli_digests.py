@@ -23,7 +23,8 @@ faulty documents, across all six subcommands and argparse usage errors.
 The faulty documents include number cases (an entry beyond float range, a
 ``2**70`` entry, a ``true`` entry, a ragged row, an ``[re, im, x]`` triple, a
 NaN, a bool zoo parameter), a repeated config key, a Kraus payload
-nested 5000 lists deep, past what ``json`` can parse, and files whose
+nested 5000 lists deep, past what ``json`` can parse, a Kraus operator
+entry of 5000 digits, past Python's limit on integer literals, and files whose
 arithmetic overflows float range: Choi matrices ``diag(1e300, ...)``,
 ``diag(-1e300, ...)`` and ``diag(1.5e308, ...)``, whose partial trace alone
 overflows, and a Kraus operator of ``1e200`` entries.
@@ -180,6 +181,10 @@ def write_inputs() -> None:
     with open("deep.json", "w", encoding="utf-8") as fh:  # json.dumps would recurse as deep
         fh.write('{"format_version": 1, "representation": "kraus", "dims": [2, 2], '
                  '"payload": {"operators": ' + "[" * 5000 + "]" * 5000 + "}}")
+    with open("long_int.json", "w", encoding="utf-8") as fh:  # json.dumps cannot write it either
+        fh.write('{"format_version": 1, "representation": "kraus", "dims": [2, 2], '
+                 '"payload": {"operators": [[[[1' + "0" * 4999 + ', 0.0], [0.0, 0.0]], '
+                 '[[0.0, 0.0], [1.0, 0.0]]]]}}')
     with open("e_repeated_key.json", "w", encoding="utf-8") as fh:
         fh.write('{"channel": {"name": "identity", "params": [], "dims": [2, 2]}, "config": '
                  '{"shots": 0, "seed": 7, "shots": "exact"}}')  # json alone keeps the last "shots"

@@ -29,15 +29,13 @@ payload, as ``check`` and ``convert`` do with a Choi file;
 the result's Kraus set with the depolarizing Kraus set it came from, as
 ``choiforge compare`` does with a result file and its truth file. That
 truth has full Kraus rank n1**2. A finite-shot result is not trace
-preserving, so there the stage times the verdict that rejects it, and the
-row's ``fidelity`` is null, as in ``compare``'s output.
+preserving, so there the stage times the verdict that rejects it.
 
 Each row also holds ``python_calls_per_run``: the Python-level function
 calls (``sys.setprofile`` "call" events) of one run, counted after a warm-up
 run and before the timing wrappers are installed, so the count repeats
-exactly. The table's ``probe`` holds the same count for
-``OpaqueChannel.from_kraus(random_cptp(3, 3, 2, 3))`` at seed 5, exact and
-at 1e4 shots.
+exactly, and ``decompositions``: the numpy decompositions of one run, in
+call order.
 
 Each invocation adds one labelled table to ``--output`` and keeps the tables
 already there, so one file can hold the same grid for two checkouts:
@@ -63,7 +61,7 @@ import numpy as np  # noqa: E402
 
 import choiforge.serialize as serialize  # noqa: E402
 import choiforge.tomography as tomography  # noqa: E402
-from choiforge.channels import kraus_to_choi, random_cptp, zoo_channel  # noqa: E402
+from choiforge.channels import kraus_to_choi, zoo_channel  # noqa: E402
 from choiforge.metrics import process_fidelity  # noqa: E402
 
 STAGES = (
@@ -137,24 +135,13 @@ def grid_channel(n1: int):
     return truth, tomography.OpaqueChannel.from_kraus(truth)
 
 
-def count_calls(n1_values) -> tuple[dict, list[dict]]:
-    """``python_calls`` of every grid point, keyed by (n1, shots), and of the probe."""
-    grid = {
+def count_calls(n1_values) -> dict:
+    """``python_calls`` of every grid point, keyed by (n1, shots)."""
+    return {
         (n1, shots): python_calls(grid_channel(n1)[1], tomography.TomographyConfig(shots=shots, seed=1))
         for n1 in n1_values
         for shots in SHOTS
     }
-    probe_channel = tomography.OpaqueChannel.from_kraus(random_cptp(3, 3, 2, 3))
-    probe = [
-        {
-            "shots": "exact" if shots is tomography.EXACT else shots,
-            "python_calls_per_run": python_calls(
-                probe_channel, tomography.TomographyConfig(shots=shots, seed=5)
-            ),
-        }
-        for shots in SHOTS
-    ]
-    return grid, probe
 
 
 def times_ms(call, repeats: int) -> list[float]:
@@ -207,9 +194,7 @@ def time_grid(clock: StageClock, n1_values, repeats: int, calls: dict) -> list[d
                     "d": n1 * n1,
                     "shots": "exact" if shots is tomography.EXACT else shots,
                     "python_calls_per_run": calls[n1, shots],
-                    "decompositions_per_run": len(decompositions),
                     "decompositions": decompositions,
-                    "fidelity": compare_fidelity(result.kraus, truth),
                     "best_ms": {path: round(min(ms), 4) for path, ms in times.items()},
                     "quartiles_ms": {
                         path: [round(q, 4) for q in np.percentile(ms, [25, 50, 75]).tolist()]
@@ -239,7 +224,7 @@ def main():
     if args.repeats < 1 or min(args.n1) < 2:
         parser.error("--repeats must be at least 1 and every --n1 at least 2")
 
-    calls, probe = count_calls(args.n1)  # before the wrappers add calls of their own
+    calls = count_calls(args.n1)  # before the wrappers add calls of their own
     clock = StageClock()
     clock.install()
     rows = time_grid(clock, args.n1, args.repeats, calls)
@@ -254,7 +239,6 @@ def main():
         "python": platform.python_version(),
         "cores": os.cpu_count(),
         "rows": rows,
-        "probe": {"channel": "random_cptp(3, 3, 2, 3)", "seed": 5, "rows": probe},
     }
     output.write_text(json.dumps(doc, indent=2) + "\n")
 
@@ -263,10 +247,8 @@ def main():
         print(
             f"n1={row['n1']:>2} shots={row['shots']!s:>5} "
             f"calls={row['python_calls_per_run']} "
-            f"decompositions={row['decompositions_per_run']} ms: {stages}"
+            f"decompositions={len(row['decompositions'])} ms: {stages}"
         )
-    for row in probe:
-        print(f"probe shots={row['shots']!s:>5} calls={row['python_calls_per_run']}")
 
 
 if __name__ == "__main__":

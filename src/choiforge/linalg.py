@@ -170,9 +170,16 @@ def partial_trace(m, dim_a: int, dim_b: int) -> np.ndarray:
 
 
 def frobenius_distance(a, b) -> float:
-    """sqrt of the summed squared entry differences."""
+    """sqrt of the summed squared entry differences; a non-finite entry or a
+    distance past float range raises ValueError."""
     x = _as_numeric(a, "a")
     y = _as_numeric(b, "b")
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return float(np.linalg.norm(x - y))
+    for name, m in (("a", x), ("b", y)):
+        if not np.isfinite(m).all():
+            raise ValueError(f"{name} contains non-finite entries")
+    distance = float(np.linalg.norm(x - y))
+    if not np.isfinite(distance):
+        raise ValueError("the distance overflows float range")
+    return distance

@@ -89,9 +89,7 @@ def process_fidelity(a: KrausSet | ChoiMatrix, b: KrausSet | ChoiMatrix) -> floa
 
 def resource_report(input_dim: int, output_dim: int) -> ResourceReport:
     """Measurement counts for an n1 -> n2 channel; dimensions must be integers >= 2."""
-    n1, n2 = check_int(input_dim, "input_dim"), check_int(output_dim, "output_dim")
-    if n1 < 2 or n2 < 2:
-        raise ValueError(f"dimensions must be at least 2, got ({n1}, {n2})")
+    n1, n2 = check_int(input_dim, "input_dim", 2), check_int(output_dim, "output_dim", 2)
     joint = n1 * n2
     parameters = n1 * n1 * n2 * n2
     return ResourceReport(

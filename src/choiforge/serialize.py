@@ -11,6 +11,7 @@ written one top-level field per line, each value as compact one-line JSON, so
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 import numpy as np
@@ -296,16 +297,24 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 
 def load_document(text: str) -> dict:
     """Parse JSON text, mapping syntax errors, nesting too deep for ``json``'s
-    recursive parser, and a key repeated in any object (``json`` would keep
-    its last value), to FileFormatError."""
+    recursive parser, an integer literal longer than Python's digit limit,
+    and a key repeated in any object (``json`` would keep its last value), to
+    FileFormatError."""
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise FileFormatError(
             f"invalid JSON at line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
+    except FileFormatError:
+        raise  # a repeated key, from _unique_keys
     except RecursionError:
         raise FileFormatError("invalid JSON: nested too deeply to parse") from None
+    except ValueError:  # int() of a literal past sys.get_int_max_str_digits()
+        raise FileFormatError(
+            "invalid JSON: an integer literal longer than Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
     if not isinstance(doc, dict):
         raise FileFormatError("top-level JSON value must be an object")
     return doc

@@ -160,3 +160,18 @@ class TestFrobeniusDistance:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             frobenius_distance(I2, np.eye(3))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_finite_entry_names_its_argument(self, entry, side):
+        bad = np.array([[entry]])
+        args = (bad, [[0.0]]) if side == "a" else ([[0.0]], bad)
+        with pytest.raises(ValueError, match=f"^{side} contains non-finite entries$"):
+            frobenius_distance(*args)
+
+    def test_overflowing_distance_rejected(self):
+        # finite entries whose difference is past float range
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^the distance overflows float range$"
+        ):
+            frobenius_distance(np.diag([1e300, 1e300]), np.diag([-1e300, -1e300]))

@@ -48,6 +48,15 @@ class TestChoiDistance:
         zero = ChoiMatrix(2, 2, np.zeros((4, 4)))
         assert choi_distance(j, zero) == pytest.approx(np.linalg.norm(j.matrix))
 
+    def test_overflowing_distance_rejected(self):
+        # each matrix is finite; their distance is not
+        a = ChoiMatrix(2, 2, 1e300 * np.eye(4))
+        b = ChoiMatrix(2, 2, -1e300 * np.eye(4))
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^the distance overflows float range$"
+        ):
+            choi_distance(a, b)
+
     def test_dimension_mismatch(self):
         j2 = kraus_to_choi(zoo_channel("identity", [], 2))
         j3 = kraus_to_choi(zoo_channel("identity", [], 3))
@@ -217,5 +226,9 @@ class TestResourceReport:
         assert report.degrees_of_freedom == n1**2 * n2**2
 
     def test_small_dimensions_rejected(self):
-        with pytest.raises(ValueError, match="at least 2"):
+        with pytest.raises(ValueError, match="^input_dim must be an integer >= 2, got 1$"):
             resource_report(1, 2)
+
+    def test_small_output_dimension_rejected(self):
+        with pytest.raises(ValueError, match="^output_dim must be an integer >= 2, got 1$"):
+            resource_report(2, 1)

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -406,6 +407,17 @@ class TestDocumentIo:
     def test_non_object_toplevel_rejected(self):
         with pytest.raises(FileFormatError, match="object"):
             load_document("[1, 2]")
+
+    def test_integer_past_the_digit_limit_rejected(self):
+        # json calls int() on the literal, which raises a bare ValueError
+        # past sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(FileFormatError) as excinfo:
+            load_document('{"matrix": [[[1' + "0" * limit + ', 0.0]]]}')
+        assert str(excinfo.value) == (
+            f"invalid JSON: an integer literal longer than Python's limit of {limit} digits"
+        )
+        assert load_document('{"x": 1' + "0" * (limit - 1) + "}")["x"] == 10 ** (limit - 1)
 
     def test_nesting_too_deep_for_json_rejected(self):
         # json's parser recurses once per level and raises RecursionError

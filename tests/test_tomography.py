@@ -918,16 +918,27 @@ class TestRunTomography:
             assert distance < 1e-7
             assert kraus_equivalent(schmidt.kraus, truth, 1e-7)
 
-    def test_oracle_called_exactly_once(self):
+    @pytest.mark.parametrize("evaluator", ["kraus", "stinespring"])
+    @pytest.mark.parametrize("schmidt", [False, True], ids=["default", "haar_schmidt"])
+    @pytest.mark.parametrize("shots", [EXACT, 1000], ids=["exact", "1000"])
+    def test_oracle_called_exactly_once(self, shots, schmidt, evaluator):
+        # the paper's one use of the channel, in both modes and for any input
+        rng = np.random.default_rng(3)
+        if evaluator == "kraus":
+            base = OpaqueChannel.from_kraus(zoo_channel("depolarizing", [0.3]))
+        else:
+            base = OpaqueChannel.from_stinespring(random_stinespring(rng))
+        spec = None
+        if schmidt:
+            spec = SchmidtInput([0.8, 0.6], haar_random_unitary(2, rng), haar_random_unitary(2, rng))
         calls = []
-        base = OpaqueChannel.from_kraus(zoo_channel("depolarizing", [0.3]))
 
         def counting_evaluator(rho):
             calls.append(1)
             return base.evaluator(rho)
 
-        ch = OpaqueChannel(2, 2, counting_evaluator)
-        run_tomography(ch, TomographyConfig(shots=1000, seed=3))
+        ch = OpaqueChannel(base.input_dim, base.output_dim, counting_evaluator)
+        run_tomography(ch, TomographyConfig(shots=shots, seed=3, input_kind=spec))
         assert len(calls) == 1
 
     def test_trace_decreasing_channel(self):

@@ -18,7 +18,9 @@ commands) and each of its rules broken once (an unknown name, a wrong
 parameter count from ``zoo`` and from an experiment's zoo spec, unequal
 dimensions, a qubit channel at dimension 3, a parameter value out of
 range), a Stinespring model, a non-CP Choi matrix, a trace-increasing
-Kraus set, fixed-seed finite-shot and exact experiments, and hand-written
+Kraus set, fixed-seed finite-shot and exact experiments (among them a
+12 -> 12 ``random_cptp`` of Kraus rank 2, whose exact run and Choi-to-Kraus
+conversion take the low-rank path of ``channels._eigen_operators``), and hand-written
 faulty documents, across all six subcommands and argparse usage errors.
 The faulty documents include number cases (an entry beyond float range, a
 ``2**70`` entry, a ``true`` entry, a ragged row, an ``[re, im, x]`` triple, a
@@ -29,23 +31,33 @@ arithmetic overflows float range: Choi matrices ``diag(1e300, ...)``,
 ``diag(-1e300, ...)`` and ``diag(1.5e308, ...)``, whose partial trace alone
 overflows, and a Kraus operator of ``1e200`` entries.
 
-Run it against any checkout's package and diff the outputs:
+BLAS runs on one thread. The newest ``DIGESTS_<n>.jsonl`` at the root of the
+repository holds this script's output for the package in ``src/``, and the
+suite checks that it still does. Finite-shot documents hash float output,
+so the file is tied to the numpy and BLAS build that wrote it. Run it
+against any checkout's package and diff the outputs:
 
     PYTHONPATH=src python scripts/cli_digests.py > after.jsonl
     PYTHONPATH=../parent/src python scripts/cli_digests.py > before.jsonl
     diff before.jsonl after.jsonl
 """
 
-import contextlib
-import hashlib
-import io
-import json
 import os
-import tempfile
 
-import numpy as np
+# One BLAS thread, set before numpy is imported, so every float is the same
+# from run to run.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from choiforge.cli import main
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import tempfile  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from choiforge.cli import main  # noqa: E402
 
 ZOO = {
     "identity": ["--dims", "2"],
@@ -57,6 +69,7 @@ ZOO = {
     "phase_damping": ["--params", "0.5"],
     "project_discard": [],
     "random_cptp": ["--params", "3", "2", "--dims", "2", "3"],
+    "random_cptp12": ["--name", "random_cptp", "--params", "3", "2", "--dims", "12", "12"],
 }
 
 
@@ -139,6 +152,7 @@ def write_inputs() -> None:
         "e_depolarizing_finite.json": experiment(zoo_spec("depolarizing", [0.3]), shots=2000, seed=42),
         "e_depolarizing3_finite.json": experiment(zoo_spec("depolarizing", [0.2], (3, 3)), shots=10**4, seed=7),
         "e_random_finite.json": experiment(zoo_spec("random_cptp", [3, 2], (2, 3)), shots=10**5, seed=1),
+        "e_random12.json": experiment(zoo_spec("random_cptp", [3, 2], (12, 12))),
         "e_amplitude.json": experiment(zoo_spec("amplitude_damping", [0.5])),
         "e_project.json": experiment(zoo_spec("project_discard"), shots=1000, seed=3),
         "e_schmidt.json": experiment(zoo_spec("phase_damping", [0.4]), input_kind=schmidt([0.8, 0.6])),
@@ -240,6 +254,7 @@ def corpus() -> list[list[str]]:
         ["compare", "r_depolarizing_finite.json", "k_depolarizing.json", "--tol", "0.1"],
         ["compare", "r_amplitude.json", "c_amplitude_damping.json", "--output", "cmp.json"],
         ["compare", "r_stine.json", "stine.json"],
+        ["compare", "r_random12.json", "k_random_cptp12.json"],
         ["compare", "k_project_discard.json", "k_project_discard.json"],
         ["compare", "amplified.json", "k_identity.json"],
         ["compare", "noncp.json", "k_identity.json"],

@@ -4,13 +4,17 @@
 Wraps the module-level names ``run_tomography`` calls (``joint_output_state``,
 ``simulate_state_tomography``, ``reconstruct_from_schmidt``, its core
 ``_schmidt_kraus`` for an estimate already judged, which a finite-shot run
-calls directly, and ``kraus_to_choi``, which the evaluator calls; a name the
-package lacks is skipped, so the script also times older checkouts) and
-numpy's O(d^3) decompositions, then times depolarizing(0.3) runs over a grid
-of n1 and shot budgets with BLAS pinned to one thread. Each stage reports its
-best inclusive time over ``--repeats`` runs, after one warm-up run, in
-``best_ms``, and the first quartile, median and third quartile of those runs
-in ``quartiles_ms``, which show how far the runs spread on a shared machine. A stage called inside
+calls directly, and ``kraus_to_choi``, which the evaluator calls), the
+low-rank factor ``channels._low_rank_columns`` (a name the package lacks is
+skipped, so the script also times older checkouts) and numpy's
+decompositions, then times runs of two channels over a grid of n1 and shot
+budgets with BLAS pinned to one thread: depolarizing(0.3), of full Kraus
+rank n1**2, whose exact runs at d = n1**2 >= ``channels.LOW_RANK_MIN_DIM``
+try the factor and give it up, and random_cptp(21, 2), of Kraus rank 2,
+whose exact runs there take it. Each stage reports its best inclusive time
+over ``--repeats`` runs, after one warm-up run, in ``best_ms``, and the
+first quartile, median and third quartile of those runs in
+``quartiles_ms``, which show how far the runs spread on a shared machine. A stage called inside
 another is reported under its caller as "caller > stage": the evaluator
 builds its Choi matrix with ``kraus_to_choi`` inside ``joint_output_state``,
 and the decompositions sit inside the stage that asks for them.
@@ -26,16 +30,16 @@ run's top-level ``kraus_to_choi`` stage. ``dump_document`` writes the
 document as JSON text; ``payload_to_matrix`` decodes its ``estimated_choi``
 payload, as ``check`` and ``convert`` do with a Choi file;
 ``load_document`` parses the dumped text and ``process_fidelity`` compares
-the result's Kraus set with the depolarizing Kraus set it came from, as
-``choiforge compare`` does with a result file and its truth file. That
-truth has full Kraus rank n1**2. A finite-shot result is not trace
-preserving, so there the stage times the verdict that rejects it.
+the result's Kraus set with the Kraus set it came from, as ``choiforge
+compare`` does with a result file and its truth file. A finite-shot result
+is not trace preserving, so there the stage times the verdict that rejects
+it.
 
-Each row also holds ``python_calls_per_run``: the Python-level function
-calls (``sys.setprofile`` "call" events) of one run, counted after a warm-up
-run and before the timing wrappers are installed, so the count repeats
-exactly, and ``decompositions``: the numpy decompositions of one run, in
-call order.
+Each row names its ``channel`` and also holds ``python_calls_per_run``: the
+Python-level function calls (``sys.setprofile`` "call" events) of one run,
+counted after a warm-up run and before the timing wrappers are installed,
+so the count repeats exactly, and ``decompositions``: the numpy
+decompositions of one run, in call order.
 
 Each invocation adds one labelled table to ``--output`` and keeps the tables
 already there, so one file can hold the same grid for two checkouts:
@@ -51,6 +55,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
@@ -59,20 +64,23 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+import choiforge.channels as channels  # noqa: E402
 import choiforge.serialize as serialize  # noqa: E402
 import choiforge.tomography as tomography  # noqa: E402
 from choiforge.channels import kraus_to_choi, zoo_channel  # noqa: E402
 from choiforge.metrics import process_fidelity  # noqa: E402
 
 STAGES = (
-    "joint_output_state",
-    "simulate_state_tomography",
-    "reconstruct_from_schmidt",
-    "_schmidt_kraus",
-    "kraus_to_choi",
+    (tomography, "joint_output_state"),
+    (tomography, "simulate_state_tomography"),
+    (tomography, "reconstruct_from_schmidt"),
+    (tomography, "_schmidt_kraus"),
+    (tomography, "kraus_to_choi"),
+    (channels, "_low_rank_columns"),
 )
 DECOMPOSITIONS = ("eigh", "eigvalsh", "eig", "eigvals", "svd", "cholesky")
 SHOTS = (tomography.EXACT, 10**4)
+CHANNELS = (("depolarizing", (0.3,)), ("random_cptp", (21, 2)))
 
 
 class StageClock:
@@ -103,11 +111,11 @@ class StageClock:
         return timed
 
     def install(self) -> None:
-        """Replace the stage names in ``choiforge.tomography`` and the
-        decompositions in ``np.linalg`` by timed wrappers, for this process."""
-        for name in STAGES:
-            if hasattr(tomography, name):
-                setattr(tomography, name, self.wrap(name, getattr(tomography, name)))
+        """Replace the stage names in their modules and the decompositions
+        in ``np.linalg`` by timed wrappers, for this process."""
+        for module, name in STAGES:
+            if hasattr(module, name):
+                setattr(module, name, self.wrap(name, getattr(module, name)))
         for name in DECOMPOSITIONS:
             setattr(np.linalg, name, self.wrap(name, getattr(np.linalg, name)))
 
@@ -129,19 +137,23 @@ def python_calls(channel, config) -> int:
     return calls
 
 
-def grid_channel(n1: int):
-    """The depolarizing(0.3) truth of the grid and its opaque channel."""
-    truth = zoo_channel("depolarizing", [0.3], n1)
-    return truth, tomography.OpaqueChannel.from_kraus(truth)
+def grid_channel(name: str, params, n1: int):
+    """A zoo truth of the grid, its label and its opaque channel."""
+    truth = zoo_channel(name, list(params), n1)
+    label = f"{name}({', '.join(map(str, params))})"
+    return truth, label, tomography.OpaqueChannel.from_kraus(truth)
 
 
 def count_calls(n1_values) -> dict:
-    """``python_calls`` of every grid point, keyed by (n1, shots)."""
-    return {
-        (n1, shots): python_calls(grid_channel(n1)[1], tomography.TomographyConfig(shots=shots, seed=1))
-        for n1 in n1_values
-        for shots in SHOTS
-    }
+    """``python_calls`` of every grid point, keyed by (channel label, n1, shots)."""
+    calls = {}
+    for name, params in CHANNELS:
+        for n1 in n1_values:
+            _, label, channel = grid_channel(name, params, n1)
+            for shots in SHOTS:
+                config = tomography.TomographyConfig(shots=shots, seed=1)
+                calls[label, n1, shots] = python_calls(channel, config)
+    return calls
 
 
 def times_ms(call, repeats: int) -> list[float]:
@@ -164,8 +176,8 @@ def compare_fidelity(a, b) -> float | None:
 
 def time_grid(clock: StageClock, n1_values, repeats: int, calls: dict) -> list[dict]:
     rows = []
-    for n1 in n1_values:
-        truth, channel = grid_channel(n1)
+    for n1, (name, params) in itertools.product(n1_values, CHANNELS):
+        truth, label, channel = grid_channel(name, params, n1)
         for shots in SHOTS:
             config = tomography.TomographyConfig(shots=shots, seed=1)
             tomography.run_tomography(channel, config)  # warm-up
@@ -190,10 +202,11 @@ def time_grid(clock: StageClock, n1_values, repeats: int, calls: dict) -> list[d
             times["process_fidelity"] = times_ms(lambda: compare_fidelity(result.kraus, truth), repeats)
             rows.append(
                 {
+                    "channel": label,
                     "n1": n1,
                     "d": n1 * n1,
                     "shots": "exact" if shots is tomography.EXACT else shots,
-                    "python_calls_per_run": calls[n1, shots],
+                    "python_calls_per_run": calls[label, n1, shots],
                     "decompositions": decompositions,
                     "best_ms": {path: round(min(ms), 4) for path, ms in times.items()},
                     "quartiles_ms": {
@@ -232,7 +245,6 @@ def main():
     output = Path(args.output)
     doc = json.loads(output.read_text()) if output.exists() else {"tables": {}}
     doc["tables"][args.label] = {
-        "channel": "depolarizing(0.3)",
         "repeats": args.repeats,
         "blas_threads": 1,
         "numpy": np.__version__,
@@ -245,7 +257,7 @@ def main():
     for row in rows:
         stages = ", ".join(f"{path} {ms:.3f}" for path, ms in row["best_ms"].items())
         print(
-            f"n1={row['n1']:>2} shots={row['shots']!s:>5} "
+            f"{row['channel']} n1={row['n1']:>2} shots={row['shots']!s:>5} "
             f"calls={row['python_calls_per_run']} "
             f"decompositions={len(row['decompositions'])} ms: {stages}"
         )

@@ -9,7 +9,11 @@ A channel E from dimension n1 to n2 is carried in one of three forms:
   projective post-selection and a partial trace.
 
 Conversions between the first two run through the Choi eigendecomposition;
-the extracted Kraus sets are canonical (trace-orthogonal operators).
+the extracted Kraus sets are canonical (trace-orthogonal operators). Where
+the Choi matrix has small Kraus rank and the cutoff is at float level, a
+pivoted-Cholesky factor and its thin SVD give the same eigenpairs for a
+fraction of the cost, and ``eigh`` decides only where they cannot prove it
+(``_eigen_operators``).
 """
 
 from __future__ import annotations
@@ -33,6 +37,13 @@ from .linalg import (
 )
 
 KRAUS_DROP_THRESHOLD = 1e-10
+# The low-rank path of ``_eigen_operators``: the least Choi dimension d = n1*n2
+# it is tried at, where a failed attempt (about 0.04 ms) costs about 3% of
+# the eigh after it and less above (``scripts/stage_timings.py``), and its
+# most pivots: the factor's float error grows with them, and with 16 the
+# study's rank-16 rows came out at 2-5 times eigh's (``scripts/study.py``).
+LOW_RANK_MIN_DIM = 100
+LOW_RANK_MAX_PIVOTS = 8
 
 _ZOO_PARAM_COUNTS = {
     "identity": 0,
@@ -230,44 +241,120 @@ def kraus_to_choi(kraus: KrausSet) -> ChoiMatrix:
     return _derived(ChoiMatrix, kraus.input_dim, kraus.output_dim, j)
 
 
+def _low_rank_columns(h: np.ndarray, threshold: float) -> tuple[np.ndarray, float] | None:
+    """The eigenpairs of a Hermitian h above `threshold`, as the columns
+    sqrt(eigenvalue) * eigenvector of a d x k array, and sigma >= ||h - V V^dagger||_F
+    for a factor V; or None where ``np.linalg.eigh`` must decide.
+
+    A diagonal-pivoting Cholesky (Higham, "Analysis of the Cholesky
+    decomposition of a semi-definite matrix", 1990) builds V one column at a
+    time, pivoting on the largest residual diagonal entry. It stops when
+    that entry is at float level, d eps max_i h_ii, and gives up after
+    ``LOW_RANK_MAX_PIVOTS`` pivots, or sooner, once the residual trace
+    exceeds four times what the last pivot removed for each pivot left: a
+    full-rank h is then given up after two or three pivots. Then sigma is
+    the Frobenius norm of S = h - V V^dagger, plus the rounding of forming
+    S, and the thin SVD V = U Sigma W^dagger gives the columns of U Sigma.
+    By Weyl's bound |lambda_i(h) - lambda_i(V V^dagger)| <= sigma, so when
+    every squared singular value, and the d - k zeros beside them, is
+    farther than sigma from `threshold`, with 4 d eps (tr V V^dagger + sigma)
+    more for the rounding of the SVD and of ``eigh``, the eigenvalues of h
+    above the cutoff are exactly the kept ones and ``eigh`` would keep as
+    many. Otherwise the result is None. As V V^dagger is PSD,
+    lambda_min(h) >= -sigma.
+    """
+    d = len(h)
+    eps = np.finfo(float).eps
+    diag = h.diagonal().real.copy()
+    floor = d * eps * max(float(diag.max()), 0.0)
+    rows = np.empty((LOW_RANK_MAX_PIVOTS, d), dtype=complex)  # row k is conj(column k of V)
+    rest, removed = float(diag.sum()), np.inf  # residual trace, and what the last pivot took
+    k = 0
+    while diag.max() > floor:
+        if k == LOW_RANK_MAX_PIVOTS or rest > 4 * (LOW_RANK_MAX_PIVOTS - k) * removed:
+            return None
+        p = int(diag.argmax())
+        row = rows[k]
+        np.matmul(rows[:k, p].conj(), rows[:k], out=row)
+        np.subtract(h[p], row, out=row)  # h is bitwise Hermitian: row p is conj(column p)
+        row *= 1.0 / np.sqrt(diag[p])
+        diag -= row.real**2 + row.imag**2
+        k += 1
+        total = float(diag.sum())
+        rest, removed = total, rest - total
+    v = rows[:k].conj().T
+    gram_trace = float(np.sum(np.abs(v) ** 2))
+    residual = v @ v.conj().T
+    np.subtract(h, residual, out=residual)
+    sigma = float(np.linalg.norm(residual)) * (1 + d * d * eps) + 2 * (k + 2) * eps * gram_trace
+    u, s, _ = np.linalg.svd(v, full_matrices=False)
+    margin = sigma + 4 * d * eps * (gram_trace + sigma)
+    if margin >= threshold or np.any(np.abs(s**2 - threshold) <= margin):
+        return None
+    keep = s**2 > threshold
+    return u[:, keep] * s[keep], sigma
+
+
 def _eigen_operators(
     matrix: np.ndarray, input_dim: int, output_dim: int, threshold: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues of a Choi matrix, descending, and its operators, stacked
-    as (k, n2, n1): the one eigendecomposition from a Choi matrix to Kraus form.
+) -> tuple[np.ndarray, float, float]:
+    """The Kraus operators of a Choi matrix, stacked as (k, n2, n1), a lower
+    bound on its least eigenvalue, and the negative eigenvalue mass clipped:
+    the one step from a Choi matrix to Kraus form.
 
-    `matrix` is symmetrized as (m + m^dagger)/2 and decomposed by one
-    ``np.linalg.eigh``. Each unit eigenvector with eigenvalue above
-    `threshold` is scaled by sqrt(eigenvalue) and its n1 segments of length
-    n2 become the columns of one operator. Eigenvalues at or below the
-    threshold, negative ones included, are dropped; if none is above it, one
-    zero operator stands in. Judging the matrix is the caller's.
+    `matrix` is symmetrized as h = (m + m^dagger)/2. Where the cutoff is
+    ``KRAUS_DROP_THRESHOLD`` and d is at least ``LOW_RANK_MIN_DIM``, a
+    low-rank factor is tried first (``_low_rank_columns``): when it is
+    accepted, the kept rank is the one ``eigh`` would keep, the bound is
+    -sigma, with sigma >= ||h - V V^dagger||_F, and nothing is clipped, since
+    the float residual is dropped whole, so the mass is 0.0. Otherwise h is
+    decomposed by one ``np.linalg.eigh``: the bound is its least eigenvalue,
+    and the mass is the sum of its negative eigenvalues' magnitudes. Either
+    way each eigenvalue above `threshold` gives one operator, its unit
+    eigenvector scaled by sqrt(eigenvalue), in descending order, whose n1
+    segments of length n2 are the operator's columns. If none is above the
+    threshold, one zero operator stands in. Judging the matrix is the caller's.
     """
-    w, v = np.linalg.eigh((matrix + matrix.conj().T) / 2)
-    w, v = w[::-1], v[:, ::-1]
-    keep = w > threshold
-    if not np.any(keep):
-        return w, np.zeros((1, output_dim, input_dim), dtype=complex)
-    scaled = v[:, keep] * np.sqrt(w[keep])
-    return w, scaled.T.reshape(-1, input_dim, output_dim).transpose(0, 2, 1)
+    h = (matrix + matrix.conj().T) / 2
+    factored = None
+    if threshold == KRAUS_DROP_THRESHOLD and len(h) >= LOW_RANK_MIN_DIM:
+        factored = _low_rank_columns(h, threshold)
+    if factored is not None:
+        scaled, sigma = factored
+        lowest, clipped = -sigma, 0.0
+    else:
+        w, v = np.linalg.eigh(h)
+        w, v = w[::-1], v[:, ::-1]
+        keep = w > threshold
+        scaled = v[:, keep] * np.sqrt(w[keep])
+        lowest, clipped = float(w[-1]), float(np.sum(-w[w < 0.0]))
+    if not scaled.shape[1]:
+        return np.zeros((1, output_dim, input_dim), dtype=complex), lowest, clipped
+    ops = scaled.T.reshape(-1, input_dim, output_dim).transpose(0, 2, 1)
+    return ops, lowest, clipped
 
 
 def choi_to_kraus(choi: ChoiMatrix) -> KrausSet:
     """Extract a canonical Kraus set from a Choi matrix.
 
-    One operator per eigenvalue above ``KRAUS_DROP_THRESHOLD``, from one
-    eigendecomposition (``_eigen_operators``); ``ChoiMatrix`` has already
-    judged J Hermitian. The result is trace-orthogonal,
-    Tr(A_k^dagger A_l) = eigenvalue_k * delta_kl, and has at most n1*n2
-    members; eigenvalues in [-bound(J), 0) are dropped as float noise,
-    anything lower raises ``NotCompletelyPositiveError``. The operators are
-    frozen (``_derived``), not judged again.
+    One operator per eigenvalue above ``KRAUS_DROP_THRESHOLD``, from the one
+    step from a Choi matrix to Kraus form (``_eigen_operators``): a
+    low-rank factor when it is accepted, one eigendecomposition otherwise;
+    ``ChoiMatrix`` has already judged J Hermitian. The result is
+    trace-orthogonal, Tr(A_k^dagger A_l) = eigenvalue_k * delta_kl, and has
+    at most n1*n2 members; eigenvalues in [-bound(J), 0) are dropped as
+    float noise, anything lower raises ``NotCompletelyPositiveError`` with
+    ``eigh``'s least eigenvalue. An accepted factor proves lambda_min(J) >=
+    -sigma with sigma below the cutoff, far inside bound(J), so a non-CP J
+    always reaches ``eigh``. The operators are frozen (``_derived``), not
+    judged again.
     """
-    w, ops = _eigen_operators(choi.matrix, choi.input_dim, choi.output_dim, KRAUS_DROP_THRESHOLD)
-    min_eig = float(w[-1])
+    ops, lowest, _ = _eigen_operators(
+        choi.matrix, choi.input_dim, choi.output_dim, KRAUS_DROP_THRESHOLD
+    )
     limit = bound(choi.matrix)
-    if min_eig < -limit:
-        raise NotCompletelyPositiveError(min_eig, limit)
+    if lowest < -limit:
+        raise NotCompletelyPositiveError(lowest, limit)
     return _derived(KrausSet, choi.input_dim, choi.output_dim, ops)
 
 

@@ -20,6 +20,7 @@ from .channels import ChoiMatrix, KrausSet, StinespringModel, zoo_channel
 from .linalg import _as_numeric, is_int
 from .tomography import (
     EXACT,
+    RECONSTRUCTION_VERSION,
     SAMPLER_VERSION,
     SchmidtInput,
     TomographyConfig,
@@ -263,6 +264,7 @@ def result_to_doc(result: TomographyResult, config: TomographyConfig) -> dict:
         "shots": "exact" if config.shots is EXACT else config.shots,
         "seed": config.seed,
         "sampler": SAMPLER_VERSION,
+        "reconstruction": RECONSTRUCTION_VERSION,
     }
 
 

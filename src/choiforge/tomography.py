@@ -3,8 +3,11 @@
 The pipeline: prepare an entangled input on (reference, system), send the
 system half through the unknown channel exactly once, estimate the joint
 output density matrix from simulated projective measurements, rescale, and
-extract canonical Kraus operators from the eigendecomposition. The channel
-is an opaque evaluator; nothing here looks at its internals.
+extract canonical Kraus operators from the eigendecomposition. An exact run
+of a channel of small Kraus rank reads the same eigenpairs off a
+pivoted-Cholesky factor instead, when Weyl's bound proves they are the
+ones ``eigh`` would keep (``channels._eigen_operators``). The channel is an
+opaque evaluator; nothing here looks at its internals.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .linalg import (
 EXACT = None  # shot-budget sentinel: infinite-shot idealization
 MIN_SCHMIDT_COEFFICIENT = 1e-6
 SAMPLER_VERSION = 4  # bumped whenever the fixed-seed sampling stream changes
+RECONSTRUCTION_VERSION = 2  # bumped whenever the bytes of a reconstruction change
 MAX_SHOTS = 2**53  # every count below it is exact in a float64
 
 
@@ -215,9 +219,12 @@ class TomographyResult:
     ``negativity_removed`` is the total magnitude of the negative eigenvalues
     clipped from the Choi estimate, the joint-state estimate rescaled by the
     input's Schmidt coefficients (n1 times the estimate for the maximally
-    entangled input). ``shots_used`` counts state preparations across all
-    ensemble measurements (0 in EXACT mode) and ``success_trace`` is the
-    trace of the joint-state estimate, below 1 for trace-decreasing channels.
+    entangled input). It is 0.0 where the Kraus set came from the low-rank
+    factor (``channels._eigen_operators``), which clips nothing: the float
+    residual below the cutoff is dropped whole. ``shots_used`` counts state
+    preparations across all ensemble measurements (0 in EXACT mode) and
+    ``success_trace`` is the trace of the joint-state estimate, below 1 for
+    trace-decreasing channels.
     ``estimated_choi``, J = ``kraus_to_choi(kraus)``, is built on first
     access and kept.
     """
@@ -387,12 +394,14 @@ def reconstruct_from_schmidt(
 
     With W = U diag(1/alpha), the Choi estimate is (W^dagger tensor I)
     rho_est (W tensor I): the estimate rotated by U^dagger with block (i, j)
-    divided by alpha_i alpha_j. Its one eigendecomposition,
-    ``channels._eigen_operators``, the step ``choi_to_kraus`` takes too,
-    gives everything else: negative eigenvalues are clipped, each eigenpair
-    above `threshold` becomes an intermediate operator, and the channel's
-    Kraus operators are the intermediates times V^dagger. Returns the Kraus
-    set and the clipped negative eigenvalue mass of the Choi estimate.
+    divided by alpha_i alpha_j. The one step from it to Kraus form,
+    ``channels._eigen_operators``, which ``choi_to_kraus`` takes too, gives
+    everything else: negative eigenvalues are clipped, each eigenpair above
+    `threshold` becomes an intermediate operator, and the channel's Kraus
+    operators are the intermediates times V^dagger. That step reads the
+    eigenpairs off a low-rank factor where it proves them, and off one
+    ``eigh`` otherwise. Returns the Kraus set and the clipped negative
+    eigenvalue mass of the Choi estimate, 0.0 on the low-rank path.
     `rho_est` must be finite and is judged Hermitian to within
     bound(rho_est), but not positive; `threshold` must be a finite,
     nonnegative real number and has no default: pass
@@ -422,26 +431,26 @@ def _schmidt_kraus(
     left = (w.conj().T @ rho_est.reshape(n1, -1)).reshape(d, n1, n2)
     choi = (left.transpose(0, 2, 1) @ w).transpose(0, 2, 1).reshape(d, d)
 
-    evals, ops = _eigen_operators(choi, n1, n2, threshold)
-    negativity_removed = float(np.sum(-evals[evals < 0.0]))
+    ops, _, negativity_removed = _eigen_operators(choi, n1, n2, threshold)
     return _derived(KrausSet, n1, n2, ops @ spec.right_unitary.conj().T), negativity_removed
 
 
-def _positivity_proved(negativity_removed: float, spec: SchmidtInput, limit: float, d: int) -> bool:
+def _positivity_proved(negative: float, spec: SchmidtInput, limit: float, d: int) -> bool:
     """Whether the Choi estimate made from a d x d state rho proves
-    lambda_min(rho) >= -limit, where limit = bound(rho).
+    lambda_min(rho) >= -limit, where limit = bound(rho), given `negative` >=
+    -lambda_min of the estimate.
 
     The estimate is the congruence (W^dagger tensor I) rho (W tensor I) with
     W = U diag(1/alpha), so by Ostrowski's theorem a negative lambda_min of
     the estimate is lambda_min(rho) scaled by at least 1/alpha_max^2, and its
-    magnitude is at most `negativity_removed`. Forming and decomposing the
-    estimate in floats perturbs rho by up to about
-    d^2 eps (alpha_max/alpha_min)^2 max|rho_ij|; as max|rho_ij| <= limit / TOL,
-    that share of `limit` is held in reserve.
+    magnitude is at most `negative`. Forming and decomposing the estimate in
+    floats perturbs rho by up to about d^2 eps (alpha_max/alpha_min)^2
+    max|rho_ij|; as max|rho_ij| <= limit / TOL, that share of `limit` is
+    held in reserve.
     """
     a_max, a_min = float(spec.alphas.max()), float(spec.alphas.min())
     reserve = d * d * np.finfo(float).eps * (a_max / a_min) ** 2 / TOL
-    return negativity_removed * a_max**2 <= limit * (1.0 - reserve)
+    return negative * a_max**2 <= limit * (1.0 - reserve)
 
 
 @functools.cache
@@ -460,13 +469,19 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
     first: the run makes one eigendecomposition, the Choi estimate's, plus
     the sampler's Cholesky certificate, and ``eigvalsh`` only when the
     certificate fails. The sampler's estimate, Hermitian by construction, is
-    reconstructed without a second judgement. ``shots=EXACT`` skips the
-    sampler: the evaluator output is the estimate, and it is judged in the
-    sampler's order and with its messages. ``reconstruct_from_schmidt``
-    judges Hermiticity, positivity is read off the Choi estimate's one
-    eigendecomposition (the sampler's certificate runs on the output only
-    when that cannot prove it, as for strongly skewed Schmidt inputs or an
-    indefinite output), and then Tr <= 1 + EXACT_TOL is checked.
+    reconstructed without a second judgement; it is full rank, so its cutoff
+    is above float level and the low-rank path is never tried.
+    ``shots=EXACT`` skips the sampler: the evaluator output is the estimate,
+    and it is judged in the sampler's order and with its messages:
+    Hermiticity as ``reconstruct_from_schmidt`` judges it, then positivity,
+    then Tr <= 1 + EXACT_TOL. Positivity is read off the reconstruction
+    (``_positivity_proved``): -lambda_min of the Choi estimate is at most
+    the mass its ``eigh`` clipped, or, where the low-rank factor
+    (``channels._eigen_operators``) was accepted, its residual norm sigma,
+    which is below ``KRAUS_DROP_THRESHOLD``; the larger of the clipped mass
+    and that threshold bounds both. Only when that cannot prove positivity,
+    as for strongly skewed Schmidt inputs or an indefinite output, does the
+    sampler's certificate run on the output.
     """
     n1, n2 = channel.input_dim, channel.output_dim
     if n1 < 2:
@@ -484,7 +499,11 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
     if config.shots is EXACT:
         kraus, negativity_removed = reconstruct_from_schmidt(rho_out, spec, n2, threshold)
         limit = bound(rho_out)
-        proved = _positivity_proved(negativity_removed, spec, limit, n1 * n2)
+        # -lambda_min of the Choi estimate is at most the mass clipped after
+        # eigh, or, for an accepted low-rank factor, which clips nothing,
+        # its residual norm sigma < KRAUS_DROP_THRESHOLD
+        negative = max(negativity_removed, KRAUS_DROP_THRESHOLD)
+        proved = _positivity_proved(negative, spec, limit, n1 * n2)
         success_trace = _check_state(rho_out, limit, positivity_proved=proved)
         shots_used = 0
     else:

@@ -165,3 +165,19 @@ def judgements(monkeypatch):
                     or original(*a, **kw),
                 )
     return calls
+
+
+@pytest.fixture
+def low_rank_attempts(monkeypatch):
+    """Whether each call of ``channels._low_rank_columns`` while the test
+    runs was accepted, in call order."""
+    accepted = []
+    original = channels._low_rank_columns
+
+    def spy(h, threshold):
+        result = original(h, threshold)
+        accepted.append(result is not None)
+        return result
+
+    monkeypatch.setattr(channels, "_low_rank_columns", spy)
+    return accepted

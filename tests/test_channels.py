@@ -11,7 +11,10 @@ from conftest import (
     random_density,
     random_hermitian,
 )
+import choiforge.channels as channels
 from choiforge.channels import (
+    LOW_RANK_MAX_PIVOTS,
+    LOW_RANK_MIN_DIM,
     ZOO_CHANNEL_NAMES,
     ChoiMatrix,
     KrausSet,
@@ -25,8 +28,8 @@ from choiforge.channels import (
     stinespring_to_choi,
     zoo_channel,
 )
-from choiforge.linalg import NotHermitianError, frobenius_distance
-from choiforge.metrics import resource_report
+from choiforge.linalg import EXACT_TOL, NotHermitianError, frobenius_distance
+from choiforge.metrics import choi_distance, resource_report
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -269,6 +272,77 @@ class TestChoiToKraus:
         k = choi_to_kraus(ChoiMatrix(2, 2, np.zeros((4, 4))))
         assert len(k.operators) == 1
         assert np.linalg.norm(k.operators[0]) == 0.0
+
+
+def eigh_only(monkeypatch):
+    """Raise the crossover past every dimension: each step runs ``eigh``."""
+    monkeypatch.setattr(channels, "LOW_RANK_MIN_DIM", 10**9)
+
+
+class TestLowRankPath:
+    """At d >= LOW_RANK_MIN_DIM with the float-level cutoff, a pivoted
+    Cholesky factor stands in for eigh where Weyl's bound proves it keeps the
+    same rank; otherwise eigh decides, byte for byte as before."""
+
+    @pytest.mark.parametrize(
+        "n1,n2,rank",
+        [
+            (12, 12, 1),
+            (12, 12, 2),
+            (12, 12, 3),
+            (12, 12, LOW_RANK_MAX_PIVOTS),
+            (12, 12, LOW_RANK_MAX_PIVOTS + 1),
+            (10, 12, 2),
+        ],
+    )
+    def test_agrees_with_eigh(self, monkeypatch, low_rank_attempts, n1, n2, rank):
+        d = n1 * n2
+        assert d >= LOW_RANK_MIN_DIM
+        choi = kraus_to_choi(random_cptp(n1, n2, rank, seed=rank))
+        factored = choi_to_kraus(choi)
+        # past the cap the factor gives up and eigh decides
+        assert low_rank_attempts == [rank <= LOW_RANK_MAX_PIVOTS]
+        eigh_only(monkeypatch)
+        reference = choi_to_kraus(choi)
+        assert len(factored.operators) == len(reference.operators) == rank
+        assert choi_distance(kraus_to_choi(factored), choi) <= EXACT_TOL * d
+        # Tr(A_k^dagger A_k) is the k-th eigenvalue, in descending order
+        weights = [np.vdot(op, op).real for op in factored.operators]
+        expected = [np.vdot(op, op).real for op in reference.operators]
+        assert weights == pytest.approx(expected, rel=1e-12)
+        if rank > LOW_RANK_MAX_PIVOTS:
+            assert [op.tobytes() for op in factored.operators] == [
+                op.tobytes() for op in reference.operators
+            ]
+
+    def test_full_rank_falls_back_to_eigh(self, low_rank_attempts, decompositions):
+        choi = kraus_to_choi(zoo_channel("depolarizing", [0.3], 10))
+        assert len(choi_to_kraus(choi).operators) == 100
+        assert low_rank_attempts == [False]
+        assert decompositions == ["eigh"]
+
+    def test_low_rank_needs_no_eigh(self, decompositions):
+        choi_to_kraus(kraus_to_choi(random_cptp(12, 12, 2, seed=4)))
+        assert decompositions == ["svd"]
+
+    def test_zero_choi_yields_single_zero_operator(self, low_rank_attempts):
+        k = choi_to_kraus(ChoiMatrix(12, 12, np.zeros((144, 144))))
+        assert low_rank_attempts == [True]
+        assert len(k.operators) == 1
+        assert k.operators[0].shape == (12, 12)
+        assert np.linalg.norm(k.operators[0]) == 0.0
+
+    def test_not_cp_raises_with_eigh_eigenvalue(self, low_rank_attempts):
+        rng = np.random.default_rng(3)
+        j = kraus_to_choi(random_cptp(12, 12, 2, seed=3)).matrix
+        x = random_complex_matrix(144, 1, rng)[:, 0]
+        j = j - 0.1 * np.outer(x, x.conj()) / np.vdot(x, x).real
+        with pytest.raises(NotCompletelyPositiveError) as excinfo:
+            choi_to_kraus(ChoiMatrix(12, 12, j))
+        assert low_rank_attempts == [False]
+        least = np.linalg.eigh((j + j.conj().T) / 2)[0][0]
+        assert least < -0.05
+        assert excinfo.value.min_eigenvalue == float(least)
 
 
 @pytest.mark.parametrize("n1", [2, 3])

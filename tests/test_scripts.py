@@ -26,6 +26,11 @@ def _run(script, *argv):
     )
 
 
+def newest_trail(pattern: str) -> Path:
+    """The committed file matching `pattern` with the highest number after its underscore."""
+    return max(ROOT.glob(pattern), key=lambda path: int(path.stem.split("_")[1]))
+
+
 def test_every_script_is_run():
     # a script no test runs can go stale unnoticed
     run_here = set(re.findall(r'_run\(\s*"([\w.]+)"', Path(__file__).read_text()))
@@ -57,7 +62,7 @@ def test_study_is_byte_identical_and_exact_uniform_rows_recover():
     assert runs[0].stdout == runs[1].stdout
     # the committed study trail is this version's: a change that moves
     # accuracy commits a new STUDY_<n>.jsonl
-    newest = max(ROOT.glob("STUDY_*.jsonl"), key=lambda path: int(path.stem.split("_")[1]))
+    newest = newest_trail("STUDY_*.jsonl")
     committed = [
         line for line in newest.read_text().splitlines() if json.loads(line)["n1"] in (2, 3)
     ]
@@ -93,18 +98,24 @@ def test_stage_timings_writes_a_labelled_table(tmp_path):
     assert set(tables) == {"before", "after"}
     # each number is written once: no probe table, no count beside the list
     assert all("probe" not in table for table in tables.values())
-    fields = {"n1", "d", "shots", "python_calls_per_run", "decompositions", "best_ms", "quartiles_ms"}
+    fields = {
+        "channel", "n1", "d", "shots", "python_calls_per_run", "decompositions", "best_ms", "quartiles_ms"
+    }
     assert all(set(row) == fields for table in tables.values() for row in table["rows"])
+    assert all("channel" not in table for table in tables.values())
     # the call count of a run repeats exactly, at every grid point
     counts = [[row["python_calls_per_run"] for row in table["rows"]] for table in tables.values()]
     assert counts[0] == counts[1]
     assert all(type(count) is int and count > 0 for count in counts[0])
-    rows = {row["shots"]: row for row in tables["after"]["rows"]}
-    assert set(rows) == {"exact", 10**4}
-    assert rows["exact"]["decompositions"] == ["eigh"]
-    assert "simulate_state_tomography" not in rows["exact"]["best_ms"]
-    assert rows[10**4]["decompositions"] == ["cholesky", "eigh"]
-    assert rows[10**4]["best_ms"]["simulate_state_tomography > cholesky"] > 0
+    rows = {(row["channel"], row["shots"]): row for row in tables["after"]["rows"]}
+    channels = {"depolarizing(0.3)", "random_cptp(21, 2)"}
+    assert set(rows) == {(channel, shots) for channel in channels for shots in ("exact", 10**4)}
+    for channel in channels:
+        # d = 4 is below the low-rank crossover: one eigh in both modes
+        assert rows[channel, "exact"]["decompositions"] == ["eigh"]
+        assert "simulate_state_tomography" not in rows[channel, "exact"]["best_ms"]
+        assert rows[channel, 10**4]["decompositions"] == ["cholesky", "eigh"]
+        assert rows[channel, 10**4]["best_ms"]["simulate_state_tomography > cholesky"] > 0
     for row in rows.values():
         # a run ends at its Kraus set: J is built only by the document step
         assert "joint_output_state > kraus_to_choi" in row["best_ms"]
@@ -125,6 +136,10 @@ def test_cli_digests_cover_every_exit_code():
         assert result.returncode == 0, result.stderr
     # each run builds its corpus in a fresh temporary directory: same digests
     assert runs[0].stdout == runs[1].stdout
+    # the committed digest trail is this version's: a change that moves CLI
+    # bytes commits a new DIGESTS_<n>.jsonl, and its diff is the claim
+    newest = newest_trail("DIGESTS_*.jsonl")
+    assert runs[0].stdout == newest.read_text(), newest.name
     lines = [json.loads(line) for line in runs[0].stdout.splitlines()]
     assert len(lines) >= 90
     assert {line["exit"] for line in lines} == {0, 2, 3, 4, 5}

@@ -16,8 +16,10 @@ from conftest import (
     random_density,
     reference_sampler,
 )
+import choiforge.channels as channels
 import choiforge.tomography as tomography
 from choiforge.channels import (
+    LOW_RANK_MIN_DIM,
     KrausSet,
     StinespringModel,
     choi_cp_tp_verdict,
@@ -593,6 +595,63 @@ class TestLargeDimensions:
         assert np.array_equal(est, est.conj().T)
         assert np.trace(est).real == pytest.approx(1.0)
         assert frobenius_distance(est, rho) < 2 * np.sqrt(dim / shots)
+
+
+class TestLowRankReconstruction:
+    """Exact runs at d >= LOW_RANK_MIN_DIM read the Kraus set off the
+    low-rank factor where it is accepted; every check on the run stays."""
+
+    def schmidt(self, n1, rng):
+        alphas = np.arange(1.0, n1 + 1)
+        return SchmidtInput(
+            alphas / np.linalg.norm(alphas), haar_random_unitary(n1, rng), haar_random_unitary(n1, rng)
+        )
+
+    @pytest.mark.parametrize("haar", [False, True])
+    def test_run_equals_staged_reconstruction(self, low_rank_attempts, haar):
+        n1 = 12
+        assert n1 * n1 >= LOW_RANK_MIN_DIM
+        spec = self.schmidt(n1, np.random.default_rng(8)) if haar else uniform(n1)
+        channel = OpaqueChannel.from_kraus(random_cptp(n1, n1, 2, seed=8))
+        result = run_tomography(channel, TomographyConfig(input_kind=spec if haar else None))
+        output = joint_output_state(channel, prepare_schmidt_input(spec))
+        kraus, mass = reconstruct_from_schmidt(output, spec, n1, default_kraus_threshold(EXACT, n1))
+        assert low_rank_attempts == [True, True]
+        assert kraus_bytes(result.kraus) == kraus_bytes(kraus)
+        assert len(kraus.operators) == 2
+        # nothing is clipped on the low-rank path
+        assert result.negativity_removed == mass == 0.0
+
+    def test_positivity_proved_without_eigh_or_certificate(self, decompositions):
+        # sigma < KRAUS_DROP_THRESHOLD proves the output positive: one thin SVD
+        channel = OpaqueChannel.from_kraus(random_cptp(12, 12, 3, seed=2))
+        result = run_tomography(channel, TomographyConfig())
+        assert len(result.kraus.operators) == 3
+        assert decompositions == ["svd"]
+
+    @pytest.mark.parametrize("haar", [False, True])
+    def test_negative_eigenvalue_still_rejected(self, low_rank_attempts, haar):
+        # a rank-deficient output with one eigenvalue of -1e-7: the factor
+        # cannot accept it, eigh clips it, and the certificate names it
+        n1 = 12
+        rng = np.random.default_rng(5)
+        spec = self.schmidt(n1, rng) if haar else None
+        u = haar_random_unitary(n1 * n1, rng)
+        spectrum = np.r_[rng.dirichlet(np.ones(3)), -1e-7, np.zeros(n1 * n1 - 4)]
+        rho = (u * spectrum) @ u.conj().T
+        channel = OpaqueChannel(n1, n1, lambda m: (rho + rho.conj().T) / 2)
+        with pytest.raises(ValueError, match="positive semidefinite: eigenvalue -1.000e-07"):
+            run_tomography(channel, TomographyConfig(input_kind=spec))
+        assert low_rank_attempts == [False]
+
+    def test_finite_shots_never_try_the_factor(self, monkeypatch):
+        def refuse(h, threshold):
+            raise AssertionError("a finite-shot run tried the low-rank factor")
+
+        monkeypatch.setattr(channels, "_low_rank_columns", refuse)
+        channel = OpaqueChannel.from_kraus(random_cptp(12, 12, 2, seed=8))
+        result = run_tomography(channel, TomographyConfig(shots=10**4, seed=1))
+        assert result.shots_used == 10**4 * 144**2
 
 
 class TestResult:

@@ -7,11 +7,14 @@ Wraps the module-level names ``run_tomography`` calls (``joint_output_state``,
 calls directly, and ``kraus_to_choi``, which the evaluator calls), the
 low-rank factor ``channels._low_rank_columns`` (a name the package lacks is
 skipped, so the script also times older checkouts) and numpy's
-decompositions, then times runs of two channels over a grid of n1 and shot
-budgets with BLAS pinned to one thread: depolarizing(0.3), of full Kraus
-rank n1**2, whose exact runs at d = n1**2 >= ``channels.LOW_RANK_MIN_DIM``
-try the factor and give it up, and random_cptp(21, 2), of Kraus rank 2,
-whose exact runs there take it. Each stage reports its best inclusive time
+decompositions, then times runs of three channels over a grid of n1 and
+shot budgets with BLAS pinned to one thread: depolarizing(0.3), of full
+Kraus rank n1**2, whose exact runs at d = n1**2 >=
+``channels.LOW_RANK_MIN_DIM`` try the factor and give it up, and
+random_cptp(21, 2) and unitary(21), of Kraus rank 2 and 1, whose exact runs
+there take it and whose evaluator, from n1 = 6 and 3, applies the Kraus
+operators one at a time instead of building J (``tomography.OpaqueChannel``).
+Each stage reports its best inclusive time
 over ``--repeats`` runs, after one warm-up run, in ``best_ms``, and the
 first quartile, median and third quartile of those runs in
 ``quartiles_ms``, which show how far the runs spread on a shared machine. A stage called inside
@@ -41,10 +44,20 @@ counted after a warm-up run and before the timing wrappers are installed,
 so the count repeats exactly, and ``decompositions``: the numpy
 decompositions of one run, in call order.
 
-Each invocation adds one labelled table to ``--output`` and keeps the tables
-already there, so one file can hold the same grid for two checkouts:
+Each invocation adds its rows to the labelled table of ``--output``,
+replacing rows of the same channel, n1 and shot budget, and keeps the other
+tables, so one file holds the same grid for two checkouts. A machine that
+drifts over minutes is best timed one n1 at a time, the two checkouts
+alternately:
 
-    PYTHONPATH=src python scripts/stage_timings.py --label after --output BENCH.json
+    for n1 in 8 12 16; do
+        PYTHONPATH=../parent/src python scripts/stage_timings.py --n1 $n1 --label before --output BENCH.json
+        PYTHONPATH=src python scripts/stage_timings.py --n1 $n1 --label after --output BENCH.json
+    done
+
+Rows are added to a table only with the settings it was made with. One
+process can run every stage uniformly slower than another of the same
+checkout, so compare the best of a few tables per checkout, not one.
 """
 
 import os
@@ -80,7 +93,7 @@ STAGES = (
 )
 DECOMPOSITIONS = ("eigh", "eigvalsh", "eig", "eigvals", "svd", "cholesky")
 SHOTS = (tomography.EXACT, 10**4)
-CHANNELS = (("depolarizing", (0.3,)), ("random_cptp", (21, 2)))
+CHANNELS = (("depolarizing", (0.3,)), ("random_cptp", (21, 2)), ("unitary", (21,)))
 
 
 class StageClock:
@@ -237,21 +250,27 @@ def main():
     if args.repeats < 1 or min(args.n1) < 2:
         parser.error("--repeats must be at least 1 and every --n1 at least 2")
 
-    calls = count_calls(args.n1)  # before the wrappers add calls of their own
-    clock = StageClock()
-    clock.install()
-    rows = time_grid(clock, args.n1, args.repeats, calls)
-
     output = Path(args.output)
     doc = json.loads(output.read_text()) if output.exists() else {"tables": {}}
-    doc["tables"][args.label] = {
+    settings = {
         "repeats": args.repeats,
         "blas_threads": 1,
         "numpy": np.__version__,
         "python": platform.python_version(),
         "cores": os.cpu_count(),
-        "rows": rows,
     }
+    table = doc["tables"].setdefault(args.label, {**settings, "rows": []})
+    if {key: table.get(key) for key in settings} != settings:
+        sys.exit(f"table {args.label!r} of {output} was timed with other settings")
+
+    calls = count_calls(args.n1)  # before the wrappers add calls of their own
+    clock = StageClock()
+    clock.install()
+    rows = time_grid(clock, args.n1, args.repeats, calls)
+
+    points = {(row["channel"], row["n1"], row["shots"]) for row in rows}
+    kept = [row for row in table["rows"] if (row["channel"], row["n1"], row["shots"]) not in points]
+    table["rows"] = sorted(kept + rows, key=lambda row: row["n1"])
     output.write_text(json.dumps(doc, indent=2) + "\n")
 
     for row in rows:

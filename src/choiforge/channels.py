@@ -38,11 +38,12 @@ from .linalg import (
 
 KRAUS_DROP_THRESHOLD = 1e-10
 # The low-rank path of ``_eigen_operators``: the least Choi dimension d = n1*n2
-# it is tried at, where a failed attempt (about 0.04 ms) costs about 3% of
-# the eigh after it and less above (``scripts/stage_timings.py``), and its
-# most pivots: the factor's float error grows with them, and with 16 the
-# study's rank-16 rows came out at 2-5 times eigh's (``scripts/study.py``).
-LOW_RANK_MIN_DIM = 100
+# it is tried at, and its most pivots. At d = 64 a failed attempt costs about
+# 9% of the eigh after it and an accepted rank-2 factor about a fifth of
+# eigh; at d = 36 a failed attempt costs a third of eigh (README, "The
+# low-rank path"). The factor's float error grows with the pivots, and with
+# 16 the study's rank-16 rows came out at 2-5 times eigh's (``scripts/study.py``).
+LOW_RANK_MIN_DIM = 64
 LOW_RANK_MAX_PIVOTS = 8
 
 _ZOO_PARAM_COUNTS = {
@@ -315,7 +316,8 @@ def _eigen_operators(
     segments of length n2 are the operator's columns. If none is above the
     threshold, one zero operator stands in. Judging the matrix is the caller's.
     """
-    h = (matrix + matrix.conj().T) / 2
+    h = matrix + matrix.conj().T
+    h *= 0.5  # the bits of / 2, without a third d x d array
     factored = None
     if threshold == KRAUS_DROP_THRESHOLD and len(h) >= LOW_RANK_MIN_DIM:
         factored = _low_rank_columns(h, threshold)

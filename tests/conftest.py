@@ -104,8 +104,9 @@ def reference_sampler(rho, shots, seed):
 def apply_kraus(kraus, m):
     """Reference E(M) = sum_k A_k M A_k^dagger, straight from the definition.
 
-    The library never applies a channel this way (its one evaluator is a
-    product with the realigned Choi matrix); tests use this to check it.
+    The library's evaluator applies a channel to a whole bipartite matrix,
+    either as I tensor A_k one operator at a time or through the realigned
+    Choi matrix; tests use this, block by block, to check both.
     """
     m = np.asarray(m, dtype=complex)
     n1 = kraus.input_dim

@@ -287,6 +287,10 @@ class TestLowRankPath:
     @pytest.mark.parametrize(
         "n1,n2,rank",
         [
+            (8, 8, 1),
+            (8, 8, 2),
+            (8, 8, 3),
+            (8, 8, LOW_RANK_MAX_PIVOTS),
             (12, 12, 1),
             (12, 12, 2),
             (12, 12, 3),
@@ -314,6 +318,21 @@ class TestLowRankPath:
             assert [op.tobytes() for op in factored.operators] == [
                 op.tobytes() for op in reference.operators
             ]
+
+    def test_below_the_crossover_only_eigh(self, monkeypatch, low_rank_attempts, decompositions):
+        # d = 63: a rank-2 Choi matrix the factor would take at d >= 64 goes
+        # to eigh untried, byte for byte as with the path switched off
+        assert 7 * 9 == LOW_RANK_MIN_DIM - 1
+        choi = kraus_to_choi(random_cptp(7, 9, 2, seed=2))
+        kraus = choi_to_kraus(choi)
+        assert low_rank_attempts == []
+        assert decompositions == ["eigh"]
+        eigh_only(monkeypatch)
+        reference = choi_to_kraus(choi)
+        assert len(kraus.operators) == 2
+        assert [op.tobytes() for op in kraus.operators] == [
+            op.tobytes() for op in reference.operators
+        ]
 
     def test_full_rank_falls_back_to_eigh(self, low_rank_attempts, decompositions):
         choi = kraus_to_choi(zoo_channel("depolarizing", [0.3], 10))

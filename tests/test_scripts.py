@@ -108,7 +108,7 @@ def test_stage_timings_writes_a_labelled_table(tmp_path):
     assert counts[0] == counts[1]
     assert all(type(count) is int and count > 0 for count in counts[0])
     rows = {(row["channel"], row["shots"]): row for row in tables["after"]["rows"]}
-    channels = {"depolarizing(0.3)", "random_cptp(21, 2)"}
+    channels = {"depolarizing(0.3)", "random_cptp(21, 2)", "unitary(21)"}
     assert set(rows) == {(channel, shots) for channel in channels for shots in ("exact", 10**4)}
     for channel in channels:
         # d = 4 is below the low-rank crossover: one eigh in both modes
@@ -128,6 +128,24 @@ def test_stage_timings_writes_a_labelled_table(tmp_path):
         assert set(row["quartiles_ms"]) == set(row["best_ms"])
         for path, (q1, median, q3) in row["quartiles_ms"].items():
             assert row["best_ms"][path] <= q1 <= median <= q3
+    # a second invocation adds its grid points to the table and replaces
+    # the ones it times again; other settings are refused
+    for n1 in ("3", "2"):
+        result = _run(
+            "stage_timings.py", "--n1", n1, "--repeats", "3", "--label", "after", "--output", str(output)
+        )
+        assert result.returncode == 0, result.stderr
+    merged = json.loads(output.read_text())["tables"]
+    assert merged["before"] == tables["before"]
+    assert [(row["n1"], row["channel"], row["shots"]) for row in merged["after"]["rows"]] == [
+        (n1, row["channel"], row["shots"]) for n1 in (2, 3) for row in tables["after"]["rows"]
+    ]
+    result = _run(
+        "stage_timings.py", "--n1", "2", "--repeats", "2", "--label", "after", "--output", str(output)
+    )
+    assert result.returncode != 0
+    assert "timed with other settings" in result.stderr
+    assert json.loads(output.read_text())["tables"] == merged
 
 
 def test_cli_digests_cover_every_exit_code():

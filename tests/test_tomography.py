@@ -17,6 +17,7 @@ from conftest import (
     reference_sampler,
 )
 import choiforge.channels as channels
+import choiforge.linalg as linalg
 import choiforge.tomography as tomography
 from choiforge.channels import (
     LOW_RANK_MIN_DIM,
@@ -185,21 +186,46 @@ class TestJointOutputState:
         out = joint_output_state(ch, PHI)
         assert np.trace(out).real == pytest.approx(0.5)
 
-    def test_blockwise_application_matches_direct(self):
+    def test_blockwise_application_matches_direct(self, monkeypatch):
+        # both contraction orders of a Kraus evaluator, and the Stinespring
+        # evaluator, against E applied block by block; only the J order of a
+        # Kraus set calls kraus_to_choi. The operator-by-operator order pays
+        # off below a rank of about n1 n2 / (1.5 (n1 + n2)): at no rank for
+        # 4 -> 2, at rank 1 for 3 -> 3, 4 -> 4 and 4 -> 8, up to 2 for 8 -> 8
+        built = []
+        monkeypatch.setattr(
+            tomography, "kraus_to_choi", lambda k: built.append(k) or kraus_to_choi(k)
+        )
         rng = np.random.default_rng(5)
+        kraus_cases = [  # (Kraus set, whether its evaluator builds J)
+            (random_cptp(2, 3, 2, seed=5), True),
+            (random_cptp(3, 2, 4, seed=6), True),
+            (KrausSet(4, 2, (haar_random_unitary(4, 7)[:2],)), True),
+            (zoo_channel("depolarizing", [0.3], 3), True),
+            (random_cptp(8, 8, 3, seed=10), True),
+            (zoo_channel("unitary", [3], 3), False),
+            (zoo_channel("unitary", [4], 4), False),
+            (random_cptp(4, 8, 1, seed=8), False),
+            (random_cptp(8, 8, 2, seed=9), False),
+        ]
         cases = [
-            (OpaqueChannel.from_kraus(k), lambda m, k=k: apply_kraus(k, m))
-            for k in (random_cptp(2, 3, 2, seed=5), random_cptp(3, 2, 4, seed=6))
+            (OpaqueChannel.from_kraus(k), lambda m, k=k: apply_kraus(k, m), builds_j)
+            for k, builds_j in kraus_cases
         ]
         model = random_stinespring(rng)
-        cases.append((OpaqueChannel.from_stinespring(model), lambda m: apply_stinespring(model, m)))
-        for channel, apply_fn in cases:
+        cases.append(
+            (OpaqueChannel.from_stinespring(model), lambda m: apply_stinespring(model, m), False)
+        )
+        for channel, apply_fn, builds_j in cases:
             n1, n2 = channel.input_dim, channel.output_dim
+            built.clear()
             for _ in range(5):
                 bipartite = random_complex_matrix(n1 * n1, n1 * n1, rng)
                 expected = blockwise_image(apply_fn, bipartite, n1, n2)
                 out = channel.evaluator(bipartite)
+                assert out.shape == (n1 * n2, n1 * n2)
                 assert frobenius_distance(out, expected) < 1e-12 * np.linalg.norm(expected)
+            assert len(built) == (5 if builds_j else 0), (n1, n2)
 
     def test_evaluator_shape_mismatch_detected(self):
         bad = OpaqueChannel(2, 2, lambda m: np.eye(3))
@@ -207,9 +233,16 @@ class TestJointOutputState:
             joint_output_state(bad, PHI)
 
     def test_evaluator_rejects_a_wrong_input_shape(self):
-        evaluator = OpaqueChannel.from_kraus(KrausSet(2, 2, (I2,))).evaluator
-        with pytest.raises(ValueError, match=r"^bipartite input has shape \(3, 3\), expected \(4, 4\)$"):
-            evaluator(np.eye(3))
+        # the identity on a qubit takes the J order, a 4 x 4 unitary the
+        # operator-by-operator order; both judge the input first
+        for kraus in (KrausSet(2, 2, (I2,)), zoo_channel("unitary", [4], 4)):
+            n1 = kraus.input_dim
+            assert tomography._kraus_order_cheaper(n1, n1, 1) == (n1 == 4)
+            evaluator = OpaqueChannel.from_kraus(kraus).evaluator
+            d = n1 * n1
+            message = rf"^bipartite input has shape \(3, 3\), expected \({d}, {d}\)$"
+            with pytest.raises(ValueError, match=message):
+                evaluator(np.eye(3))
 
     def test_wrong_vector_length(self):
         ch = OpaqueChannel.from_kraus(KrausSet(2, 2, (I2,)))
@@ -1069,6 +1102,29 @@ class TestRunTomography:
         for array in (*result.kraus.operators, result.estimated_choi.matrix):
             assert not array.flags.writeable
             assert array.flags.c_contiguous
+
+    @pytest.mark.parametrize("n1,alphas,scans", [(2, None, 1), (8, None, 1), (2, [1.0, 1e-5], 2)])
+    def test_exact_run_scans_for_bound_once(self, monkeypatch, n1, alphas, scans):
+        # the Hermiticity judgement computes bound(rho), and positivity proved
+        # from the Choi spectrum (eigh at n1 = 2, the factor at 8) needs no
+        # second scan; only a run that falls back to the certificate, as the
+        # skewed input does, computes it again
+        calls = []
+        for module in (linalg, tomography):
+            original = module.bound
+            monkeypatch.setattr(
+                module, "bound", lambda m, *a, original=original: calls.append(m.shape) or original(m, *a)
+            )
+        spec = None
+        if alphas is not None:
+            rng = np.random.default_rng(3)
+            alphas = np.array(alphas) / np.linalg.norm(alphas)
+            spec = SchmidtInput(alphas, haar_random_unitary(n1, rng), haar_random_unitary(n1, rng))
+        channel = OpaqueChannel.from_kraus(random_cptp(n1, n1, 2, seed=4))
+        result = run_tomography(channel, TomographyConfig(input_kind=spec))
+        assert len(result.kraus.operators) >= 2
+        # the n1 x n1 scans are the Schmidt bases' unitarity checks
+        assert [shape for shape in calls if shape != (n1, n1)] == [(n1 * n1, n1 * n1)] * scans
 
     @pytest.mark.parametrize("alphas", [None, [0.8, 0.6], [1.0, 1e-5]])
     def test_exact_mode_judges_evaluator_output(self, alphas):

@@ -249,6 +249,7 @@ def main():
     args = parser.parse_args()
     if args.repeats < 1 or min(args.n1) < 2:
         parser.error("--repeats must be at least 1 and every --n1 at least 2")
+    args.n1 = sorted(set(args.n1))  # a dimension named twice is timed once
 
     output = Path(args.output)
     doc = json.loads(output.read_text()) if output.exists() else {"tables": {}}

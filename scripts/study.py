@@ -30,6 +30,12 @@ version print the same bytes and ``diff`` of two study files names each
 cell that moved:
 
     PYTHONPATH=src python scripts/study.py > study.jsonl
+
+``--n1`` runs the listed input dimensions instead of the grid's, any n1 >=
+2, in ascending order and each once, with the channels, inputs and shot
+budgets above:
+
+    PYTHONPATH=src python scripts/study.py --n1 5 2 > study_2_5.jsonl
 """
 
 import os
@@ -135,10 +141,12 @@ def main():
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument(
-        "--n1", type=int, nargs="+", choices=N1, default=N1, help="input dimensions to run"
+        "--n1", type=int, nargs="+", default=N1, help="input dimensions to run, each at least 2"
     )
     args = parser.parse_args()
-    for n1 in (n for n in N1 if n in args.n1):
+    if min(args.n1) < 2:
+        parser.error("every --n1 must be at least 2")
+    for n1 in sorted(set(args.n1)):
         specs = inputs(n1)
         for name, params, n2 in channels(n1):
             truth = zoo_channel(name, params, n1, n2)

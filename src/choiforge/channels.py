@@ -38,9 +38,9 @@ from .linalg import (
 
 KRAUS_DROP_THRESHOLD = 1e-10
 # The low-rank path of ``_eigen_operators``: the least Choi dimension d = n1*n2
-# it is tried at, and its most pivots. At d = 64 a failed attempt costs about
-# 9% of the eigh after it and an accepted rank-2 factor about a fifth of
-# eigh; at d = 36 a failed attempt costs a third of eigh (README, "The
+# it is tried at, and its most pivots. At d = 64 an attempt that gives up
+# after its eight pivots, or an accepted rank-2 factor, costs about a sixth
+# of eigh; at d = 36 a given-up attempt costs half of eigh (README, "The
 # low-rank path"). The factor's float error grows with the pivots, and with
 # 16 the study's rank-16 rows came out at 2-5 times eigh's (``scripts/study.py``).
 LOW_RANK_MIN_DIM = 64
@@ -250,10 +250,9 @@ def _low_rank_columns(h: np.ndarray, threshold: float) -> tuple[np.ndarray, floa
     A diagonal-pivoting Cholesky (Higham, "Analysis of the Cholesky
     decomposition of a semi-definite matrix", 1990) builds V one column at a
     time, pivoting on the largest residual diagonal entry. It stops when
-    that entry is at float level, d eps max_i h_ii, and gives up after
-    ``LOW_RANK_MAX_PIVOTS`` pivots, or sooner, once the residual trace
-    exceeds four times what the last pivot removed for each pivot left: a
-    full-rank h is then given up after two or three pivots. Then sigma is
+    that entry is at float level, d eps max_i h_ii, and gives up once
+    ``LOW_RANK_MAX_PIVOTS`` pivots leave an entry above that floor, as
+    they always do on an h of rank above the cap. Then sigma is
     the Frobenius norm of S = h - V V^dagger, plus the rounding of forming
     S, and the thin SVD V = U Sigma W^dagger gives the columns of U Sigma.
     By Weyl's bound |lambda_i(h) - lambda_i(V V^dagger)| <= sigma, so when
@@ -269,10 +268,9 @@ def _low_rank_columns(h: np.ndarray, threshold: float) -> tuple[np.ndarray, floa
     diag = h.diagonal().real.copy()
     floor = d * eps * max(float(diag.max()), 0.0)
     rows = np.empty((LOW_RANK_MAX_PIVOTS, d), dtype=complex)  # row k is conj(column k of V)
-    rest, removed = float(diag.sum()), np.inf  # residual trace, and what the last pivot took
     k = 0
     while diag.max() > floor:
-        if k == LOW_RANK_MAX_PIVOTS or rest > 4 * (LOW_RANK_MAX_PIVOTS - k) * removed:
+        if k == LOW_RANK_MAX_PIVOTS:
             return None
         p = int(diag.argmax())
         row = rows[k]
@@ -281,8 +279,6 @@ def _low_rank_columns(h: np.ndarray, threshold: float) -> tuple[np.ndarray, floa
         row *= 1.0 / np.sqrt(diag[p])
         diag -= row.real**2 + row.imag**2
         k += 1
-        total = float(diag.sum())
-        rest, removed = total, rest - total
     v = rows[:k].conj().T
     gram_trace = float(np.sum(np.abs(v) ** 2))
     residual = v @ v.conj().T

@@ -518,8 +518,10 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
     first: the run makes one eigendecomposition, the Choi estimate's, plus
     the sampler's Cholesky certificate, and ``eigvalsh`` only when the
     certificate fails. The sampler's estimate, Hermitian by construction, is
-    reconstructed without a second judgement; it is full rank, so its cutoff
-    is above float level and the low-rank path is never tried.
+    reconstructed without a second judgement. It is full rank, so ``eigh``
+    decides: the low-rank path is tried only at a ``kraus_threshold`` of
+    ``KRAUS_DROP_THRESHOLD`` and d >= ``channels.LOW_RANK_MIN_DIM``, never
+    at the default cutoff, and gives up at its pivot cap.
     ``shots=EXACT`` skips the sampler: the evaluator output is the estimate,
     and it is judged in the sampler's order and with its messages:
     Hermiticity as ``reconstruct_from_schmidt`` judges it, then positivity,

@@ -334,11 +334,20 @@ class TestLowRankPath:
             op.tobytes() for op in reference.operators
         ]
 
-    def test_full_rank_falls_back_to_eigh(self, low_rank_attempts, decompositions):
-        choi = kraus_to_choi(zoo_channel("depolarizing", [0.3], 10))
-        assert len(choi_to_kraus(choi).operators) == 100
+    @pytest.mark.parametrize("n1", [8, 10, 16])
+    def test_full_rank_falls_back_to_eigh(self, monkeypatch, low_rank_attempts, decompositions, n1):
+        # from the gate's edge, d = 64, up: the factor gives up at its pivot
+        # cap and leaves eigh's bytes
+        choi = kraus_to_choi(zoo_channel("depolarizing", [0.3], n1))
+        kraus = choi_to_kraus(choi)
+        assert len(kraus.operators) == n1**2
         assert low_rank_attempts == [False]
         assert decompositions == ["eigh"]
+        eigh_only(monkeypatch)
+        reference = choi_to_kraus(choi)
+        assert [op.tobytes() for op in kraus.operators] == [
+            op.tobytes() for op in reference.operators
+        ]
 
     def test_low_rank_needs_no_eigh(self, decompositions):
         choi_to_kraus(kraus_to_choi(random_cptp(12, 12, 2, seed=4)))

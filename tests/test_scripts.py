@@ -42,7 +42,8 @@ def test_every_script_is_run():
     [
         ["study.py", "--n1", "2"],
         ["cli_digests.py"],
-        ["stage_timings.py", "--n1", "2", "--repeats", "1", "--output"],
+        ["stage_timings.py", "--n1", "2", "2", "--repeats", "1", "--output"],
+        ["study.py", "--n1", "5"],
     ],
 )
 def test_script_exits_0(argv, tmp_path):
@@ -53,6 +54,27 @@ def test_script_exits_0(argv, tmp_path):
     result = _run(*argv)
     assert result.returncode == 0, result.stderr
     assert result.stdout or output.read_text()
+    if output.exists():
+        # a dimension named twice is timed once: one row per grid point
+        (table,) = json.loads(output.read_text())["tables"].values()
+        keys = [(row["channel"], row["n1"], row["shots"]) for row in table["rows"]]
+        assert len(keys) == len(set(keys)) == 6
+
+
+def test_study_runs_any_n1_from_2_ascending_once():
+    # outside the default grid too; the n1 = 2 rows are the committed ones
+    result = _run("study.py", "--n1", "5", "2", "5")
+    assert result.returncode == 0, result.stderr
+    rows = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [row["n1"] for row in rows] == [2] * 81 + [5] * 54
+    committed = [
+        line for line in newest_trail("STUDY_*.jsonl").read_text().splitlines()
+        if json.loads(line)["n1"] == 2
+    ]
+    assert result.stdout.splitlines()[:81] == committed
+    refused = _run("study.py", "--n1", "1")
+    assert refused.returncode == 2
+    assert "every --n1 must be at least 2" in refused.stderr
 
 
 def test_study_is_byte_identical_and_exact_uniform_rows_recover():

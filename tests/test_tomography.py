@@ -686,6 +686,19 @@ class TestLowRankReconstruction:
         result = run_tomography(channel, TomographyConfig(shots=10**4, seed=1))
         assert result.shots_used == 10**4 * 144**2
 
+    def test_finite_shots_at_float_cutoff_give_the_factor_up(self, monkeypatch, low_rank_attempts):
+        # the float-level cutoff tries the factor on the full-rank estimate:
+        # it gives up at the pivot cap and eigh decides, byte for byte as
+        # with the path switched off
+        channel = OpaqueChannel.from_kraus(random_cptp(8, 8, 2, 8))
+        config = TomographyConfig(shots=10**4, seed=1, kraus_threshold=1e-10)
+        result = run_tomography(channel, config)
+        assert low_rank_attempts == [False]
+        monkeypatch.setattr(channels, "LOW_RANK_MIN_DIM", 8 * 8 + 1)
+        reference = run_tomography(channel, config)
+        assert low_rank_attempts == [False]
+        assert kraus_bytes(result.kraus) == kraus_bytes(reference.kraus)
+
 
 class TestResult:
     """The result is what the run computed: the Kraus set and three numbers.

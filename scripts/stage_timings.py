@@ -4,23 +4,23 @@
 Wraps the module-level names ``run_tomography`` calls (``joint_output_state``,
 ``simulate_state_tomography``, ``reconstruct_from_schmidt``, its core
 ``_schmidt_kraus`` for an estimate already judged, which a finite-shot run
-calls directly, and ``kraus_to_choi``, which the evaluator calls), the
-low-rank factor ``channels._low_rank_columns`` (a name the package lacks is
-skipped, so the script also times older checkouts) and numpy's
-decompositions, then times runs of three channels over a grid of n1 and
-shot budgets with BLAS pinned to one thread: depolarizing(0.3), of full
-Kraus rank n1**2, whose exact runs at d = n1**2 >=
-``channels.LOW_RANK_MIN_DIM`` try the factor and give it up, and
+calls directly, and ``kraus_to_choi``, which the evaluator of an older
+checkout calls), the low-rank factor ``channels._low_rank_columns`` (a
+name the package lacks is skipped, so the script also times older
+checkouts) and numpy's decompositions, then times runs of three channels
+over a grid of n1 and shot budgets with BLAS pinned to one thread:
+depolarizing(0.3), of full Kraus rank n1**2, whose exact runs at d = n1**2
+>= ``channels.LOW_RANK_MIN_DIM`` try the factor and give it up, and
 random_cptp(21, 2) and unitary(21), of Kraus rank 2 and 1, whose exact runs
-there take it and whose evaluator, from n1 = 6 and 3, applies the Kraus
-operators one at a time instead of building J (``tomography.OpaqueChannel``).
-Each stage reports its best inclusive time
-over ``--repeats`` runs, after one warm-up run, in ``best_ms``, and the
-first quartile, median and third quartile of those runs in
-``quartiles_ms``, which show how far the runs spread on a shared machine. A stage called inside
-another is reported under its caller as "caller > stage": the evaluator
-builds its Choi matrix with ``kraus_to_choi`` inside ``joint_output_state``,
-and the decompositions sit inside the stage that asks for them.
+there take it. Each stage reports its best inclusive time over
+``--repeats`` runs, after one warm-up run, in ``best_ms``, and the first
+quartile, median and third quartile of those runs in ``quartiles_ms``,
+which show how far the runs spread on a shared machine. A stage called
+inside another is reported under its caller as "caller > stage": the
+decompositions sit inside the stage that asks for them, and at an older
+checkout whose evaluator builds its Choi matrix, ``kraus_to_choi`` sits
+inside ``joint_output_state``; no evaluator here builds one
+(``tomography.OpaqueChannel``).
 
 Six more stages time what the CLI does with the last run's result,
 outside ``run_tomography``, each over ``--repeats`` calls. A run ends at

@@ -356,20 +356,30 @@ def choi_to_kraus(choi: ChoiMatrix) -> KrausSet:
     return _derived(KrausSet, choi.input_dim, choi.output_dim, ops)
 
 
-def stinespring_to_choi(model: StinespringModel) -> ChoiMatrix:
-    """Choi matrix of a system-ancilla model in one contraction.
+def _stinespring_factors(model: StinespringModel) -> tuple[np.ndarray, np.ndarray]:
+    """The d x m factors L, R of a system-ancilla model's Choi matrix J = L R^dagger.
 
     With U indexed as U[(o t), (i a)] (output o, traced-out t, system i,
-    ancilla a), J[(i o), (j p)] = sum U[o t i a] rho_a[a b] conj(U[p s j b]) P[s t].
-    J is symmetrized exactly and frozen (``_derived``), not judged again.
+    ancilla a), J[(i o), (j p)] = sum U[o t i a] rho_a[a b] conj(U[p s j b]) P[s t],
+    so L[(i o), (t b)] = sum_a U[o t i a] rho_a[a b] and
+    R[(j p), (t b)] = sum_s U[p s j b] conj(P[s t]).
     """
     n1, n2 = model.system_dim, model.output_dim
     u = model.unitary.reshape(n2, model.trace_dim, n1, model.ancilla_dim)
     left = np.einsum("otia,ab->iotb", u, model.ancilla_state)
-    right = np.einsum("psjb,st->jptb", u.conj(), model.projector)
+    right = np.einsum("psjb,st->jptb", u, model.projector.conj())
     d = n1 * n2
-    j = left.reshape(d, -1) @ right.reshape(d, -1).T
-    return _derived(ChoiMatrix, n1, n2, (j + j.conj().T) / 2)
+    return left.reshape(d, -1), right.reshape(d, -1)
+
+
+def stinespring_to_choi(model: StinespringModel) -> ChoiMatrix:
+    """Choi matrix J = L R^dagger of a system-ancilla model
+    (``_stinespring_factors``), in one product. J is symmetrized exactly and
+    frozen (``_derived``), not judged again.
+    """
+    left, right = _stinespring_factors(model)
+    j = left @ right.conj().T
+    return _derived(ChoiMatrix, model.system_dim, model.output_dim, (j + j.conj().T) / 2)
 
 
 def _trace_verdict(gram: np.ndarray, limit: float) -> tuple[bool, bool, float]:

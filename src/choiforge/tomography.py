@@ -28,9 +28,10 @@ from .channels import (
     _derived,
     _eigen_operators,
     _frozen_complex,
+    _kraus_factor,
     _normalize_seed,
+    _stinespring_factors,
     kraus_to_choi,
-    stinespring_to_choi,
 )
 from .linalg import (
     EXACT_TOL,
@@ -48,8 +49,8 @@ from .linalg import (
 
 EXACT = None  # shot-budget sentinel: infinite-shot idealization
 MIN_SCHMIDT_COEFFICIENT = 1e-6
-SAMPLER_VERSION = 4  # bumped whenever the fixed-seed sampling stream changes
-RECONSTRUCTION_VERSION = 3  # bumped whenever the bytes of a reconstruction change
+SAMPLER_VERSION = 5  # bumped whenever the fixed-seed sampling stream changes
+RECONSTRUCTION_VERSION = 4  # bumped whenever the bytes of a reconstruction change
 MAX_SHOTS = 2**53  # every count below it is exact in a float64
 
 
@@ -65,9 +66,10 @@ class SchmidtConditioningError(ValueError):
 class OpaqueChannel:
     """Blackbox n1 -> n2 channel.
 
-    ``evaluator`` maps an (n1*n1) x (n1*n1) bipartite matrix to its image
-    under (identity tensor E); one call is one logical use of the channel
-    and the pipeline is allowed nothing else.
+    ``evaluator`` maps an input vector |phi> of length n1*n1, reference
+    index major, to the (n1*n2) x (n1*n2) output (identity tensor
+    E)(|phi><phi|); one call is one logical use of the channel and the
+    pipeline is allowed nothing else.
     """
 
     input_dim: int
@@ -79,74 +81,51 @@ class OpaqueChannel:
 
     @classmethod
     def from_kraus(cls, kraus: KrausSet) -> "OpaqueChannel":
-        """The channel of a Kraus set, applied in whichever of the two
-        contraction orders of ``_choi_evaluator`` costs fewer flops: one
-        operator at a time for a small Kraus rank, through J = V V^dagger
-        otherwise."""
+        """The channel of a Kraus set, applied through the factor V of
+        J = V V^dagger (``channels._kraus_factor``), without building J."""
         return cls(
             kraus.input_dim,
             kraus.output_dim,
-            _choi_evaluator(kraus.input_dim, lambda: kraus_to_choi(kraus), kraus),
+            _factor_evaluator(kraus.input_dim, lambda: (_kraus_factor(kraus),) * 2),
         )
 
     @classmethod
     def from_stinespring(cls, model: StinespringModel) -> "OpaqueChannel":
+        """The channel of a system-ancilla model, applied through the
+        factors L, R of its Choi matrix J = L R^dagger
+        (``channels._stinespring_factors``), without building J."""
         return cls(
             model.system_dim,
             model.output_dim,
-            _choi_evaluator(model.system_dim, lambda: stinespring_to_choi(model)),
+            _factor_evaluator(model.system_dim, lambda: _stinespring_factors(model)),
         )
 
 
-def _kraus_order_cheaper(n1: int, n2: int, rank: int) -> bool:
-    """Whether applying `rank` Kraus operators one at a time, about
-    rank n1^3 n2 (n1 + n2) flops, beats building J and applying it, about
-    n1^4 n2^2 + rank n1^2 n2^2. The Kraus order's products contract over n1
-    alone and ran at about two thirds of the J order's rate, so its flops
-    count one and a half times. At one BLAS thread the measured crossover
-    lay at ranks 3, 4.5 and 5 for n1 = n2 = 8, 12 and 16, and at 4 for 8 -> 16
-    and 16 -> 8, where this rule puts it at 2.8, 4.1, 5.4, 3.8 and 3.6."""
-    return 3 * rank * n1**3 * n2 * (n1 + n2) < 2 * (n1**4 * n2**2 + rank * n1**2 * n2**2)
-
-
-def _choi_evaluator(
-    n1: int, make_choi: Callable[[], ChoiMatrix], kraus: KrausSet | None = None
+def _factor_evaluator(
+    n1: int, factors: Callable[[], tuple[np.ndarray, np.ndarray]]
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Evaluator of (identity tensor E) on (n1*n1) x (n1*n1) inputs, in one
-    of two contraction orders.
+    """Evaluator of (identity tensor E) on input vectors of length n1*n1,
+    from d x m factors L, R of the channel's Choi matrix J = L R^dagger.
 
-    The J order: out[i o, j p] = sum_ab rho[i a, j b] J[a o, b p], one matrix
-    product of the realigned input, rows (i, j) and columns (a, b), with the
-    realigned Choi matrix from ``make_choi``, rows (a, b) and columns (o, p).
-    The Kraus order, for a channel given by its `kraus` set: out = sum_k
-    (I tensor A_k) rho (I tensor A_k)^dagger, two products per operator, one
-    operator at a time. The Kraus order is taken where
-    ``_kraus_order_cheaper`` finds it cheaper. Everything is built inside
-    each call, so wrapping a channel costs nothing until it is used, and
-    nothing is kept between calls.
+    With Phi = phi.reshape(n1, n1), rows the reference and columns the
+    system, the output is out[i o, j p] = sum_ab Phi[i, a] conj(Phi[j, b])
+    J[a o, b p] = lift(L) lift(R)^dagger, where lift(F) = (Phi tensor I) F
+    is one product of Phi with F's n1 row blocks side by side. No d x d
+    input and no J is formed. ``factors`` builds L and R inside each call,
+    so wrapping a channel costs nothing until it is used, and nothing is
+    kept between calls; a Kraus set's L and R are one array, lifted once.
     """
 
-    def evaluator(bipartite: np.ndarray) -> np.ndarray:
-        rho = np.asarray(bipartite, dtype=complex)
-        if rho.shape != (n1 * n1, n1 * n1):
-            raise ValueError(
-                f"bipartite input has shape {rho.shape}, expected {(n1 * n1, n1 * n1)}"
-            )
-        if kraus is not None and _kraus_order_cheaper(n1, kraus.output_dim, len(kraus.operators)):
-            n2 = kraus.output_dim
-            rho_r = rho.reshape(n1, n1, n1 * n1)  # rows (i, a), columns (j, b)
-            out = None
-            for a in kraus.operators:
-                # (I tensor A) rho, rows (i, o, j) and columns b, times A^dagger
-                term = (a @ rho_r).reshape(-1, n1) @ a.conj().T
-                out = term if out is None else np.add(out, term, out=out)
-            return out.reshape(n1 * n2, n1 * n2)
-        choi = make_choi()
-        n2 = choi.output_dim
-        rho_r = rho.reshape(n1, n1, n1, n1).transpose(0, 2, 1, 3).reshape(n1 * n1, -1)
-        j_r = choi.matrix.reshape(n1, n2, n1, n2).transpose(0, 2, 1, 3).reshape(n1 * n1, -1)
-        out = (rho_r @ j_r).reshape(n1, n1, n2, n2).transpose(0, 2, 1, 3)
-        return out.reshape(n1 * n2, n1 * n2)
+    def evaluator(input_vector: np.ndarray) -> np.ndarray:
+        v = np.asarray(input_vector, dtype=complex)
+        if v.shape != (n1 * n1,):
+            raise ValueError(f"input vector has shape {v.shape}, expected {(n1 * n1,)}")
+        phi = v.reshape(n1, n1)
+        left, right = factors()
+        d = len(left)
+        lifted_left = (phi @ left.reshape(n1, -1)).reshape(d, -1)
+        lifted_right = lifted_left if right is left else (phi @ right.reshape(n1, -1)).reshape(d, -1)
+        return lifted_left @ lifted_right.conj().T
 
     return evaluator
 
@@ -279,7 +258,10 @@ def prepare_schmidt_input(spec: SchmidtInput) -> np.ndarray:
 
 
 def joint_output_state(channel: OpaqueChannel, input_vector) -> np.ndarray:
-    """One blackbox evaluation: (identity tensor E)(|phi><phi|)."""
+    """One blackbox evaluation: (identity tensor E)(|phi><phi|), the
+    evaluator's image of the input vector |phi>, flattened to length n1*n1,
+    reference index major. The state is passed as that vector; the
+    n1^2 x n1^2 matrix |phi><phi| is never formed."""
     v = _as_numeric(input_vector, "input_vector").reshape(-1)
     n1 = channel.input_dim
     if v.size != n1 * n1:
@@ -287,7 +269,7 @@ def joint_output_state(channel: OpaqueChannel, input_vector) -> np.ndarray:
             f"input vector length {v.size} does not match reference x system dims "
             f"({n1}, {n1})"
         )
-    out = _as_numeric(channel.evaluator(np.outer(v, v.conj())), "evaluator output")
+    out = _as_numeric(channel.evaluator(v), "evaluator output")
     d = n1 * channel.output_dim
     if out.shape != (d, d):
         raise ValueError(f"evaluator returned shape {out.shape}, expected {(d, d)}")

@@ -51,7 +51,7 @@ def hermitian_operator_basis(dim):
 
 
 def reference_sampler(rho, shots, seed):
-    """Reference finite-shot sampler of ``SAMPLER_VERSION`` 4, one step at a time.
+    """Reference finite-shot sampler of ``SAMPLER_VERSION`` 4 and 5, one step at a time.
 
     The body of ``simulate_state_tomography`` as first written, without its
     checks: `rho` is a valid state and `shots` a finite count. The library
@@ -104,9 +104,9 @@ def reference_sampler(rho, shots, seed):
 def apply_kraus(kraus, m):
     """Reference E(M) = sum_k A_k M A_k^dagger, straight from the definition.
 
-    The library's evaluator applies a channel to a whole bipartite matrix,
-    either as I tensor A_k one operator at a time or through the realigned
-    Choi matrix; tests use this, block by block, to check both.
+    The library's evaluator applies a channel to an input vector |phi>,
+    through the factor V of J = V V^dagger, and never to a matrix; tests
+    use this, block by block on |phi><phi|, to check it.
     """
     m = np.asarray(m, dtype=complex)
     n1 = kraus.input_dim

@@ -12,7 +12,6 @@ from conftest import (
     apply_stinespring,
     hermitian_operator_basis,
     kraus_equivalent,
-    random_complex_matrix,
     random_density,
     reference_sampler,
 )
@@ -187,45 +186,42 @@ class TestJointOutputState:
         assert np.trace(out).real == pytest.approx(0.5)
 
     def test_blockwise_application_matches_direct(self, monkeypatch):
-        # both contraction orders of a Kraus evaluator, and the Stinespring
-        # evaluator, against E applied block by block; only the J order of a
-        # Kraus set calls kraus_to_choi. The operator-by-operator order pays
-        # off below a rank of about n1 n2 / (1.5 (n1 + n2)): at no rank for
-        # 4 -> 2, at rank 1 for 3 -> 3, 4 -> 4 and 4 -> 8, up to 2 for 8 -> 8
+        # the one contraction of a Kraus evaluator and of the Stinespring
+        # evaluator, on random vectors and a skewed Schmidt input in Haar
+        # bases, against E applied block by block to |phi><phi|; neither
+        # evaluator builds J
         built = []
-        monkeypatch.setattr(
-            tomography, "kraus_to_choi", lambda k: built.append(k) or kraus_to_choi(k)
-        )
+        for module in (tomography, channels):
+            real = module.kraus_to_choi
+            monkeypatch.setattr(module, "kraus_to_choi", lambda k, real=real: built.append(k) or real(k))
         rng = np.random.default_rng(5)
-        kraus_cases = [  # (Kraus set, whether its evaluator builds J)
-            (random_cptp(2, 3, 2, seed=5), True),
-            (random_cptp(3, 2, 4, seed=6), True),
-            (KrausSet(4, 2, (haar_random_unitary(4, 7)[:2],)), True),
-            (zoo_channel("depolarizing", [0.3], 3), True),
-            (random_cptp(8, 8, 3, seed=10), True),
-            (zoo_channel("unitary", [3], 3), False),
-            (zoo_channel("unitary", [4], 4), False),
-            (random_cptp(4, 8, 1, seed=8), False),
-            (random_cptp(8, 8, 2, seed=9), False),
+        kraus_cases = [
+            random_cptp(2, 3, 2, seed=5),
+            random_cptp(3, 2, 4, seed=6),
+            KrausSet(4, 2, (haar_random_unitary(4, 7)[:2],)),
+            zoo_channel("depolarizing", [0.3], 3),
+            random_cptp(8, 8, 3, seed=10),
+            zoo_channel("unitary", [3], 3),
+            zoo_channel("unitary", [4], 4),
+            random_cptp(4, 8, 1, seed=8),
+            random_cptp(8, 8, 2, seed=9),
         ]
-        cases = [
-            (OpaqueChannel.from_kraus(k), lambda m, k=k: apply_kraus(k, m), builds_j)
-            for k, builds_j in kraus_cases
-        ]
+        cases = [(OpaqueChannel.from_kraus(k), lambda m, k=k: apply_kraus(k, m)) for k in kraus_cases]
         model = random_stinespring(rng)
-        cases.append(
-            (OpaqueChannel.from_stinespring(model), lambda m: apply_stinespring(model, m), False)
-        )
-        for channel, apply_fn, builds_j in cases:
+        cases.append((OpaqueChannel.from_stinespring(model), lambda m: apply_stinespring(model, m)))
+        for channel, apply_fn in cases:
             n1, n2 = channel.input_dim, channel.output_dim
-            built.clear()
-            for _ in range(5):
-                bipartite = random_complex_matrix(n1 * n1, n1 * n1, rng)
-                expected = blockwise_image(apply_fn, bipartite, n1, n2)
-                out = channel.evaluator(bipartite)
+            alphas = 2.0 ** -np.arange(n1)
+            skewed = SchmidtInput(
+                alphas / np.linalg.norm(alphas), haar_random_unitary(n1, rng), haar_random_unitary(n1, rng)
+            )
+            vectors = [rng.standard_normal(n1 * n1) + 1j * rng.standard_normal(n1 * n1) for _ in range(4)]
+            for v in [*vectors, prepare_schmidt_input(skewed)]:
+                expected = blockwise_image(apply_fn, np.outer(v, v.conj()), n1, n2)
+                out = channel.evaluator(v)
                 assert out.shape == (n1 * n2, n1 * n2)
                 assert frobenius_distance(out, expected) < 1e-12 * np.linalg.norm(expected)
-            assert len(built) == (5 if builds_j else 0), (n1, n2)
+        assert built == []
 
     def test_evaluator_shape_mismatch_detected(self):
         bad = OpaqueChannel(2, 2, lambda m: np.eye(3))
@@ -233,16 +229,21 @@ class TestJointOutputState:
             joint_output_state(bad, PHI)
 
     def test_evaluator_rejects_a_wrong_input_shape(self):
-        # the identity on a qubit takes the J order, a 4 x 4 unitary the
-        # operator-by-operator order; both judge the input first
-        for kraus in (KrausSet(2, 2, (I2,)), zoo_channel("unitary", [4], 4)):
-            n1 = kraus.input_dim
-            assert tomography._kraus_order_cheaper(n1, n1, 1) == (n1 == 4)
-            evaluator = OpaqueChannel.from_kraus(kraus).evaluator
+        # a vector of the wrong length, and the n1^2 x n1^2 density matrix
+        # an evaluator once took, fail loudly before the channel is applied
+        model = random_stinespring(np.random.default_rng(1))
+        opaque = [
+            OpaqueChannel.from_kraus(KrausSet(2, 2, (I2,))),
+            OpaqueChannel.from_kraus(zoo_channel("unitary", [4], 4)),
+            OpaqueChannel.from_stinespring(model),
+        ]
+        for channel in opaque:
+            n1 = channel.input_dim
             d = n1 * n1
-            message = rf"^bipartite input has shape \(3, 3\), expected \({d}, {d}\)$"
-            with pytest.raises(ValueError, match=message):
-                evaluator(np.eye(3))
+            for bad in (np.ones(d + 1), np.eye(d)):
+                message = rf"^input vector has shape {re.escape(str(bad.shape))}, expected \({d},\)$"
+                with pytest.raises(ValueError, match=message):
+                    channel.evaluator(bad)
 
     def test_wrong_vector_length(self):
         ch = OpaqueChannel.from_kraus(KrausSet(2, 2, (I2,)))
@@ -424,7 +425,7 @@ class TestSimulateStateTomography:
     @pytest.mark.parametrize("dim", [4, 9, 16, 36, 64])
     def test_matches_reference_sampler_bytes(self, dim):
         # the same stream and the same arithmetic as the reference, whatever
-        # the numpy calls: estimates keep their bytes (SAMPLER_VERSION 4)
+        # the numpy calls: estimates keep their bytes (SAMPLER_VERSION 4 and 5)
         rng = np.random.default_rng(dim)
         pure = np.zeros((dim, dim), dtype=complex)
         pure[dim // 2, dim // 2] = 1.0  # most outcome probabilities are zero
@@ -724,8 +725,8 @@ class TestResult:
     @pytest.mark.parametrize("shots", [EXACT, 1000])
     @pytest.mark.parametrize("stinespring", [False, True])
     def test_a_run_builds_no_choi_matrix(self, monkeypatch, shots, stinespring):
-        # the one kraus_to_choi of a Kraus-evaluator run is the evaluator's own;
-        # a Stinespring evaluator calls none. J comes on first access, once
+        # no evaluator builds J, so a run calls no kraus_to_choi; J comes on
+        # first access, once
         calls = []
         real = tomography.kraus_to_choi
         monkeypatch.setattr(tomography, "kraus_to_choi", lambda k: calls.append(1) or real(k))
@@ -734,12 +735,11 @@ class TestResult:
         else:
             channel = OpaqueChannel.from_kraus(random_cptp(3, 3, 2, 4))
         result = run_tomography(channel, TomographyConfig(shots=shots, seed=6))
-        evaluator_calls = 0 if stinespring else 1
-        assert len(calls) == evaluator_calls
+        assert len(calls) == 0
         choi = result.estimated_choi
-        assert len(calls) == evaluator_calls + 1
+        assert len(calls) == 1
         assert result.estimated_choi is choi
-        assert len(calls) == evaluator_calls + 1
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("shots", [EXACT, 1000])
     @pytest.mark.parametrize("schmidt", [False, True])

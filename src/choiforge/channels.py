@@ -286,7 +286,7 @@ def _low_rank_columns(h: np.ndarray, threshold: float) -> tuple[np.ndarray, floa
     sigma = float(np.linalg.norm(residual)) * (1 + d * d * eps) + 2 * (k + 2) * eps * gram_trace
     u, s, _ = np.linalg.svd(v, full_matrices=False)
     margin = sigma + 4 * d * eps * (gram_trace + sigma)
-    if margin >= threshold or np.any(np.abs(s**2 - threshold) <= margin):
+    if not margin < threshold or np.any(np.abs(s**2 - threshold) <= margin):  # NaN gives up
         return None
     keep = s**2 > threshold
     return u[:, keep] * s[keep], sigma
@@ -316,7 +316,8 @@ def _eigen_operators(
     h *= 0.5  # the bits of / 2, without a third d x d array
     factored = None
     if threshold == KRAUS_DROP_THRESHOLD and len(h) >= LOW_RANK_MIN_DIM:
-        factored = _low_rank_columns(h, threshold)
+        with np.errstate(all="ignore"):  # an overflow gives the factor up, as any non-finite sigma does
+            factored = _low_rank_columns(h, threshold)
     if factored is not None:
         scaled, sigma = factored
         lowest, clipped = -sigma, 0.0

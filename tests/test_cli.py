@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from choiforge.channels import ChoiMatrix, KrausSet, kraus_to_choi, zoo_channel
+import choiforge.channels as channels
+from choiforge.channels import ChoiMatrix, KrausSet, kraus_to_choi, random_cptp, zoo_channel
 from choiforge.cli import main
 from choiforge.linalg import _MAX_DIMS
 from choiforge.serialize import channel_to_doc, dump_document
@@ -471,6 +472,23 @@ class TestOutOfRangeNumbers:
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"].startswith("a value overflowed float range")
+
+    def test_overflowing_factor_gives_way_to_eigh(self, tmp_path, monkeypatch, capsys, low_rank_attempts):
+        # a CP Choi matrix near 1e300 at d = 64: the low-rank factor's residual
+        # norm overflows, so the attempt gives up and eigh decides, as with
+        # the factor refused
+        j = kraus_to_choi(random_cptp(8, 8, 2, 3)).matrix * 1e300
+        src = write_channel(tmp_path / "c.json", ChoiMatrix(8, 8, (j + j.conj().T) / 2))
+        code, out, _ = run(capsys, ["convert", src, "--to", "kraus"])
+        assert code == 0
+        assert low_rank_attempts == [False]
+        monkeypatch.setattr(channels, "_low_rank_columns", lambda h, threshold: None)
+        code, reference, _ = run(capsys, ["convert", src, "--to", "kraus"])
+        assert code == 0
+        assert len(json.loads(out)["payload"]["operators"]) == len(
+            json.loads(reference)["payload"]["operators"]
+        )
+        assert out == reference
 
 
 IDENTITY_KRAUS_TEXT = '[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]'

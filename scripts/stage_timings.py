@@ -2,25 +2,21 @@
 """Per-stage wall time of run_tomography, for the BENCH_*.json trail.
 
 Wraps the module-level names ``run_tomography`` calls (``joint_output_state``,
-``simulate_state_tomography``, ``reconstruct_from_schmidt``, its core
+``simulate_state_tomography``, ``reconstruct_from_schmidt`` and its core
 ``_schmidt_kraus`` for an estimate already judged, which a finite-shot run
-calls directly, and ``kraus_to_choi``, which the evaluator of an older
-checkout calls), the low-rank factor ``channels._low_rank_columns`` (a
+calls directly), the low-rank factor ``channels._low_rank_columns`` (a
 name the package lacks is skipped, so the script also times older
 checkouts) and numpy's decompositions, then times runs of three channels
 over a grid of n1 and shot budgets with BLAS pinned to one thread:
-depolarizing(0.3), of full Kraus rank n1**2, whose exact runs at d = n1**2
->= ``channels.LOW_RANK_MIN_DIM`` try the factor and give it up, and
+depolarizing(0.3), of full Kraus rank n1**2, whose exact runs try the
+factor, keep it at n1 = 2 and give it up past its pivot cap, and
 random_cptp(21, 2) and unitary(21), of Kraus rank 2 and 1, whose exact runs
-there take it. Each stage reports its best inclusive time over
+take it. Each stage reports its best inclusive time over
 ``--repeats`` runs, after one warm-up run, in ``best_ms``, and the first
 quartile, median and third quartile of those runs in ``quartiles_ms``,
 which show how far the runs spread on a shared machine. A stage called
 inside another is reported under its caller as "caller > stage": the
-decompositions sit inside the stage that asks for them, and at an older
-checkout whose evaluator builds its Choi matrix, ``kraus_to_choi`` sits
-inside ``joint_output_state``; no evaluator here builds one
-(``tomography.OpaqueChannel``).
+decompositions sit inside the stage that asks for them.
 
 Six more stages time what the CLI does with the last run's result,
 outside ``run_tomography``, each over ``--repeats`` calls. A run ends at
@@ -28,15 +24,13 @@ its Kraus set; ``TomographyResult.estimated_choi`` builds J = V V^dagger on
 first access and keeps it. So ``kraus_to_choi`` times that build from the
 result's Kraus set on its own, and ``result_to_doc``, which reads the kept
 J, times the rest of the result document, as ``choiforge tomograph`` builds
-it; at an older checkout whose run builds J itself, this step replaces the
-run's top-level ``kraus_to_choi`` stage. ``dump_document`` writes the
-document as JSON text; ``payload_to_matrix`` decodes its ``estimated_choi``
-payload, as ``check`` and ``convert`` do with a Choi file;
-``load_document`` parses the dumped text and ``process_fidelity`` compares
-the result's Kraus set with the Kraus set it came from, as ``choiforge
-compare`` does with a result file and its truth file. A finite-shot result
-is not trace preserving, so there the stage times the verdict that rejects
-it.
+it. ``dump_document`` writes the document as JSON text;
+``payload_to_matrix`` decodes its ``estimated_choi`` payload, as ``check``
+and ``convert`` do with a Choi file; ``load_document`` parses the dumped
+text and ``process_fidelity`` compares the result's Kraus set with the
+Kraus set it came from, as ``choiforge compare`` does with a result file
+and its truth file. A finite-shot result is not trace preserving, so there
+the stage times the verdict that rejects it.
 
 Each row names its ``channel`` and also holds ``python_calls_per_run``: the
 Python-level function calls (``sys.setprofile`` "call" events) of one run,
@@ -88,7 +82,6 @@ STAGES = (
     (tomography, "simulate_state_tomography"),
     (tomography, "reconstruct_from_schmidt"),
     (tomography, "_schmidt_kraus"),
-    (tomography, "kraus_to_choi"),
     (channels, "_low_rank_columns"),
 )
 DECOMPOSITIONS = ("eigh", "eigvalsh", "eig", "eigvals", "svd", "cholesky")

@@ -37,13 +37,9 @@ from .linalg import (
 )
 
 KRAUS_DROP_THRESHOLD = 1e-10
-# The low-rank path of ``_eigen_operators``: the least Choi dimension d = n1*n2
-# it is tried at, and its most pivots. At d = 64 an attempt that gives up
-# after its eight pivots, or an accepted rank-2 factor, costs about a sixth
-# of eigh; at d = 36 a given-up attempt costs half of eigh (README, "The
-# low-rank path"). The factor's float error grows with the pivots, and with
-# 16 the study's rank-16 rows came out at 2-5 times eigh's (``scripts/study.py``).
-LOW_RANK_MIN_DIM = 64
+# The most pivots of the low-rank path of ``_eigen_operators``. The factor's
+# float error grows with the pivots, and with 16 the study's rank-16 rows
+# came out at 2-5 times eigh's (``scripts/study.py``).
 LOW_RANK_MAX_PIVOTS = 8
 
 _ZOO_PARAM_COUNTS = {
@@ -300,8 +296,8 @@ def _eigen_operators(
     the one step from a Choi matrix to Kraus form.
 
     `matrix` is symmetrized as h = (m + m^dagger)/2. Where the cutoff is
-    ``KRAUS_DROP_THRESHOLD`` and d is at least ``LOW_RANK_MIN_DIM``, a
-    low-rank factor is tried first (``_low_rank_columns``): when it is
+    ``KRAUS_DROP_THRESHOLD``, at every d, a low-rank factor is tried first
+    (``_low_rank_columns``), and an overflow in it gives it up: when it is
     accepted, the kept rank is the one ``eigh`` would keep, the bound is
     -sigma, with sigma >= ||h - V V^dagger||_F, and nothing is clipped, since
     the float residual is dropped whole, so the mass is 0.0. Otherwise h is
@@ -315,8 +311,8 @@ def _eigen_operators(
     h = matrix + matrix.conj().T
     h *= 0.5  # the bits of / 2, without a third d x d array
     factored = None
-    if threshold == KRAUS_DROP_THRESHOLD and len(h) >= LOW_RANK_MIN_DIM:
-        with np.errstate(all="ignore"):  # an overflow gives the factor up, as any non-finite sigma does
+    if threshold == KRAUS_DROP_THRESHOLD:
+        with np.errstate(all="ignore"):  # a non-finite sigma is never accepted
             factored = _low_rank_columns(h, threshold)
     if factored is not None:
         scaled, sigma = factored

@@ -50,7 +50,7 @@ from .linalg import (
 EXACT = None  # shot-budget sentinel: infinite-shot idealization
 MIN_SCHMIDT_COEFFICIENT = 1e-6
 SAMPLER_VERSION = 5  # bumped whenever the fixed-seed sampling stream changes
-RECONSTRUCTION_VERSION = 4  # bumped whenever the bytes of a reconstruction change
+RECONSTRUCTION_VERSION = 5  # bumped whenever the bytes of a reconstruction change
 MAX_SHOTS = 2**53  # every count below it is exact in a float64
 
 
@@ -83,26 +83,20 @@ class OpaqueChannel:
     def from_kraus(cls, kraus: KrausSet) -> "OpaqueChannel":
         """The channel of a Kraus set, applied through the factor V of
         J = V V^dagger (``channels._kraus_factor``), without building J."""
-        return cls(
-            kraus.input_dim,
-            kraus.output_dim,
-            _factor_evaluator(kraus.input_dim, lambda: (_kraus_factor(kraus),) * 2),
-        )
+        v = _kraus_factor(kraus)
+        return cls(kraus.input_dim, kraus.output_dim, _factor_evaluator(kraus.input_dim, v, v))
 
     @classmethod
     def from_stinespring(cls, model: StinespringModel) -> "OpaqueChannel":
         """The channel of a system-ancilla model, applied through the
         factors L, R of its Choi matrix J = L R^dagger
         (``channels._stinespring_factors``), without building J."""
-        return cls(
-            model.system_dim,
-            model.output_dim,
-            _factor_evaluator(model.system_dim, lambda: _stinespring_factors(model)),
-        )
+        left, right = _stinespring_factors(model)
+        return cls(model.system_dim, model.output_dim, _factor_evaluator(model.system_dim, left, right))
 
 
 def _factor_evaluator(
-    n1: int, factors: Callable[[], tuple[np.ndarray, np.ndarray]]
+    n1: int, left: np.ndarray, right: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Evaluator of (identity tensor E) on input vectors of length n1*n1,
     from d x m factors L, R of the channel's Choi matrix J = L R^dagger.
@@ -111,18 +105,17 @@ def _factor_evaluator(
     system, the output is out[i o, j p] = sum_ab Phi[i, a] conj(Phi[j, b])
     J[a o, b p] = lift(L) lift(R)^dagger, where lift(F) = (Phi tensor I) F
     is one product of Phi with F's n1 row blocks side by side. No d x d
-    input and no J is formed. ``factors`` builds L and R inside each call,
-    so wrapping a channel costs nothing until it is used, and nothing is
-    kept between calls; a Kraus set's L and R are one array, lifted once.
+    input and no J is formed. L and R are built once, when the channel is
+    wrapped, and kept by the evaluator; a Kraus set's L and R are one array,
+    lifted once.
     """
+    d = len(left)
 
     def evaluator(input_vector: np.ndarray) -> np.ndarray:
         v = np.asarray(input_vector, dtype=complex)
         if v.shape != (n1 * n1,):
             raise ValueError(f"input vector has shape {v.shape}, expected {(n1 * n1,)}")
         phi = v.reshape(n1, n1)
-        left, right = factors()
-        d = len(left)
         lifted_left = (phi @ left.reshape(n1, -1)).reshape(d, -1)
         lifted_right = lifted_left if right is left else (phi @ right.reshape(n1, -1)).reshape(d, -1)
         return lifted_left @ lifted_right.conj().T
@@ -500,10 +493,10 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
     first: the run makes one eigendecomposition, the Choi estimate's, plus
     the sampler's Cholesky certificate, and ``eigvalsh`` only when the
     certificate fails. The sampler's estimate, Hermitian by construction, is
-    reconstructed without a second judgement. It is full rank, so ``eigh``
-    decides: the low-rank path is tried only at a ``kraus_threshold`` of
-    ``KRAUS_DROP_THRESHOLD`` and d >= ``channels.LOW_RANK_MIN_DIM``, never
-    at the default cutoff, and gives up at its pivot cap.
+    reconstructed without a second judgement, by ``eigh``: the low-rank
+    factor is tried only at a ``kraus_threshold`` of ``KRAUS_DROP_THRESHOLD``,
+    never at the default cutoff, and is kept only where it proves the rank
+    ``eigh`` would keep, which a full-rank, indefinite estimate never allows.
     ``shots=EXACT`` skips the sampler: the evaluator output is the estimate,
     and it is judged in the sampler's order and with its messages:
     Hermiticity as ``reconstruct_from_schmidt`` judges it, then positivity,

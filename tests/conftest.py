@@ -1,11 +1,20 @@
 """Shared numeric helpers and reference oracles for the test suite."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from choiforge import channels, cli, linalg, metrics, serialize, tomography
 from choiforge.channels import kraus_to_choi
 from choiforge.metrics import choi_distance
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def newest_trail(pattern: str) -> Path:
+    """The committed file matching `pattern` with the highest number after its underscore."""
+    return max(ROOT.glob(pattern), key=lambda path: int(path.stem.split("_")[1]))
 
 
 def random_complex_matrix(rows, cols, rng):
@@ -166,6 +175,11 @@ def judgements(monkeypatch):
                     or original(*a, **kw),
                 )
     return calls
+
+
+def eigh_only(monkeypatch):
+    """Refuse the low-rank factor: each step from a Choi matrix to Kraus form runs ``eigh``."""
+    monkeypatch.setattr(channels, "_low_rank_columns", lambda h, threshold: None)
 
 
 @pytest.fixture

@@ -6,15 +6,14 @@ from hypothesis import strategies as st
 from conftest import (
     apply_kraus,
     apply_stinespring,
+    eigh_only,
     kraus_equivalent,
     random_complex_matrix,
     random_density,
     random_hermitian,
 )
-import choiforge.channels as channels
 from choiforge.channels import (
     LOW_RANK_MAX_PIVOTS,
-    LOW_RANK_MIN_DIM,
     ZOO_CHANNEL_NAMES,
     ChoiMatrix,
     KrausSet,
@@ -240,8 +239,9 @@ class TestChoiToKraus:
         assert frobenius_distance(kraus_to_choi(k).matrix, j.matrix) < 1e-10 * scale
 
     def test_one_decomposition(self, decompositions):
+        # rank 4 is within the pivot cap: the factor's one thin SVD
         choi_to_kraus(kraus_to_choi(random_cptp(3, 2, 4, seed=6)))
-        assert decompositions == ["eigh"]
+        assert decompositions == ["svd"]
 
     def test_identity_choi_roundtrip(self):
         j = ChoiMatrix(2, 2, np.eye(4, dtype=complex))
@@ -274,19 +274,20 @@ class TestChoiToKraus:
         assert np.linalg.norm(k.operators[0]) == 0.0
 
 
-def eigh_only(monkeypatch):
-    """Raise the crossover past every dimension: each step runs ``eigh``."""
-    monkeypatch.setattr(channels, "LOW_RANK_MIN_DIM", 10**9)
-
-
 class TestLowRankPath:
-    """At d >= LOW_RANK_MIN_DIM with the float-level cutoff, a pivoted
-    Cholesky factor stands in for eigh where Weyl's bound proves it keeps the
-    same rank; otherwise eigh decides, byte for byte as before."""
+    """With the float-level cutoff, at every d, a pivoted Cholesky factor
+    stands in for eigh where Weyl's bound proves it keeps the same rank;
+    otherwise eigh decides, byte for byte as with the factor refused."""
 
     @pytest.mark.parametrize(
         "n1,n2,rank",
         [
+            # small d: full rank is within the pivot cap at d = 4 and 6, past it from d = 9
+            *[
+                (n1, n2, rank)
+                for n1, n2 in [(2, 2), (2, 3), (3, 3), (4, 4), (5, 5), (7, 7)]
+                for rank in (1, 2, n1 * n2)
+            ],
             (8, 8, 1),
             (8, 8, 2),
             (8, 8, 3),
@@ -301,7 +302,6 @@ class TestLowRankPath:
     )
     def test_agrees_with_eigh(self, monkeypatch, low_rank_attempts, n1, n2, rank):
         d = n1 * n2
-        assert d >= LOW_RANK_MIN_DIM
         choi = kraus_to_choi(random_cptp(n1, n2, rank, seed=rank))
         factored = choi_to_kraus(choi)
         # past the cap the factor gives up and eigh decides
@@ -319,25 +319,10 @@ class TestLowRankPath:
                 op.tobytes() for op in reference.operators
             ]
 
-    def test_below_the_crossover_only_eigh(self, monkeypatch, low_rank_attempts, decompositions):
-        # d = 63: a rank-2 Choi matrix the factor would take at d >= 64 goes
-        # to eigh untried, byte for byte as with the path switched off
-        assert 7 * 9 == LOW_RANK_MIN_DIM - 1
-        choi = kraus_to_choi(random_cptp(7, 9, 2, seed=2))
-        kraus = choi_to_kraus(choi)
-        assert low_rank_attempts == []
-        assert decompositions == ["eigh"]
-        eigh_only(monkeypatch)
-        reference = choi_to_kraus(choi)
-        assert len(kraus.operators) == 2
-        assert [op.tobytes() for op in kraus.operators] == [
-            op.tobytes() for op in reference.operators
-        ]
-
     @pytest.mark.parametrize("n1", [8, 10, 16])
     def test_full_rank_falls_back_to_eigh(self, monkeypatch, low_rank_attempts, decompositions, n1):
-        # from the gate's edge, d = 64, up: the factor gives up at its pivot
-        # cap and leaves eigh's bytes
+        # from d = 64 up: the factor gives up at its pivot cap and leaves
+        # eigh's bytes
         choi = kraus_to_choi(zoo_channel("depolarizing", [0.3], n1))
         kraus = choi_to_kraus(choi)
         assert len(kraus.operators) == n1**2

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import choiforge.channels as channels
+from conftest import eigh_only
 from choiforge.channels import ChoiMatrix, KrausSet, kraus_to_choi, random_cptp, zoo_channel
 from choiforge.cli import main
 from choiforge.linalg import _MAX_DIMS
@@ -482,7 +482,7 @@ class TestOutOfRangeNumbers:
         code, out, _ = run(capsys, ["convert", src, "--to", "kraus"])
         assert code == 0
         assert low_rank_attempts == [False]
-        monkeypatch.setattr(channels, "_low_rank_columns", lambda h, threshold: None)
+        eigh_only(monkeypatch)
         code, reference, _ = run(capsys, ["convert", src, "--to", "kraus"])
         assert code == 0
         assert len(json.loads(out)["payload"]["operators"]) == len(

@@ -187,12 +187,14 @@ class TestProcessFidelity:
 
     @pytest.mark.parametrize("kinds", ["kk", "ck", "kc", "cc"])
     def test_one_eigh_per_choi_side(self, decompositions, kinds):
-        # a Choi side is factored by choi_to_kraus's one eigh; each side's
-        # trace verdict is one n1 x n1 eigvalsh, and the overlap one SVD
+        # a Choi side is factored by choi_to_kraus's one decomposition, here
+        # the low-rank factor's thin SVD, as both ranks are within its pivot
+        # cap; each side's trace verdict is one n1 x n1 eigvalsh, and the
+        # overlap one SVD
         sides = [random_cptp(3, 2, 2, seed=1), random_cptp(3, 2, 5, seed=2)]
         a, b = (kraus_to_choi(k) if kind == "c" else k for kind, k in zip(kinds, sides))
         process_fidelity(a, b)
-        per_side = {"k": ["eigvalsh"], "c": ["eigh", "eigvalsh"]}
+        per_side = {"k": ["eigvalsh"], "c": ["svd", "eigvalsh"]}
         assert decompositions == per_side[kinds[0]] + per_side[kinds[1]] + ["svd"]
 
     def test_dimension_mismatch(self):

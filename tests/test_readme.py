@@ -2,11 +2,12 @@
 
 import re
 import shlex
-from pathlib import Path
 
+from conftest import ROOT, newest_trail
 from choiforge.cli import main
+from choiforge.tomography import RECONSTRUCTION_VERSION, SAMPLER_VERSION
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def first_block(after: str, language: str) -> str:
@@ -33,3 +34,17 @@ def test_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
     assert len(commands) == 8
     for argv in commands:  # in order: later commands read what earlier ones wrote
         assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+
+
+def test_one_statement_of_the_versions_and_trails():
+    # "Result files" names this version's sampler and reconstruction
+    # versions and its newest trails; no other sentence states a version
+    versions = re.findall(r"`(sampler|reconstruction)`\s+(?:still\s+)?(\d+)", README)
+    assert versions == [("sampler", str(SAMPLER_VERSION)), ("reconstruction", str(RECONSTRUCTION_VERSION))]
+    assert not re.search(r"(sampler|reconstruction) version is \d", README)
+    sentence = re.search(
+        r"This version writes `sampler` \d+ and `reconstruction` \d+;\s+`(\S+)` and `(\S+)` are its trails",
+        README,
+    )
+    assert sentence
+    assert sentence.groups() == (newest_trail("DIGESTS_*.jsonl").name, newest_trail("STUDY_*.jsonl").name)

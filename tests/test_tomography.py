@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     apply_kraus,
     apply_stinespring,
+    eigh_only,
     hermitian_operator_basis,
     kraus_equivalent,
     random_density,
@@ -19,7 +20,6 @@ import choiforge.channels as channels
 import choiforge.linalg as linalg
 import choiforge.tomography as tomography
 from choiforge.channels import (
-    LOW_RANK_MIN_DIM,
     KrausSet,
     StinespringModel,
     choi_cp_tp_verdict,
@@ -222,6 +222,20 @@ class TestJointOutputState:
                 assert out.shape == (n1 * n2, n1 * n2)
                 assert frobenius_distance(out, expected) < 1e-12 * np.linalg.norm(expected)
         assert built == []
+
+    @pytest.mark.parametrize("name", ["_kraus_factor", "_stinespring_factors"])
+    def test_factors_are_built_once_when_wrapped(self, monkeypatch, name):
+        calls = []
+        real = getattr(tomography, name)
+        monkeypatch.setattr(tomography, name, lambda source: calls.append(source) or real(source))
+        if name == "_kraus_factor":
+            channel = OpaqueChannel.from_kraus(random_cptp(3, 3, 2, seed=4))
+        else:
+            channel = OpaqueChannel.from_stinespring(random_stinespring(np.random.default_rng(4)))
+        assert len(calls) == 1
+        for _ in range(2):
+            channel.evaluator(prepare_schmidt_input(uniform(channel.input_dim)))
+        assert len(calls) == 1
 
     def test_evaluator_shape_mismatch_detected(self):
         bad = OpaqueChannel(2, 2, lambda m: np.eye(3))
@@ -632,8 +646,8 @@ class TestLargeDimensions:
 
 
 class TestLowRankReconstruction:
-    """Exact runs at d >= LOW_RANK_MIN_DIM read the Kraus set off the
-    low-rank factor where it is accepted; every check on the run stays."""
+    """Exact runs read the Kraus set off the low-rank factor where it is
+    accepted, at every d; every check on the run stays."""
 
     def schmidt(self, n1, rng):
         alphas = np.arange(1.0, n1 + 1)
@@ -644,7 +658,6 @@ class TestLowRankReconstruction:
     @pytest.mark.parametrize("haar", [False, True])
     def test_run_equals_staged_reconstruction(self, low_rank_attempts, haar):
         n1 = 12
-        assert n1 * n1 >= LOW_RANK_MIN_DIM
         spec = self.schmidt(n1, np.random.default_rng(8)) if haar else uniform(n1)
         channel = OpaqueChannel.from_kraus(random_cptp(n1, n1, 2, seed=8))
         result = run_tomography(channel, TomographyConfig(input_kind=spec if haar else None))
@@ -690,14 +703,13 @@ class TestLowRankReconstruction:
     def test_finite_shots_at_float_cutoff_give_the_factor_up(self, monkeypatch, low_rank_attempts):
         # the float-level cutoff tries the factor on the full-rank estimate:
         # it gives up at the pivot cap and eigh decides, byte for byte as
-        # with the path switched off
+        # with the factor refused
         channel = OpaqueChannel.from_kraus(random_cptp(8, 8, 2, 8))
         config = TomographyConfig(shots=10**4, seed=1, kraus_threshold=1e-10)
         result = run_tomography(channel, config)
         assert low_rank_attempts == [False]
-        monkeypatch.setattr(channels, "LOW_RANK_MIN_DIM", 8 * 8 + 1)
+        eigh_only(monkeypatch)
         reference = run_tomography(channel, config)
-        assert low_rank_attempts == [False]
         assert kraus_bytes(result.kraus) == kraus_bytes(reference.kraus)
 
 
@@ -1080,8 +1092,10 @@ class TestRunTomography:
     def test_one_eigendecomposition_per_run(self, decompositions, shots, schmidt):
         # every O(d^3) decomposition numpy offers is counted, whoever calls it.
         # An exact run judges the evaluator output on the Choi estimate's one
-        # eigh; a finite-shot run also pays the sampler's Cholesky certificate,
-        # which guards the Born probabilities it reads off the output
+        # decomposition, here the low-rank factor's thin SVD (ranks 2 and 3);
+        # a finite-shot run decomposes its full-rank estimate with eigh and
+        # also pays the sampler's Cholesky certificate, which guards the Born
+        # probabilities it reads off the output
         rng = np.random.default_rng(9)
         cases = ((2, zoo_channel("amplitude_damping", [0.3])), (4, random_cptp(4, 4, 3, 5)))
         for n1, truth in cases:
@@ -1090,7 +1104,7 @@ class TestRunTomography:
             config = TomographyConfig(shots=shots, seed=2, input_kind=spec if schmidt else None)
             decompositions.clear()
             run_tomography(OpaqueChannel.from_kraus(truth), config)
-            assert decompositions == (["eigh"] if shots is EXACT else ["cholesky", "eigh"])
+            assert decompositions == (["svd"] if shots is EXACT else ["cholesky", "eigh"])
 
     @pytest.mark.parametrize("shots", [EXACT, 1000])
     @pytest.mark.parametrize("schmidt", [False, True])

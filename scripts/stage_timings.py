@@ -5,9 +5,9 @@ Wraps the module-level names ``run_tomography`` calls (``joint_output_state``,
 ``simulate_state_tomography``, ``reconstruct_from_schmidt`` and its core
 ``_schmidt_kraus`` for an estimate already judged, which a finite-shot run
 calls directly), the low-rank factor ``channels._low_rank_columns`` (a
-name the package lacks is skipped, so the script also times older
-checkouts) and numpy's decompositions, then times runs of three channels
-over a grid of n1 and shot budgets with BLAS pinned to one thread:
+name the package lacks fails the script rather than leave the table) and
+numpy's decompositions, then times runs of three channels over a grid of
+n1 and shot budgets with BLAS pinned to one thread:
 depolarizing(0.3), of full Kraus rank n1**2, whose exact runs try the
 factor, keep it at n1 = 2 and give it up past its pivot cap, and
 random_cptp(21, 2) and unitary(21), of Kraus rank 2 and 1, whose exact runs
@@ -120,8 +120,7 @@ class StageClock:
         """Replace the stage names in their modules and the decompositions
         in ``np.linalg`` by timed wrappers, for this process."""
         for module, name in STAGES:
-            if hasattr(module, name):
-                setattr(module, name, self.wrap(name, getattr(module, name)))
+            setattr(module, name, self.wrap(name, getattr(module, name)))
         for name in DECOMPOSITIONS:
             setattr(np.linalg, name, self.wrap(name, getattr(np.linalg, name)))
 

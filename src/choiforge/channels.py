@@ -9,8 +9,8 @@ A channel E from dimension n1 to n2 is carried in one of three forms:
   projective post-selection and a partial trace.
 
 Conversions between the first two run through the Choi eigendecomposition;
-the extracted Kraus sets are canonical (trace-orthogonal operators). Where
-the Choi matrix has small Kraus rank and the cutoff is at float level, a
+the extracted Kraus sets are canonical (trace-orthogonal operators). At the
+float-level cutoff, bound(diag J, EXACT_TOL), where J has small Kraus rank, a
 pivoted-Cholesky factor and its thin SVD give the same eigenpairs for a
 fraction of the cost, and ``eigh`` decides only where they cannot prove it
 (``_eigen_operators``).
@@ -36,7 +36,6 @@ from .linalg import (
     partial_trace,
 )
 
-KRAUS_DROP_THRESHOLD = 1e-10
 # The most pivots of the low-rank path of ``_eigen_operators``. The factor's
 # float error grows with the pivots, and with 16 the study's rank-16 rows
 # came out at 2-5 times eigh's (``scripts/study.py``).
@@ -256,8 +255,9 @@ def _low_rank_columns(h: np.ndarray, threshold: float) -> tuple[np.ndarray, floa
     farther than sigma from `threshold`, with 4 d eps (tr V V^dagger + sigma)
     more for the rounding of the SVD and of ``eigh``, the eigenvalues of h
     above the cutoff are exactly the kept ones and ``eigh`` would keep as
-    many. Otherwise the result is None. As V V^dagger is PSD,
-    lambda_min(h) >= -sigma.
+    many. Otherwise, or where that margin is not below the absolute
+    ``EXACT_TOL``, whatever the scale of h, the result is None. As
+    V V^dagger is PSD, lambda_min(h) >= -sigma.
     """
     d = len(h)
     eps = np.finfo(float).eps
@@ -282,36 +282,40 @@ def _low_rank_columns(h: np.ndarray, threshold: float) -> tuple[np.ndarray, floa
     sigma = float(np.linalg.norm(residual)) * (1 + d * d * eps) + 2 * (k + 2) * eps * gram_trace
     u, s, _ = np.linalg.svd(v, full_matrices=False)
     margin = sigma + 4 * d * eps * (gram_trace + sigma)
-    if not margin < threshold or np.any(np.abs(s**2 - threshold) <= margin):  # NaN gives up
+    if not margin < EXACT_TOL or np.any(np.abs(s**2 - threshold) <= margin):  # NaN gives up
         return None
     keep = s**2 > threshold
     return u[:, keep] * s[keep], sigma
 
 
 def _eigen_operators(
-    matrix: np.ndarray, input_dim: int, output_dim: int, threshold: float
+    matrix: np.ndarray, input_dim: int, output_dim: int, threshold: float | None
 ) -> tuple[np.ndarray, float, float]:
     """The Kraus operators of a Choi matrix, stacked as (k, n2, n1), a lower
     bound on its least eigenvalue, and the negative eigenvalue mass clipped:
     the one step from a Choi matrix to Kraus form.
 
-    `matrix` is symmetrized as h = (m + m^dagger)/2. Where the cutoff is
-    ``KRAUS_DROP_THRESHOLD``, at every d, a low-rank factor is tried first
-    (``_low_rank_columns``), and an overflow in it gives it up: when it is
+    `matrix` is symmetrized as h = (m + m^dagger)/2. A `threshold` of None
+    asks for the float-level cutoff bound(diag h, EXACT_TOL), which is
+    bound(h, EXACT_TOL) for a PSD h, whose largest entry is on its diagonal;
+    only then, at every d, is a low-rank factor tried first
+    (``_low_rank_columns``), and an overflow in it gives it up. When it is
     accepted, the kept rank is the one ``eigh`` would keep, the bound is
-    -sigma, with sigma >= ||h - V V^dagger||_F, and nothing is clipped, since
-    the float residual is dropped whole, so the mass is 0.0. Otherwise h is
-    decomposed by one ``np.linalg.eigh``: the bound is its least eigenvalue,
-    and the mass is the sum of its negative eigenvalues' magnitudes. Either
-    way each eigenvalue above `threshold` gives one operator, its unit
-    eigenvector scaled by sqrt(eigenvalue), in descending order, whose n1
-    segments of length n2 are the operator's columns. If none is above the
-    threshold, one zero operator stands in. Judging the matrix is the caller's.
+    -sigma, with sigma >= ||h - V V^dagger||_F below EXACT_TOL, and nothing
+    is clipped, since the float residual is dropped whole, so the mass is
+    0.0. Otherwise h is decomposed by one ``np.linalg.eigh``: the bound is
+    its least eigenvalue, and the mass is the sum of its negative
+    eigenvalues' magnitudes. Either way each eigenvalue above the cutoff
+    gives one operator, its unit eigenvector scaled by sqrt(eigenvalue), in
+    descending order, whose n1 segments of length n2 are the operator's
+    columns. If none is above the cutoff, one zero operator stands in.
+    Judging the matrix is the caller's.
     """
     h = matrix + matrix.conj().T
     h *= 0.5  # the bits of / 2, without a third d x d array
     factored = None
-    if threshold == KRAUS_DROP_THRESHOLD:
+    if threshold is None:
+        threshold = bound(h.diagonal(), EXACT_TOL)
         with np.errstate(all="ignore"):  # a non-finite sigma is never accepted
             factored = _low_rank_columns(h, threshold)
     if factored is not None:
@@ -332,21 +336,19 @@ def _eigen_operators(
 def choi_to_kraus(choi: ChoiMatrix) -> KrausSet:
     """Extract a canonical Kraus set from a Choi matrix.
 
-    One operator per eigenvalue above ``KRAUS_DROP_THRESHOLD``, from the one
-    step from a Choi matrix to Kraus form (``_eigen_operators``): a
+    One operator per eigenvalue above the float-level cutoff (see
+    ``_eigen_operators``, the one step from a Choi matrix to Kraus form): a
     low-rank factor when it is accepted, one eigendecomposition otherwise;
     ``ChoiMatrix`` has already judged J Hermitian. The result is
     trace-orthogonal, Tr(A_k^dagger A_l) = eigenvalue_k * delta_kl, and has
     at most n1*n2 members; eigenvalues in [-bound(J), 0) are dropped as
     float noise, anything lower raises ``NotCompletelyPositiveError`` with
     ``eigh``'s least eigenvalue. An accepted factor proves lambda_min(J) >=
-    -sigma with sigma below the cutoff, far inside bound(J), so a non-CP J
+    -sigma with sigma below EXACT_TOL, far inside bound(J), so a non-CP J
     always reaches ``eigh``. The operators are frozen (``_derived``), not
     judged again.
     """
-    ops, lowest, _ = _eigen_operators(
-        choi.matrix, choi.input_dim, choi.output_dim, KRAUS_DROP_THRESHOLD
-    )
+    ops, lowest, _ = _eigen_operators(choi.matrix, choi.input_dim, choi.output_dim, None)
     limit = bound(choi.matrix)
     if lowest < -limit:
         raise NotCompletelyPositiveError(lowest, limit)

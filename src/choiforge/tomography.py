@@ -20,7 +20,6 @@ from typing import Callable
 import numpy as np
 
 from .channels import (
-    KRAUS_DROP_THRESHOLD,
     ChoiMatrix,
     KrausSet,
     StinespringModel,
@@ -168,10 +167,10 @@ class SchmidtInput:
 
 
 def _check_threshold(threshold, name: str):
-    """``threshold`` if it is a real number (``linalg.is_real``), finite and
-    nonnegative; anything else raises ValueError naming `name`."""
+    """``threshold`` if it is None or a real number (``linalg.is_real``),
+    finite and nonnegative; anything else raises ValueError naming `name`."""
     try:
-        valid = is_real(threshold) and math.isfinite(threshold) and threshold >= 0
+        valid = threshold is None or is_real(threshold) and 0 <= float(threshold) < math.inf
     except OverflowError:  # an int that no float can hold
         valid = False
     if not valid:
@@ -212,8 +211,7 @@ class TomographyConfig:
     def __post_init__(self):
         object.__setattr__(self, "shots", _check_shots(self.shots))
         object.__setattr__(self, "seed", check_int(self.seed, "seed"))
-        if self.kraus_threshold is not None:
-            _check_threshold(self.kraus_threshold, "kraus_threshold")
+        _check_threshold(self.kraus_threshold, "kraus_threshold")
         if self.input_kind is not None and not isinstance(self.input_kind, SchmidtInput):
             raise ValueError("input_kind must be None (maximally entangled) or a SchmidtInput")
 
@@ -383,21 +381,19 @@ def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
     return estimate
 
 
-def default_kraus_threshold(shots: int | None, input_dim: int) -> float:
-    """Eigenvalue cutoff, the one place a Kraus cutoff is decided:
-    ``KRAUS_DROP_THRESHOLD``, numerically zero, in EXACT mode, and 3x the
-    plug-in noise scale input_dim/sqrt(shots) otherwise, which is at least
-    3/sqrt(MAX_SHOTS). ``input_dim`` is an integer of at least 1
-    (``linalg.is_int``)."""
+def default_kraus_threshold(shots: int | None, input_dim: int) -> float | None:
+    """Eigenvalue cutoff, the one place a Kraus cutoff is decided: None in
+    EXACT mode, which asks ``channels._eigen_operators`` for the float-level
+    cutoff, bound(diag J, EXACT_TOL), and 3x the plug-in noise scale
+    input_dim/sqrt(shots) otherwise, which is at least 3/sqrt(MAX_SHOTS).
+    ``input_dim`` is an integer of at least 1 (``linalg.is_int``)."""
     _check_shots(shots)
     input_dim = check_int(input_dim, "input_dim", 1)
-    if shots is EXACT:
-        return KRAUS_DROP_THRESHOLD
-    return 3.0 * input_dim / math.sqrt(shots)
+    return None if shots is EXACT else 3.0 * input_dim / math.sqrt(shots)
 
 
 def reconstruct_from_schmidt(
-    rho_est, spec: SchmidtInput, output_dim: int, threshold: float
+    rho_est, spec: SchmidtInput, output_dim: int, threshold: float | None
 ) -> tuple[KrausSet, float]:
     """Kraus operators from the joint output of a maximum-Schmidt input.
 
@@ -407,13 +403,14 @@ def reconstruct_from_schmidt(
     ``channels._eigen_operators``, which ``choi_to_kraus`` takes too, gives
     everything else: negative eigenvalues are clipped, each eigenpair above
     `threshold` becomes an intermediate operator, and the channel's Kraus
-    operators are the intermediates times V^dagger. That step reads the
-    eigenpairs off a low-rank factor where it proves them, and off one
-    ``eigh`` otherwise. Returns the Kraus set and the clipped negative
-    eigenvalue mass of the Choi estimate, 0.0 on the low-rank path.
-    `rho_est` must be finite and is judged Hermitian to within
-    bound(rho_est), but not positive; `threshold` must be a finite,
-    nonnegative real number and has no default: pass
+    operators are the intermediates times V^dagger. A `threshold` of None
+    asks for the float-level cutoff, at which that step reads the eigenpairs
+    off a low-rank factor where it proves them, and off one ``eigh``
+    otherwise; a number is an absolute cutoff for one ``eigh``. Returns the
+    Kraus set and the clipped negative eigenvalue mass of the Choi estimate,
+    0.0 on the low-rank path. `rho_est` must be finite and is judged
+    Hermitian to within bound(rho_est), but not positive; `threshold` must
+    be None or a finite, nonnegative real number and has no default: pass
     ``default_kraus_threshold(shots, n1)`` for the cutoff ``run_tomography``
     would use. The rescaling amplifies the float noise of `rho_est` by up
     to 1/alpha_min^2, so the Choi estimate is not judged again but
@@ -494,9 +491,9 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
     the sampler's Cholesky certificate, and ``eigvalsh`` only when the
     certificate fails. The sampler's estimate, Hermitian by construction, is
     reconstructed without a second judgement, by ``eigh``: the low-rank
-    factor is tried only at a ``kraus_threshold`` of ``KRAUS_DROP_THRESHOLD``,
-    never at the default cutoff, and is kept only where it proves the rank
-    ``eigh`` would keep, which a full-rank, indefinite estimate never allows.
+    factor is tried only at the float-level cutoff, the exact default, never
+    at a numeric cutoff, and is kept only where it proves the rank ``eigh``
+    would keep, which a full-rank, indefinite estimate never allows.
     ``shots=EXACT`` skips the sampler: the evaluator output is the estimate,
     and it is judged in the sampler's order and with its messages:
     Hermiticity as ``reconstruct_from_schmidt`` judges it, then positivity,
@@ -504,8 +501,8 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
     (``_positivity_proved``): -lambda_min of the Choi estimate is at most
     the mass its ``eigh`` clipped, or, where the low-rank factor
     (``channels._eigen_operators``) was accepted, its residual norm sigma,
-    which is below ``KRAUS_DROP_THRESHOLD``; the larger of the clipped mass
-    and that threshold bounds both. The proof needs no bound(rho), so the
+    which is below ``EXACT_TOL`` at any scale; the larger of the clipped
+    mass and ``EXACT_TOL`` bounds both. The proof needs no bound(rho), so the
     run reads rho for it only in ``reconstruct_from_schmidt``'s Hermiticity
     judgement. Only when that cannot prove positivity, as for strongly
     skewed Schmidt inputs or an indefinite output, does the sampler's
@@ -528,8 +525,8 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
         kraus, negativity_removed = reconstruct_from_schmidt(rho_out, spec, n2, threshold)
         # -lambda_min of the Choi estimate is at most the mass clipped after
         # eigh, or, for an accepted low-rank factor, which clips nothing,
-        # its residual norm sigma < KRAUS_DROP_THRESHOLD
-        negative = max(negativity_removed, KRAUS_DROP_THRESHOLD)
+        # its residual norm sigma < EXACT_TOL
+        negative = max(negativity_removed, EXACT_TOL)
         proved = _positivity_proved(negative, spec, n1 * n2)
         success_trace = _check_state(rho_out, None if proved else bound(rho_out))
         shots_used = 0

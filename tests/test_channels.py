@@ -334,6 +334,28 @@ class TestLowRankPath:
             op.tobytes() for op in reference.operators
         ]
 
+    @pytest.mark.parametrize("n1, scale", [(2, 1e300), (8, 1e300), (12, 1e300), (8, 1e8)])
+    def test_cutoff_scales_with_the_matrix(self, n1, scale):
+        # the float noise of a scaled rank-2 Choi matrix is far above 1e-10,
+        # and far below the float-level cutoff bound(diag J, EXACT_TOL)
+        j = kraus_to_choi(random_cptp(n1, n1, 2, 3)).matrix * scale
+        kraus = choi_to_kraus(ChoiMatrix(n1, n1, (j + j.conj().T) / 2))
+        assert len(kraus.operators) == 2
+
+    def test_acceptance_is_absolute(self, monkeypatch, low_rank_attempts):
+        # scaled by 1e4 at d = 64 the factor's sigma, about 1.5e-10, is below
+        # the cutoff of about 3.6e-7 but not below EXACT_TOL: the factor
+        # gives up and eigh decides, byte for byte as with the factor refused
+        j = kraus_to_choi(random_cptp(8, 8, 2, 3)).matrix * 1e4
+        choi = ChoiMatrix(8, 8, (j + j.conj().T) / 2)
+        kraus = choi_to_kraus(choi)
+        assert low_rank_attempts == [False]
+        assert len(kraus.operators) == 2
+        eigh_only(monkeypatch)
+        assert [op.tobytes() for op in kraus.operators] == [
+            op.tobytes() for op in choi_to_kraus(choi).operators
+        ]
+
     def test_low_rank_needs_no_eigh(self, decompositions):
         choi_to_kraus(kraus_to_choi(random_cptp(12, 12, 2, seed=4)))
         assert decompositions == ["svd"]

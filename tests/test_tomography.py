@@ -670,7 +670,7 @@ class TestLowRankReconstruction:
         assert result.negativity_removed == mass == 0.0
 
     def test_positivity_proved_without_eigh_or_certificate(self, decompositions):
-        # sigma < KRAUS_DROP_THRESHOLD proves the output positive: one thin SVD
+        # sigma < EXACT_TOL proves the output positive: one thin SVD
         channel = OpaqueChannel.from_kraus(random_cptp(12, 12, 3, seed=2))
         result = run_tomography(channel, TomographyConfig())
         assert len(result.kraus.operators) == 3
@@ -705,12 +705,22 @@ class TestLowRankReconstruction:
         # it gives up at the pivot cap and eigh decides, byte for byte as
         # with the factor refused
         channel = OpaqueChannel.from_kraus(random_cptp(8, 8, 2, 8))
-        config = TomographyConfig(shots=10**4, seed=1, kraus_threshold=1e-10)
-        result = run_tomography(channel, config)
+        spec = uniform(8)
+        output = joint_output_state(channel, prepare_schmidt_input(spec))
+        estimate = simulate_state_tomography(output, 10**4, seed=1)
+        kraus, _ = reconstruct_from_schmidt(estimate, spec, 8, None)
         assert low_rank_attempts == [False]
         eigh_only(monkeypatch)
-        reference = run_tomography(channel, config)
-        assert kraus_bytes(result.kraus) == kraus_bytes(reference.kraus)
+        reference, _ = reconstruct_from_schmidt(estimate, spec, 8, None)
+        assert kraus_bytes(kraus) == kraus_bytes(reference)
+
+    @pytest.mark.parametrize("shots", [EXACT, 10**4])
+    def test_numeric_cutoff_never_tries_the_factor(self, low_rank_attempts, shots):
+        # only the float-level cutoff, asked for with None, tries the factor;
+        # a number, even 1e-10, is an absolute cutoff for one eigh
+        channel = OpaqueChannel.from_kraus(random_cptp(8, 8, 2, 8))
+        run_tomography(channel, TomographyConfig(shots=shots, seed=1, kraus_threshold=1e-10))
+        assert low_rank_attempts == []
 
 
 class TestResult:
@@ -853,7 +863,8 @@ class TestProjectToPsd:
 
 class TestThresholdDefaults:
     def test_exact_mode(self):
-        assert default_kraus_threshold(EXACT, 2) == 1e-10
+        # None asks channels._eigen_operators for the float-level cutoff
+        assert default_kraus_threshold(EXACT, 2) is None
 
     def test_finite_mode_scales_with_noise(self):
         assert default_kraus_threshold(10**6, 2) == pytest.approx(3 * 2 / 1000.0)

@@ -23,14 +23,20 @@ outside ``run_tomography``, each over ``--repeats`` calls. A run ends at
 its Kraus set; ``TomographyResult.estimated_choi`` builds J = V V^dagger on
 first access and keeps it. So ``kraus_to_choi`` times that build from the
 result's Kraus set on its own, and ``result_to_doc``, which reads the kept
-J, times the rest of the result document, as ``choiforge tomograph`` builds
-it. ``dump_document`` writes the document as JSON text;
+J and takes J's spectrum from the Kraus weights, times the rest of the
+result document, as ``choiforge tomograph`` builds it, with no decomposition.
+``dump_document`` writes the document as JSON text;
 ``payload_to_matrix`` decodes its ``estimated_choi`` payload, as ``check``
 and ``convert`` do with a Choi file; ``load_document`` parses the dumped
 text and ``process_fidelity`` compares the result's Kraus set with the
 Kraus set it came from, as ``choiforge compare`` does with a result file
 and its truth file. A finite-shot result is not trace preserving, so there
 the stage times the verdict that rejects it.
+
+One more stage, ``control``, times the same work at every grid point: the
+product of two 64 x 64 complex matrices drawn once from a fixed seed, over
+``--repeats`` calls. One process can run every stage uniformly slower than
+another, and the control shows which one was slow.
 
 Each row names its ``channel`` and also holds ``python_calls_per_run``: the
 Python-level function calls (``sys.setprofile`` "call" events) of one run,
@@ -49,9 +55,10 @@ alternately:
         PYTHONPATH=src python scripts/stage_timings.py --n1 $n1 --label after --output BENCH.json
     done
 
-Rows are added to a table only with the settings it was made with. One
-process can run every stage uniformly slower than another of the same
-checkout, so compare the best of a few tables per checkout, not one.
+Rows are added to a table only with the settings it was made with.
+Compare two rows of one grid point only when their best ``control`` times
+are within a factor of 1.25 of each other; otherwise rerun the slower
+process.
 """
 
 import os
@@ -180,6 +187,8 @@ def compare_fidelity(a, b) -> float | None:
 
 
 def time_grid(clock: StageClock, n1_values, repeats: int, calls: dict) -> list[dict]:
+    rng = np.random.default_rng(0)
+    left, right = rng.standard_normal((2, 64, 64)) + 1j * rng.standard_normal((2, 64, 64))
     rows = []
     for n1, (name, params) in itertools.product(n1_values, CHANNELS):
         truth, label, channel = grid_channel(name, params, n1)
@@ -205,6 +214,7 @@ def time_grid(clock: StageClock, n1_values, repeats: int, calls: dict) -> list[d
             text = serialize.dump_document(doc)
             times["load_document"] = times_ms(lambda: serialize.load_document(text), repeats)
             times["process_fidelity"] = times_ms(lambda: compare_fidelity(result.kraus, truth), repeats)
+            times["control"] = times_ms(lambda: left @ right, repeats)
             rows.append(
                 {
                     "channel": label,

@@ -249,14 +249,20 @@ def parse_experiment_config(doc: dict) -> TomographyConfig:
 
 
 def result_to_doc(result: TomographyResult, config: TomographyConfig) -> dict:
-    """Serialize a tomography run to a result-file document."""
+    """Serialize a ``run_tomography`` result to a result-file document.
+
+    Its Kraus set is trace-orthogonal, each vec(A_k) a unit eigenvector or a
+    column of the low-rank factor's orthonormal U, scaled, then times the
+    unitary V^dagger. So J's spectrum, ``choi_eigenvalues``, is read off it
+    with no decomposition: the weights ||A_k||_F^2, descending, then zeros.
+    """
     choi = result.estimated_choi
-    eigenvalues = np.linalg.eigvalsh(choi.matrix)[::-1]
+    weights = sorted((np.vdot(op, op).real.item() for op in result.kraus.operators), reverse=True)
     return {
         "format_version": FORMAT_VERSION,
         "dims": [choi.input_dim, choi.output_dim],
         "estimated_choi": matrix_to_payload(choi.matrix),
-        "choi_eigenvalues": [float(v) for v in eigenvalues],
+        "choi_eigenvalues": weights + [0.0] * (len(choi.matrix) - len(weights)),
         "kraus": [matrix_to_payload(op) for op in result.kraus.operators],
         "negativity_removed": result.negativity_removed,
         "success_trace": result.success_trace,

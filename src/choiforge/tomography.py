@@ -49,7 +49,7 @@ from .linalg import (
 EXACT = None  # shot-budget sentinel: infinite-shot idealization
 MIN_SCHMIDT_COEFFICIENT = 1e-6
 SAMPLER_VERSION = 5  # bumped whenever the fixed-seed sampling stream changes
-RECONSTRUCTION_VERSION = 5  # bumped whenever the bytes of a reconstruction change
+RECONSTRUCTION_VERSION = 6  # bumped whenever the bytes tomograph writes for a fixed-seed run change
 MAX_SHOTS = 2**53  # every count below it is exact in a float64
 
 
@@ -452,23 +452,25 @@ def _schmidt_kraus(
     return _derived(KrausSet, n1, n2, ops @ spec.right_unitary.conj().T), negativity_removed
 
 
-def _positivity_proved(negative: float, spec: SchmidtInput, d: int) -> bool:
+def _positivity_proved(negativity_removed: float, spec: SchmidtInput, d: int) -> bool:
     """Whether the Choi estimate made from a d x d state rho proves
-    lambda_min(rho) >= -bound(rho), given `negative` >= -lambda_min of the
-    estimate, without reading rho again.
+    lambda_min(rho) >= -bound(rho), from the reconstruction's
+    `negativity_removed` alone, without reading rho again.
 
-    The estimate is the congruence (W^dagger tensor I) rho (W tensor I) with
+    m = max(negativity_removed, EXACT_TOL) bounds -lambda_min of the
+    estimate: ``eigh`` clipped that mass, and an accepted low-rank factor
+    clips nothing and proves lambda_min >= -sigma > -EXACT_TOL. The
+    estimate is the congruence (W^dagger tensor I) rho (W tensor I) with
     W = U diag(1/alpha), so by Ostrowski's theorem a negative lambda_min of
-    the estimate is lambda_min(rho) scaled by at least 1/alpha_max^2, and its
-    magnitude is at most `negative`. Forming and decomposing the estimate in
-    floats perturbs rho by up to about c M, with c = d^2 eps
-    (alpha_max/alpha_min)^2 and M = max|rho_ij|. So lambda_min(rho) >=
-    -(negative alpha_max^2 + c M), and bound(rho) = TOL max(1, M). The test
-    is negative alpha_max^2 <= TOL - c: for M <= 1 it gives
+    the estimate is lambda_min(rho) scaled by at least 1/alpha_max^2.
+    Forming and decomposing it in floats perturbs rho by up to about c M,
+    with c = d^2 eps (alpha_max/alpha_min)^2 and M = max|rho_ij|. So
+    lambda_min(rho) >= -(m alpha_max^2 + c M), and bound(rho) = TOL max(1, M).
+    The test is m alpha_max^2 <= TOL - c: for M <= 1 it gives
     -lambda_min(rho) <= TOL, and for M > 1, as c < TOL, it gives
-    -lambda_min(rho) <= TOL + c (M - 1) <= TOL M. Either way
-    -lambda_min(rho) <= bound(rho), which the run then need not compute.
+    -lambda_min(rho) <= TOL + c (M - 1) <= TOL M.
     """
+    negative = max(negativity_removed, EXACT_TOL)
     a_max, a_min = float(spec.alphas.max()), float(spec.alphas.min())
     reserve = d * d * np.finfo(float).eps * (a_max / a_min) ** 2
     return negative * a_max**2 <= TOL - reserve
@@ -498,15 +500,10 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
     and it is judged in the sampler's order and with its messages:
     Hermiticity as ``reconstruct_from_schmidt`` judges it, then positivity,
     then Tr <= 1 + EXACT_TOL. Positivity is read off the reconstruction
-    (``_positivity_proved``): -lambda_min of the Choi estimate is at most
-    the mass its ``eigh`` clipped, or, where the low-rank factor
-    (``channels._eigen_operators``) was accepted, its residual norm sigma,
-    which is below ``EXACT_TOL`` at any scale; the larger of the clipped
-    mass and ``EXACT_TOL`` bounds both. The proof needs no bound(rho), so the
-    run reads rho for it only in ``reconstruct_from_schmidt``'s Hermiticity
-    judgement. Only when that cannot prove positivity, as for strongly
-    skewed Schmidt inputs or an indefinite output, does the sampler's
-    certificate run on the output, within bound(rho).
+    (``_positivity_proved``), so the run reads rho for it only in
+    ``reconstruct_from_schmidt``'s Hermiticity judgement; only where that
+    proof fails, as for strongly skewed Schmidt inputs or an indefinite
+    output, does the sampler's certificate run on the output.
     """
     n1, n2 = channel.input_dim, channel.output_dim
     if n1 < 2:
@@ -523,11 +520,7 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
     )
     if config.shots is EXACT:
         kraus, negativity_removed = reconstruct_from_schmidt(rho_out, spec, n2, threshold)
-        # -lambda_min of the Choi estimate is at most the mass clipped after
-        # eigh, or, for an accepted low-rank factor, which clips nothing,
-        # its residual norm sigma < EXACT_TOL
-        negative = max(negativity_removed, EXACT_TOL)
-        proved = _positivity_proved(negative, spec, n1 * n2)
+        proved = _positivity_proved(negativity_removed, spec, n1 * n2)
         success_trace = _check_state(rho_out, None if proved else bound(rho_out))
         shots_used = 0
     else:

@@ -8,8 +8,8 @@ from conftest import eigh_only
 from choiforge.channels import ChoiMatrix, KrausSet, kraus_to_choi, random_cptp, zoo_channel
 from choiforge.cli import main
 from choiforge.linalg import _MAX_DIMS
-from choiforge.serialize import channel_to_doc, dump_document
-from choiforge.tomography import SAMPLER_VERSION
+from choiforge.serialize import channel_to_doc, dump_document, parse_experiment_config
+from choiforge.tomography import SAMPLER_VERSION, OpaqueChannel, run_tomography
 
 I2 = np.eye(2, dtype=complex)
 
@@ -389,6 +389,24 @@ class TestTomograph:
         code, out, _ = run(capsys, ["tomograph", exp])
         assert code == 0
         assert json.loads(out)["success_trace"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "spec,shots",
+        [
+            ({"name": "random_cptp", "params": [21, 2], "dims": [4, 4]}, "exact"),
+            ({"name": "depolarizing", "params": [0.3], "dims": [3, 3]}, 10**4),
+        ],
+    )
+    def test_makes_only_its_runs_decompositions(self, tmp_path, capsys, decompositions, spec, shots):
+        # the result document reads J's spectrum off the Kraus set: no eigvalsh
+        doc = experiment_doc(spec, shots=shots, seed=1)
+        code, _, _ = run(capsys, ["tomograph", write_doc(tmp_path / "exp.json", doc)])
+        assert code == 0
+        by_cli = list(decompositions)
+        decompositions.clear()
+        truth = zoo_channel(spec["name"], spec["params"], *spec["dims"])
+        run_tomography(OpaqueChannel.from_kraus(truth), parse_experiment_config(doc))
+        assert by_cli == decompositions != []
 
 
 BIG = 10**400  # an integer JSON literal that no float can hold

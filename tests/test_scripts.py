@@ -144,6 +144,8 @@ def test_stage_timings_writes_a_labelled_table(tmp_path):
         assert set(row["quartiles_ms"]) == set(row["best_ms"])
         for path, (q1, median, q3) in row["quartiles_ms"].items():
             assert row["best_ms"][path] <= q1 <= median <= q3
+    # every row times the fixed 64 x 64 product that shows a slow process
+    assert all(row["best_ms"]["control"] > 0 for table in tables.values() for row in table["rows"])
     # a second invocation adds its grid points to the table and replaces
     # the ones it times again; other settings are refused
     for n1 in ("3", "2"):

@@ -325,6 +325,9 @@ class TestExperimentFiles:
             parse_experiment_config(doc)
 
 
+SPECTRUM_CHANNELS = (("identity", []), ("unitary", [21]), ("random_cptp", [21, 2]), ("depolarizing", [0.3]))
+
+
 class TestResultFiles:
     def run_result(self):
         truth = zoo_channel("amplitude_damping", [0.3])
@@ -361,6 +364,25 @@ class TestResultFiles:
         del doc["kraus"]
         with pytest.raises(FileFormatError, match="kraus"):
             doc_to_result_kraus(doc)
+
+    @pytest.mark.parametrize(
+        "name,params,n1,shots",
+        [
+            pytest.param(name, params, n1, shots, id=f"{name}-{n1}-{shots or 'exact'}")
+            for name, params in SPECTRUM_CHANNELS
+            for n1, shots in [(2, EXACT), (2, 10**4), (3, EXACT), (3, 10**4), (8, EXACT), (8, 10**4), (16, EXACT)]
+        ],
+    )
+    def test_choi_eigenvalues_are_the_kraus_weights(self, name, params, n1, shots):
+        config = TomographyConfig(shots=shots, seed=1)
+        result = run_tomography(OpaqueChannel.from_kraus(zoo_channel(name, params, n1)), config)
+        eigenvalues = np.array(result_to_doc(result, config)["choi_eigenvalues"])
+        reference = np.linalg.eigvalsh(result.estimated_choi.matrix)[::-1]
+        assert eigenvalues.shape == (n1 * n1,)
+        assert np.all(np.diff(eigenvalues) <= 0)
+        assert np.abs(eigenvalues - reference).max() <= 1e-14 * max(1.0, reference[0])
+        # past the Kraus count J's eigenvalues are exact zeros, not eigvalsh's noise
+        assert all(v == 0.0 for v in eigenvalues[len(result.kraus.operators) :])
 
 
 def stinespring_model():

@@ -9,11 +9,11 @@ A channel E from dimension n1 to n2 is carried in one of three forms:
   projective post-selection and a partial trace.
 
 Conversions between the first two run through the Choi eigendecomposition;
-the extracted Kraus sets are canonical (trace-orthogonal operators). At the
-float-level cutoff, bound(diag J, EXACT_TOL), where J has small Kraus rank, a
+the extracted Kraus sets are canonical (trace-orthogonal operators). The
+eigen step (``_eigen_operators``) takes its cutoff as a number. At the
+float-level rule (``_float_cutoff``), where J has small Kraus rank, a
 pivoted-Cholesky factor and its thin SVD give the same eigenpairs for a
-fraction of the cost, and ``eigh`` decides only where they cannot prove it
-(``_eigen_operators``).
+fraction of the cost, and ``eigh`` decides only where they cannot prove it.
 """
 
 from __future__ import annotations
@@ -288,34 +288,46 @@ def _low_rank_columns(h: np.ndarray, threshold: float) -> tuple[np.ndarray, floa
     return u[:, keep] * s[keep], sigma
 
 
+def _float_cutoff(matrix: np.ndarray, noise: float) -> float:
+    """The float-level Kraus cutoff of a Choi matrix J, max(bound(diag J,
+    EXACT_TOL), tau): bound(J, EXACT_TOL) for a PSD J, raised to tau = `noise`.
+    A J rescaled from an exact joint state rho carries tau = d eps M /
+    alpha_min^2, M = max|rho_ij|: the evaluator rounds each entry of rho by a
+    few eps M (Higham, "Accuracy and Stability of Numerical Algorithms",
+    ch. 3), an operator norm of up to d times that, and the congruence by
+    U diag(1/alpha) scales it by at most 1/alpha_min^2 and adds relative eps
+    to entries up to M / alpha_min^2. The count 1 is measured, not proved:
+    down to alpha_min = 1e-6 at d <= 256 it kept every true rank, where
+    d^2 eps cut depolarizing(0.3) to rank 1.
+    """
+    return max(bound(matrix.diagonal().real, EXACT_TOL), noise)
+
+
 def _eigen_operators(
-    matrix: np.ndarray, input_dim: int, output_dim: int, threshold: float | None
+    matrix: np.ndarray, input_dim: int, output_dim: int, threshold: float, factor: bool
 ) -> tuple[np.ndarray, float, float]:
     """The Kraus operators of a Choi matrix, stacked as (k, n2, n1), a lower
     bound on its least eigenvalue, and the negative eigenvalue mass clipped:
-    the one step from a Choi matrix to Kraus form.
+    the one step from a Choi matrix to Kraus form, at the number
+    `threshold` the caller resolved.
 
-    `matrix` is symmetrized as h = (m + m^dagger)/2. A `threshold` of None
-    asks for the float-level cutoff bound(diag h, EXACT_TOL), which is
-    bound(h, EXACT_TOL) for a PSD h, whose largest entry is on its diagonal;
-    only then, at every d, is a low-rank factor tried first
-    (``_low_rank_columns``), and an overflow in it gives it up. When it is
-    accepted, the kept rank is the one ``eigh`` would keep, the bound is
-    -sigma, with sigma >= ||h - V V^dagger||_F below EXACT_TOL, and nothing
-    is clipped, since the float residual is dropped whole, so the mass is
-    0.0. Otherwise h is decomposed by one ``np.linalg.eigh``: the bound is
-    its least eigenvalue, and the mass is the sum of its negative
-    eigenvalues' magnitudes. Either way each eigenvalue above the cutoff
-    gives one operator, its unit eigenvector scaled by sqrt(eigenvalue), in
+    `matrix` is symmetrized as h = (m + m^dagger)/2. With `factor`, as at
+    ``_float_cutoff``, a low-rank factor is tried first at every d
+    (``_low_rank_columns``); an overflow gives it up. When it is accepted,
+    the kept rank is the one ``eigh`` would keep, the bound is -sigma, with
+    sigma >= ||h - V V^dagger||_F below EXACT_TOL, and nothing is clipped,
+    the float residual being dropped whole. Otherwise one ``np.linalg.eigh``
+    of h gives the bound, its least eigenvalue, and the mass, the sum of its
+    negative eigenvalues' magnitudes. Each eigenvalue above the cutoff gives
+    one operator, its unit eigenvector scaled by sqrt(eigenvalue), in
     descending order, whose n1 segments of length n2 are the operator's
-    columns. If none is above the cutoff, one zero operator stands in.
-    Judging the matrix is the caller's.
+    columns; if none is, one zero operator stands in. Judging the matrix is
+    the caller's.
     """
     h = matrix + matrix.conj().T
     h *= 0.5  # the bits of / 2, without a third d x d array
     factored = None
-    if threshold is None:
-        threshold = bound(h.diagonal(), EXACT_TOL)
+    if factor:
         with np.errstate(all="ignore"):  # a non-finite sigma is never accepted
             factored = _low_rank_columns(h, threshold)
     if factored is not None:
@@ -336,20 +348,20 @@ def _eigen_operators(
 def choi_to_kraus(choi: ChoiMatrix) -> KrausSet:
     """Extract a canonical Kraus set from a Choi matrix.
 
-    One operator per eigenvalue above the float-level cutoff (see
-    ``_eigen_operators``, the one step from a Choi matrix to Kraus form): a
+    One operator per eigenvalue above ``_float_cutoff(J, 0.0)`` by
+    ``_eigen_operators``, the one step from a Choi matrix to Kraus form: a
     low-rank factor when it is accepted, one eigendecomposition otherwise;
     ``ChoiMatrix`` has already judged J Hermitian. The result is
-    trace-orthogonal, Tr(A_k^dagger A_l) = eigenvalue_k * delta_kl, and has
-    at most n1*n2 members; eigenvalues in [-bound(J), 0) are dropped as
-    float noise, anything lower raises ``NotCompletelyPositiveError`` with
-    ``eigh``'s least eigenvalue. An accepted factor proves lambda_min(J) >=
-    -sigma with sigma below EXACT_TOL, far inside bound(J), so a non-CP J
-    always reaches ``eigh``. The operators are frozen (``_derived``), not
-    judged again.
+    trace-orthogonal, Tr(A_k^dagger A_l) = eigenvalue_k * delta_kl, and has at
+    most n1*n2 members; eigenvalues in [-bound(J), 0) are dropped as float
+    noise, anything lower raises ``NotCompletelyPositiveError`` with ``eigh``'s
+    least eigenvalue. An accepted factor proves lambda_min(J) >= -sigma with
+    sigma below EXACT_TOL, far inside bound(J), so a non-CP J always reaches
+    ``eigh``. The operators are frozen (``_derived``), not judged again.
     """
-    ops, lowest, _ = _eigen_operators(choi.matrix, choi.input_dim, choi.output_dim, None)
-    limit = bound(choi.matrix)
+    m = choi.matrix
+    ops, lowest, _ = _eigen_operators(m, choi.input_dim, choi.output_dim, _float_cutoff(m, 0.0), True)
+    limit = bound(m)
     if lowest < -limit:
         raise NotCompletelyPositiveError(lowest, limit)
     return _derived(KrausSet, choi.input_dim, choi.output_dim, ops)

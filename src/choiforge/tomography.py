@@ -3,11 +3,11 @@
 The pipeline: prepare an entangled input on (reference, system), send the
 system half through the unknown channel exactly once, estimate the joint
 output density matrix from simulated projective measurements, rescale, and
-extract canonical Kraus operators from the eigendecomposition. An exact run
-of a channel of small Kraus rank reads the same eigenpairs off a
-pivoted-Cholesky factor instead, when Weyl's bound proves they are the
-ones ``eigh`` would keep (``channels._eigen_operators``). The channel is an
-opaque evaluator; nothing here looks at its internals.
+extract canonical Kraus operators from the eigendecomposition above the
+cutoff ``_cutoff`` picks. An exact run of a channel of small Kraus rank
+reads them off a pivoted-Cholesky factor instead, when Weyl's bound proves
+them (``channels._eigen_operators``). The channel is an opaque evaluator;
+nothing here looks at its internals.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .channels import (
     _check_dims,
     _derived,
     _eigen_operators,
+    _float_cutoff,
     _frozen_complex,
     _kraus_factor,
     _normalize_seed,
@@ -49,7 +50,7 @@ from .linalg import (
 EXACT = None  # shot-budget sentinel: infinite-shot idealization
 MIN_SCHMIDT_COEFFICIENT = 1e-6
 SAMPLER_VERSION = 5  # bumped whenever the fixed-seed sampling stream changes
-RECONSTRUCTION_VERSION = 6  # bumped whenever the bytes tomograph writes for a fixed-seed run change
+RECONSTRUCTION_VERSION = 7  # bumped whenever the bytes tomograph writes for a fixed-seed run change
 MAX_SHOTS = 2**53  # every count below it is exact in a float64
 
 
@@ -199,8 +200,7 @@ class TomographyConfig:
     None, the default, is the maximally entangled input, which
     ``run_tomography`` builds as the uniform ``SchmidtInput`` for the
     channel's input dimension. ``kraus_threshold`` must be finite and
-    nonnegative; None picks the mode-dependent default from
-    ``default_kraus_threshold``.
+    nonnegative; None picks the mode-dependent default (``_cutoff``).
     """
 
     shots: int | None = EXACT
@@ -223,14 +223,12 @@ class TomographyResult:
     ``negativity_removed`` is the total magnitude of the negative eigenvalues
     clipped from the Choi estimate, the joint-state estimate rescaled by the
     input's Schmidt coefficients (n1 times the estimate for the maximally
-    entangled input). It is 0.0 where the Kraus set came from the low-rank
-    factor (``channels._eigen_operators``), which clips nothing: the float
-    residual below the cutoff is dropped whole. ``shots_used`` counts state
+    entangled input), 0.0 where the low-rank factor gave the Kraus set
+    (``channels._eigen_operators``). ``shots_used`` counts state
     preparations across all ensemble measurements (0 in EXACT mode) and
     ``success_trace`` is the trace of the joint-state estimate, below 1 for
-    trace-decreasing channels.
-    ``estimated_choi``, J = ``kraus_to_choi(kraus)``, is built on first
-    access and kept.
+    trace-decreasing channels. ``estimated_choi``, J =
+    ``kraus_to_choi(kraus)``, is built on first access and kept.
     """
 
     kraus: KrausSet
@@ -314,13 +312,10 @@ def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
     outcome frequencies, entry by entry, gives a Hermitian unbiased estimate
     that is generally not positive. ``shots=EXACT`` returns a copy of rho; a
     finite count must be an integer in [1, MAX_SHOTS], where every count is
-    exact in a float64.
-    rho must be Hermitian and PSD to within bound(rho), with trace <= 1 +
-    EXACT_TOL, whatever the shot count. Positivity costs one Cholesky
-    certificate here (``linalg._eigenvalue_below``), and ``eigvalsh`` runs
-    only when the certificate fails. ``run_tomography`` calls this only for
-    finite shots; an exact run judges the evaluator output itself, on its one
-    eigendecomposition.
+    exact in a float64. rho must be Hermitian and PSD to within bound(rho),
+    with trace <= 1 + EXACT_TOL, whatever the shot count; positivity costs
+    one Cholesky certificate (``linalg._eigenvalue_below``), and ``eigvalsh``
+    runs only when it fails.
     """
     rho = _as_matrix(rho, "state")
     trace = _check_state(rho, check_hermitian(rho, "state"))
@@ -382,14 +377,26 @@ def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
 
 
 def default_kraus_threshold(shots: int | None, input_dim: int) -> float | None:
-    """Eigenvalue cutoff, the one place a Kraus cutoff is decided: None in
-    EXACT mode, which asks ``channels._eigen_operators`` for the float-level
-    cutoff, bound(diag J, EXACT_TOL), and 3x the plug-in noise scale
-    input_dim/sqrt(shots) otherwise, which is at least 3/sqrt(MAX_SHOTS).
-    ``input_dim`` is an integer of at least 1 (``linalg.is_int``)."""
+    """Default eigenvalue cutoff: 3 input_dim/sqrt(shots), three times the
+    plug-in noise scale and at least 3/sqrt(MAX_SHOTS), and None in EXACT
+    mode, where ``_cutoff`` reads tau off the joint state. ``input_dim`` is
+    an integer of at least 1 (``linalg.is_int``)."""
     _check_shots(shots)
     input_dim = check_int(input_dim, "input_dim", 1)
     return None if shots is EXACT else 3.0 * input_dim / math.sqrt(shots)
+
+
+def _cutoff(rho, spec: SchmidtInput, threshold: float | None, shots) -> tuple[float, bool]:
+    """The one place a run's Kraus cutoff is chosen, as (number, try the
+    factor): a user's `threshold`, or for finite shots the default, for one
+    ``eigh``; else tau = d eps max|rho_ij| / alpha_min^2 for the exact rule
+    ``channels._float_cutoff``, max|rho_ij| read in O(d) off rho's diagonal."""
+    if threshold is None and shots is not EXACT:
+        threshold = default_kraus_threshold(shots, spec.alphas.size)
+    if threshold is not None:
+        return threshold, False
+    scale = float(np.abs(rho.diagonal()).max()) / float(spec.alphas.min()) ** 2
+    return len(rho) * np.finfo(float).eps * scale, True
 
 
 def reconstruct_from_schmidt(
@@ -399,23 +406,20 @@ def reconstruct_from_schmidt(
 
     With W = U diag(1/alpha), the Choi estimate is (W^dagger tensor I)
     rho_est (W tensor I): the estimate rotated by U^dagger with block (i, j)
-    divided by alpha_i alpha_j. The one step from it to Kraus form,
-    ``channels._eigen_operators``, which ``choi_to_kraus`` takes too, gives
-    everything else: negative eigenvalues are clipped, each eigenpair above
-    `threshold` becomes an intermediate operator, and the channel's Kraus
-    operators are the intermediates times V^dagger. A `threshold` of None
-    asks for the float-level cutoff, at which that step reads the eigenpairs
-    off a low-rank factor where it proves them, and off one ``eigh``
-    otherwise; a number is an absolute cutoff for one ``eigh``. Returns the
-    Kraus set and the clipped negative eigenvalue mass of the Choi estimate,
-    0.0 on the low-rank path. `rho_est` must be finite and is judged
-    Hermitian to within bound(rho_est), but not positive; `threshold` must
-    be None or a finite, nonnegative real number and has no default: pass
-    ``default_kraus_threshold(shots, n1)`` for the cutoff ``run_tomography``
-    would use. The rescaling amplifies the float noise of `rho_est` by up
-    to 1/alpha_min^2, so the Choi estimate is not judged again but
-    symmetrized exactly, which makes it bitwise Hermitian, and the eigen
-    operators are frozen (``channels._derived``), not judged again.
+    divided by alpha_i alpha_j. ``channels._eigen_operators``, the one step
+    to Kraus form, which ``choi_to_kraus`` takes too, clips its negative
+    eigenvalues and turns each eigenpair above the cutoff into an operator,
+    which times V^dagger is a Kraus operator of the channel. `threshold`
+    has no default: a number is a cutoff for one ``eigh``, and None asks
+    for the exact rule max(bound(diag J, EXACT_TOL), tau), tau the float
+    noise of `rho_est` rescaled (``_cutoff``), where a low-rank factor gives
+    the eigenpairs if it proves them. Pass ``default_kraus_threshold(shots,
+    n1)`` for ``run_tomography``'s cutoff. Returns the Kraus set and the
+    clipped mass, 0.0 on the low-rank path. `rho_est` must be finite and is
+    judged Hermitian to within bound(rho_est), not positive; `threshold`
+    must be None or finite and nonnegative (``linalg.is_real``). The Choi
+    estimate is symmetrized exactly, and the operators are frozen
+    (``channels._derived``), neither judged again.
     """
     n2 = check_int(output_dim, "output_dim", 1)
     rho_est = _as_matrix(rho_est, "state")
@@ -423,14 +427,16 @@ def reconstruct_from_schmidt(
     if rho_est.shape != (d, d):
         raise ValueError(f"estimate has shape {rho_est.shape}, expected {(d, d)}")
     check_hermitian(rho_est, "state")
-    return _schmidt_kraus(rho_est, spec, n2, _check_threshold(threshold, "threshold"))
+    threshold = _check_threshold(threshold, "threshold")
+    return _schmidt_kraus(rho_est, spec, n2, *_cutoff(rho_est, spec, threshold, EXACT))
 
 
 def _schmidt_kraus(
-    rho_est: np.ndarray, spec: SchmidtInput, n2: int, threshold: float
+    rho_est: np.ndarray, spec: SchmidtInput, n2: int, threshold: float, factor: bool
 ) -> tuple[KrausSet, float]:
     """``reconstruct_from_schmidt`` of a d x d complex estimate that is
-    already judged, or Hermitian by construction as the sampler's is.
+    already judged, or Hermitian by construction as the sampler's is, at
+    ``_cutoff``'s `threshold`, which with `factor` is tau.
 
     Where the left basis U is the identity, as for the default input, the
     rescaling is elementwise: block (i, j) is multiplied by 1/alpha_i, then
@@ -448,7 +454,8 @@ def _schmidt_kraus(
         left = (w.conj().T @ rho_est.reshape(n1, -1)).reshape(d, n1, n2)
         choi = (left.transpose(0, 2, 1) @ w).transpose(0, 2, 1).reshape(d, d)
 
-    ops, _, negativity_removed = _eigen_operators(choi, n1, n2, threshold)
+    cutoff = _float_cutoff(choi, threshold) if factor else threshold
+    ops, _, negativity_removed = _eigen_operators(choi, n1, n2, cutoff, factor)
     return _derived(KrausSet, n1, n2, ops @ spec.right_unitary.conj().T), negativity_removed
 
 
@@ -487,22 +494,17 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
 
     The channel's input_dim must be at least two, the least dimension of a
     Schmidt input; a smaller one is rejected before the input is built.
-    Deterministic for a fixed (seed, shots) pair. A finite shot count samples
-    the evaluator output with ``simulate_state_tomography``, which judges it
-    first: the run makes one eigendecomposition, the Choi estimate's, plus
-    the sampler's Cholesky certificate, and ``eigvalsh`` only when the
-    certificate fails. The sampler's estimate, Hermitian by construction, is
-    reconstructed without a second judgement, by ``eigh``: the low-rank
-    factor is tried only at the float-level cutoff, the exact default, never
-    at a numeric cutoff, and is kept only where it proves the rank ``eigh``
-    would keep, which a full-rank, indefinite estimate never allows.
-    ``shots=EXACT`` skips the sampler: the evaluator output is the estimate,
-    and it is judged in the sampler's order and with its messages:
-    Hermiticity as ``reconstruct_from_schmidt`` judges it, then positivity,
-    then Tr <= 1 + EXACT_TOL. Positivity is read off the reconstruction
-    (``_positivity_proved``), so the run reads rho for it only in
-    ``reconstruct_from_schmidt``'s Hermiticity judgement; only where that
-    proof fails, as for strongly skewed Schmidt inputs or an indefinite
+    Deterministic for a fixed (seed, shots) pair. ``_cutoff`` resolves the
+    cutoff: ``config.kraus_threshold``, else 3 n1/sqrt(shots) for finite
+    shots, each one ``eigh``, else the exact rule, which tries the low-rank
+    factor. A finite shot count samples the evaluator output with
+    ``simulate_state_tomography``, which judges it (a Cholesky certificate,
+    ``eigvalsh`` only if that fails); its estimate, Hermitian by
+    construction, is not judged again. ``shots=EXACT`` skips the sampler:
+    the evaluator output is the estimate, judged in the sampler's order and
+    with its messages (Hermiticity, positivity, Tr <= 1 + EXACT_TOL), with
+    positivity read off the reconstruction (``_positivity_proved``); only
+    where that proof fails, as for strongly skewed inputs or an indefinite
     output, does the sampler's certificate run on the output.
     """
     n1, n2 = channel.input_dim, channel.output_dim
@@ -513,19 +515,15 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
         raise ValueError(f"schmidt input has {spec.alphas.size} coefficients, channel needs {n1}")
 
     rho_out = joint_output_state(channel, prepare_schmidt_input(spec))
-    threshold = (
-        config.kraus_threshold
-        if config.kraus_threshold is not None
-        else default_kraus_threshold(config.shots, n1)
-    )
     if config.shots is EXACT:
-        kraus, negativity_removed = reconstruct_from_schmidt(rho_out, spec, n2, threshold)
+        kraus, negativity_removed = reconstruct_from_schmidt(rho_out, spec, n2, config.kraus_threshold)
         proved = _positivity_proved(negativity_removed, spec, n1 * n2)
         success_trace = _check_state(rho_out, None if proved else bound(rho_out))
         shots_used = 0
     else:
         estimate = simulate_state_tomography(rho_out, config.shots, config.seed)
-        kraus, negativity_removed = _schmidt_kraus(estimate, spec, n2, threshold)
+        cutoff = _cutoff(estimate, spec, config.kraus_threshold, config.shots)
+        kraus, negativity_removed = _schmidt_kraus(estimate, spec, n2, *cutoff)
         success_trace = float(np.trace(estimate).real)
         shots_used = config.shots * (n1 * n2) ** 2
     return TomographyResult(kraus, negativity_removed, shots_used, success_trace)

@@ -141,7 +141,18 @@ def test_criterion_4_schmidt_input_recipe():
             failures.append((seed, "choi distance", distance))
         if not kraus_equivalent(schmidt.kraus, truth, 1e-7):
             failures.append((seed, "kraus not equivalent to truth"))
-    report("criterion 4: Schmidt-input reconstruction matches, 50 seeds", failures)
+    # n1 = 8 with alpha_min = 1e-5: the rescaling amplifies float noise by
+    # 1e10, and the exact cutoff carries it, so the true rank is kept
+    rng = np.random.default_rng(4800)
+    truth = random_cptp(8, 8, 2, int(rng.integers(2**32)))
+    alphas = np.r_[np.full(7, np.sqrt((1 - 1e-10) / 7)), 1e-5]
+    spec = SchmidtInput(alphas, haar_random_unitary(8, rng), haar_random_unitary(8, rng))
+    schmidt = run_tomography(OpaqueChannel.from_kraus(truth), TomographyConfig(input_kind=spec))
+    if len(schmidt.kraus.operators) != 2:
+        failures.append(("n1 = 8", "rank", len(schmidt.kraus.operators)))
+    if not kraus_equivalent(schmidt.kraus, truth, 1e-6):
+        failures.append(("n1 = 8", "kraus not equivalent to truth"))
+    report("criterion 4: Schmidt-input reconstruction matches, 50 seeds and n1 = 8", failures)
 
 
 def test_criterion_5_depolarizing_closed_form():

@@ -48,3 +48,15 @@ def test_one_statement_of_the_versions_and_trails():
     )
     assert sentence
     assert sentence.groups() == (newest_trail("DIGESTS_*.jsonl").name, newest_trail("STUDY_*.jsonl").name)
+
+
+def test_byte_identity_states_what_it_covers():
+    # a d = 256 eigh differs with the BLAS thread count, which the package
+    # does not pin, so every byte-identity promise names the build and the
+    # thread count it holds for
+    text = " ".join(README.split())
+    promises = re.findall(r"[^.]*byte-identical[^.]*\.", text)
+    assert len(promises) == 2
+    for promise in promises:
+        assert "one numpy and BLAS build and one BLAS thread count" in promise, promise
+    assert "The package pins no threads" in text

@@ -103,6 +103,34 @@ def test_study_is_byte_identical_and_exact_uniform_rows_recover():
         assert row["frobenius"][2] < 1e-12, row["channel"]
 
 
+def test_committed_study_holds_the_readme_accuracy_sentences():
+    # read, not rerun: every exact row of the newest committed study holds
+    # the README sentence named beside its check; a row that fails is a
+    # defect in the code, not in the grid
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    rows = [json.loads(line) for line in newest_trail("STUDY_*.jsonl").read_text().splitlines()]
+    exact = [row for row in rows if row["shots"] == "exact"]
+    inputs = [row["input"] for row in exact]
+    assert {label: inputs.count(label) for label in set(inputs)} == {
+        "uniform": 33, "ramp": 33, "skewed": 33
+    }
+    claims = {
+        "Every exact run of the study keeps the true Kraus rank.": (
+            exact, lambda row: row["rank"] == [row["true_rank"]]
+        ),
+        "Exact uniform and ramp runs have a Frobenius error `||J_est - J||_F` below 1e-12": (
+            [row for row in exact if row["input"] != "skewed"], lambda row: row["frobenius"][2] < 1e-12
+        ),
+        "and exact skewed runs below 1e-8.": (
+            [row for row in exact if row["input"] == "skewed"], lambda row: row["frobenius"][2] < 1e-8
+        ),
+    }
+    for sentence, (held, holds) in claims.items():
+        assert sentence in readme
+        failing = [(row["channel"], row["n1"], row["input"]) for row in held if not holds(row)]
+        assert not failing, (sentence, failing)
+
+
 def test_stage_timings_writes_a_labelled_table(tmp_path):
     output = tmp_path / "bench.json"
     for label in ("before", "after"):

@@ -863,7 +863,7 @@ class TestProjectToPsd:
 
 class TestThresholdDefaults:
     def test_exact_mode(self):
-        # None asks channels._eigen_operators for the float-level cutoff
+        # None asks the reconstruction for the exact rule (tomography._cutoff)
         assert default_kraus_threshold(EXACT, 2) is None
 
     def test_finite_mode_scales_with_noise(self):
@@ -965,6 +965,27 @@ class TestReconstructSchmidt:
             if shots is EXACT:
                 error = frobenius_distance(result.estimated_choi.matrix, kraus_to_choi(truth).matrix)
                 assert error < 1e-4
+
+    @pytest.mark.parametrize("channel", ["identity", "rank 2", "rank n1", "depolarizing"])
+    @pytest.mark.parametrize("alpha_min", [3e-4, 1e-5, 1.01e-6])
+    @pytest.mark.parametrize("n1", [2, 4, 8, 16])
+    def test_skewed_exact_runs_keep_the_true_rank(self, n1, alpha_min, channel):
+        # alpha ∝ (1, ..., 1, alpha_min) down to MIN_SCHMIDT_COEFFICIENT: the
+        # rescaling amplifies the joint state's float noise by 1/alpha_min^2,
+        # and the exact cutoff's tau keeps that noise out of the Kraus rank
+        truth = {
+            "identity": zoo_channel("identity", [], n1),
+            "rank 2": random_cptp(n1, n1, 2, 21),
+            "rank n1": random_cptp(n1, n1, n1, 21),
+            "depolarizing": zoo_channel("depolarizing", [0.3], n1),
+        }[channel]
+        rng = np.random.default_rng(5)
+        alphas = np.r_[np.full(n1 - 1, np.sqrt((1 - alpha_min**2) / (n1 - 1))), alpha_min]
+        spec = SchmidtInput(alphas, haar_random_unitary(n1, rng), haar_random_unitary(n1, rng))
+        result = run_tomography(OpaqueChannel.from_kraus(truth), TomographyConfig(input_kind=spec))
+        choi = kraus_to_choi(truth)
+        assert len(result.kraus.operators) == len(choi_to_kraus(choi).operators)
+        assert frobenius_distance(result.estimated_choi.matrix, choi.matrix) < 1e-4
 
     @pytest.mark.parametrize(
         "threshold", [-1.0, float("nan"), float("inf"), "0.1", True], ids=repr

@@ -4,7 +4,9 @@
 Wraps the module-level names ``run_tomography`` calls (``joint_output_state``,
 ``simulate_state_tomography``, ``reconstruct_from_schmidt`` and its core
 ``_schmidt_kraus`` for an estimate already judged, which a finite-shot run
-calls directly), the low-rank factor ``channels._low_rank_columns`` (a
+calls directly), the Hermiticity judgement ``check_hermitian`` that the
+sampler or, in an exact run, ``reconstruct_from_schmidt`` makes of the
+evaluator output, the low-rank factor ``channels._low_rank_columns`` (a
 name the package lacks fails the script rather than leave the table) and
 numpy's decompositions, then times runs of three channels over a grid of
 n1 and shot budgets with BLAS pinned to one thread:
@@ -41,8 +43,11 @@ another, and the control shows which one was slow.
 Each row names its ``channel`` and also holds ``python_calls_per_run``: the
 Python-level function calls (``sys.setprofile`` "call" events) of one run,
 counted after a warm-up run and before the timing wrappers are installed,
-so the count repeats exactly, and ``decompositions``: the numpy
-decompositions of one run, in call order.
+so the count repeats exactly; ``decompositions``: the numpy
+decompositions of one run, in call order; and ``minor_faults_per_run``:
+the minor page faults of this process (``getrusage`` ``ru_minflt``) over
+the timed runs, divided by ``--repeats``, which counts the fresh pages the
+runs' arrays touch.
 
 Each invocation adds its rows to the labelled table of ``--output``,
 replacing rows of the same channel, n1 and shot budget, and keeps the other
@@ -72,6 +77,7 @@ import argparse  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import resource  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -89,6 +95,7 @@ STAGES = (
     (tomography, "simulate_state_tomography"),
     (tomography, "reconstruct_from_schmidt"),
     (tomography, "_schmidt_kraus"),
+    (tomography, "check_hermitian"),
     (channels, "_low_rank_columns"),
 )
 DECOMPOSITIONS = ("eigh", "eigvalsh", "eig", "eigvals", "svd", "cholesky")
@@ -196,6 +203,7 @@ def time_grid(clock: StageClock, n1_values, repeats: int, calls: dict) -> list[d
             config = tomography.TomographyConfig(shots=shots, seed=1)
             tomography.run_tomography(channel, config)  # warm-up
             times: dict[str, list[float]] = {}
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             for _ in range(repeats):
                 clock.reset()
                 start = time.perf_counter()
@@ -203,6 +211,7 @@ def time_grid(clock: StageClock, n1_values, repeats: int, calls: dict) -> list[d
                 total = (time.perf_counter() - start) * 1e3
                 for path, ms in {"run_tomography": total, **clock.ms}.items():
                     times.setdefault(path, []).append(ms)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
             decompositions = list(clock.decompositions)
             times["kraus_to_choi"] = times_ms(lambda: kraus_to_choi(result.kraus), repeats)
             doc = serialize.result_to_doc(result, config)  # warm-up; builds J once
@@ -223,6 +232,7 @@ def time_grid(clock: StageClock, n1_values, repeats: int, calls: dict) -> list[d
                     "shots": "exact" if shots is tomography.EXACT else shots,
                     "python_calls_per_run": calls[label, n1, shots],
                     "decompositions": decompositions,
+                    "minor_faults_per_run": faults / repeats,
                     "best_ms": {path: round(min(ms), 4) for path, ms in times.items()},
                     "quartiles_ms": {
                         path: [round(q, 4) for q in np.percentile(ms, [25, 50, 75]).tolist()]
@@ -281,7 +291,8 @@ def main():
         print(
             f"{row['channel']} n1={row['n1']:>2} shots={row['shots']!s:>5} "
             f"calls={row['python_calls_per_run']} "
-            f"decompositions={len(row['decompositions'])} ms: {stages}"
+            f"decompositions={len(row['decompositions'])} "
+            f"faults={row['minor_faults_per_run']:g} ms: {stages}"
         )
 
 

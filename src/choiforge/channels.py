@@ -10,7 +10,8 @@ A channel E from dimension n1 to n2 is carried in one of three forms:
 
 Conversions between the first two run through the Choi eigendecomposition;
 the extracted Kraus sets are canonical (trace-orthogonal operators). The
-eigen step (``_eigen_operators``) takes its cutoff as a number. At the
+eigen step (``_eigen_operators``) takes its cutoff as a number and a
+matrix its caller has made bitwise Hermitian. At the
 float-level rule (``_float_cutoff``), where J has small Kraus rank, a
 pivoted-Cholesky factor and its thin SVD give the same eigenpairs for a
 fraction of the cost, and ``eigh`` decides only where they cannot prove it.
@@ -18,6 +19,7 @@ fraction of the cost, and ``eigh`` decides only where they cannot prove it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -237,10 +239,14 @@ def kraus_to_choi(kraus: KrausSet) -> ChoiMatrix:
     return _derived(ChoiMatrix, kraus.input_dim, kraus.output_dim, j)
 
 
-def _low_rank_columns(h: np.ndarray, threshold: float) -> tuple[np.ndarray, float] | None:
-    """The eigenpairs of a Hermitian h above `threshold`, as the columns
-    sqrt(eigenvalue) * eigenvector of a d x k array, and sigma >= ||h - V V^dagger||_F
-    for a factor V; or None where ``np.linalg.eigh`` must decide.
+def _low_rank_columns(
+    h: np.ndarray, threshold: float, spare: np.ndarray | None = None
+) -> tuple[np.ndarray, float] | None:
+    """The eigenpairs of a bitwise Hermitian h above `threshold`, as the
+    columns sqrt(eigenvalue) * eigenvector of a d x k array, and sigma >=
+    ||h - V V^dagger||_F for a factor V; or None where ``np.linalg.eigh``
+    must decide. The residual is formed in `spare`, a d x d complex array
+    the caller has no more use for, if one is given.
 
     A diagonal-pivoting Cholesky (Higham, "Analysis of the Cholesky
     decomposition of a semi-definite matrix", 1990) builds V one column at a
@@ -262,30 +268,33 @@ def _low_rank_columns(h: np.ndarray, threshold: float) -> tuple[np.ndarray, floa
     d = len(h)
     eps = np.finfo(float).eps
     diag = h.diagonal().real.copy()
-    floor = d * eps * max(float(diag.max()), 0.0)
+    p = int(diag.argmax())  # a NaN entry is the argmax, and stops the loop
+    floor = d * eps * max(float(diag[p]), 0.0)
     rows = np.empty((LOW_RANK_MAX_PIVOTS, d), dtype=complex)  # row k is conj(column k of V)
     k = 0
-    while diag.max() > floor:
+    while diag[p] > floor:
         if k == LOW_RANK_MAX_PIVOTS:
             return None
-        p = int(diag.argmax())
         row = rows[k]
         np.matmul(rows[:k, p].conj(), rows[:k], out=row)
         np.subtract(h[p], row, out=row)  # h is bitwise Hermitian: row p is conj(column p)
-        row *= 1.0 / np.sqrt(diag[p])
+        row *= 1.0 / math.sqrt(diag[p])
         diag -= row.real**2 + row.imag**2
         k += 1
+        p = int(diag.argmax())
     v = rows[:k].conj().T
-    gram_trace = float(np.sum(np.abs(v) ** 2))
-    residual = v @ v.conj().T
+    gram_trace = float(np.vdot(rows[:k], rows[:k]).real)
+    residual = np.matmul(v, rows[:k], out=spare)  # V V^dagger
     np.subtract(h, residual, out=residual)
-    sigma = float(np.linalg.norm(residual)) * (1 + d * d * eps) + 2 * (k + 2) * eps * gram_trace
+    norm = float(np.sqrt(np.vdot(residual, residual).real))  # ||residual||_F, one pass
+    sigma = norm * (1 + d * d * eps) + 2 * (k + 2) * eps * gram_trace
     u, s, _ = np.linalg.svd(v, full_matrices=False)
+    squares = s * s
     margin = sigma + 4 * d * eps * (gram_trace + sigma)
-    if not margin < EXACT_TOL or np.any(np.abs(s**2 - threshold) <= margin):  # NaN gives up
+    if not margin < EXACT_TOL or (abs(squares - threshold) <= margin).any():  # NaN gives up
         return None
-    keep = s**2 > threshold
-    return u[:, keep] * s[keep], sigma
+    kept = int(np.count_nonzero(squares > threshold))  # a prefix: s is descending
+    return u[:, :kept] * s[:kept], sigma
 
 
 def _float_cutoff(matrix: np.ndarray, noise: float) -> float:
@@ -304,16 +313,22 @@ def _float_cutoff(matrix: np.ndarray, noise: float) -> float:
 
 
 def _eigen_operators(
-    matrix: np.ndarray, input_dim: int, output_dim: int, threshold: float, factor: bool
+    h: np.ndarray,
+    input_dim: int,
+    output_dim: int,
+    threshold: float,
+    factor: bool,
+    spare: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, float]:
     """The Kraus operators of a Choi matrix, stacked as (k, n2, n1), a lower
     bound on its least eigenvalue, and the negative eigenvalue mass clipped:
     the one step from a Choi matrix to Kraus form, at the number
     `threshold` the caller resolved.
 
-    `matrix` is symmetrized as h = (m + m^dagger)/2. With `factor`, as at
-    ``_float_cutoff``, a low-rank factor is tried first at every d
-    (``_low_rank_columns``); an overflow gives it up. When it is accepted,
+    h is bitwise Hermitian, as each caller makes it, so it is not
+    symmetrized here. With `factor`, as at ``_float_cutoff``, a low-rank
+    factor is tried first at every d (``_low_rank_columns``, which may use
+    the d x d `spare`); an overflow gives it up. When it is accepted,
     the kept rank is the one ``eigh`` would keep, the bound is -sigma, with
     sigma >= ||h - V V^dagger||_F below EXACT_TOL, and nothing is clipped,
     the float residual being dropped whole. Otherwise one ``np.linalg.eigh``
@@ -324,12 +339,10 @@ def _eigen_operators(
     columns; if none is, one zero operator stands in. Judging the matrix is
     the caller's.
     """
-    h = matrix + matrix.conj().T
-    h *= 0.5  # the bits of / 2, without a third d x d array
     factored = None
     if factor:
         with np.errstate(all="ignore"):  # a non-finite sigma is never accepted
-            factored = _low_rank_columns(h, threshold)
+            factored = _low_rank_columns(h, threshold, spare)
     if factored is not None:
         scaled, sigma = factored
         lowest, clipped = -sigma, 0.0
@@ -350,8 +363,9 @@ def choi_to_kraus(choi: ChoiMatrix) -> KrausSet:
 
     One operator per eigenvalue above ``_float_cutoff(J, 0.0)`` by
     ``_eigen_operators``, the one step from a Choi matrix to Kraus form: a
-    low-rank factor when it is accepted, one eigendecomposition otherwise;
-    ``ChoiMatrix`` has already judged J Hermitian. The result is
+    low-rank factor when it is accepted, one eigendecomposition otherwise,
+    of h = (J + J^dagger)/2: ``ChoiMatrix`` has judged J Hermitian within
+    bound(J), and h is J made bitwise Hermitian. The result is
     trace-orthogonal, Tr(A_k^dagger A_l) = eigenvalue_k * delta_kl, and has at
     most n1*n2 members; eigenvalues in [-bound(J), 0) are dropped as float
     noise, anything lower raises ``NotCompletelyPositiveError`` with ``eigh``'s
@@ -360,7 +374,10 @@ def choi_to_kraus(choi: ChoiMatrix) -> KrausSet:
     ``eigh``. The operators are frozen (``_derived``), not judged again.
     """
     m = choi.matrix
-    ops, lowest, _ = _eigen_operators(m, choi.input_dim, choi.output_dim, _float_cutoff(m, 0.0), True)
+    h = np.conjugate(m.T)
+    h += m
+    h *= 0.5  # the bits of (m + m^dagger) / 2, in one d x d array
+    ops, lowest, _ = _eigen_operators(h, choi.input_dim, choi.output_dim, _float_cutoff(h, 0.0), True)
     limit = bound(m)
     if lowest < -limit:
         raise NotCompletelyPositiveError(lowest, limit)

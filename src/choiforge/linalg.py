@@ -7,6 +7,7 @@ bipartite matrix is indexed by the first tensor factor.
 
 from __future__ import annotations
 
+import math
 import reprlib
 
 import numpy as np
@@ -98,23 +99,61 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _part_max(m: np.ndarray) -> float:
+    """The largest max(|Re m_ij|, |Im m_ij|), 0.0 for no entries and NaN if
+    an entry is NaN, in two reductions and no temporary array: max |m_ij|
+    itself for a real m, and for a complex one at most that and more than
+    max |m_ij| / 1.5, 1.5 being above sqrt 2 by more than the rounding of
+    the moduli."""
+    parts = m.reshape(-1)
+    if m.dtype.kind == "c":
+        parts = parts.view(m.real.dtype)
+    if not parts.size:
+        return 0.0
+    # a NaN entry makes both reductions NaN, and max() then returns NaN
+    return max(float(np.maximum.reduce(parts)), -float(np.minimum.reduce(parts)))
+
+
 def bound(m: np.ndarray, tol: float = TOL) -> float:
     """tol * max(1, max |m_ij|): `tol` itself for density matrices, unitaries,
-    projectors and Choi matrices of trace-nonincreasing maps."""
-    return tol * max(1.0, float(np.abs(m).max(initial=0.0)))
+    projectors and Choi matrices of trace-nonincreasing maps, and NaN or inf
+    where an entry is. The moduli are computed only where ``_part_max``
+    cannot show that max |m_ij| <= 1."""
+    largest = _part_max(m)
+    if m.dtype.kind == "c" and not largest * 1.5 <= 1.0:
+        largest = float(np.abs(m).max(initial=0.0))
+    return tol * max(largest, 1.0)  # max() keeps a NaN in first place
 
 
-def check_hermitian(m: np.ndarray, what: str, tol: float = TOL) -> float:
-    """Reject a finite complex matrix unless max |m - m^dagger| <= bound(m, tol);
-    return that bound, for the caller's positivity check on m."""
+def check_hermitian(m: np.ndarray, what: str, tol: float = TOL, work: tuple | None = None) -> float:
+    """Reject a square complex matrix unless it is finite and max |m - m^dagger|
+    <= bound(m, tol); return that bound, for the caller's positivity check on m.
+
+    A non-finite entry of m makes bound(m) non-finite, and only then is m
+    scanned for one. m is then read through one conjugate-transposed copy,
+    m^dagger, and the difference m - m^dagger is judged by ``_part_max``
+    against the bound: the moduli of the difference are computed only where
+    that cannot decide, or to name the deviation of a matrix that fails.
+    `work`, two d x d complex arrays, holds the two: on return work[0] is
+    m^dagger and work[1] is free; without it they are allocated here.
+    """
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
     limit = bound(m, tol)
-    deviation = float(np.abs(m - m.conj().T).max(initial=0.0))
-    if deviation > limit:
-        raise NotHermitianError(
-            deviation, f"{what} is not Hermitian: max |m - m^dag| = {deviation:.3e} > {limit:.3e}"
-        )
+    if not math.isfinite(limit) and not np.isfinite(m).all():
+        raise ValueError(f"{what} contains non-finite entries")
+    if work is None:
+        work = np.empty(m.shape, dtype=complex), np.empty(m.shape, dtype=complex)
+    adjoint, gap = work
+    np.conjugate(m.T, out=adjoint)
+    np.subtract(m, adjoint, out=gap)
+    spread = _part_max(gap)
+    if not spread * 1.5 <= limit:
+        deviation = float(np.abs(gap).max(initial=0.0))
+        if deviation > limit:
+            raise NotHermitianError(
+                deviation, f"{what} is not Hermitian: max |m - m^dag| = {deviation:.3e} > {limit:.3e}"
+            )
     return limit
 
 

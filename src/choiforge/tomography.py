@@ -50,7 +50,7 @@ from .linalg import (
 EXACT = None  # shot-budget sentinel: infinite-shot idealization
 MIN_SCHMIDT_COEFFICIENT = 1e-6
 SAMPLER_VERSION = 5  # bumped whenever the fixed-seed sampling stream changes
-RECONSTRUCTION_VERSION = 7  # bumped whenever the bytes tomograph writes for a fixed-seed run change
+RECONSTRUCTION_VERSION = 8  # bumped whenever the bytes tomograph writes for a fixed-seed run change
 MAX_SHOTS = 2**53  # every count below it is exact in a float64
 
 
@@ -422,40 +422,66 @@ def reconstruct_from_schmidt(
     (``channels._derived``), neither judged again.
     """
     n2 = check_int(output_dim, "output_dim", 1)
-    rho_est = _as_matrix(rho_est, "state")
+    rho_est = _as_numeric(rho_est, "state")
     d = spec.alphas.size * n2
     if rho_est.shape != (d, d):
         raise ValueError(f"estimate has shape {rho_est.shape}, expected {(d, d)}")
-    check_hermitian(rho_est, "state")
+    work = (np.empty((d, d), dtype=complex), np.empty((d, d), dtype=complex))
+    check_hermitian(rho_est, "state", work=work)
     threshold = _check_threshold(threshold, "threshold")
-    return _schmidt_kraus(rho_est, spec, n2, *_cutoff(rho_est, spec, threshold, EXACT))
+    return _schmidt_kraus(rho_est, spec, n2, *_cutoff(rho_est, spec, threshold, EXACT), work)
 
 
 def _schmidt_kraus(
-    rho_est: np.ndarray, spec: SchmidtInput, n2: int, threshold: float, factor: bool
+    rho_est: np.ndarray,
+    spec: SchmidtInput,
+    n2: int,
+    threshold: float,
+    factor: bool,
+    work: tuple | None = None,
 ) -> tuple[KrausSet, float]:
-    """``reconstruct_from_schmidt`` of a d x d complex estimate that is
-    already judged, or Hermitian by construction as the sampler's is, at
-    ``_cutoff``'s `threshold`, which with `factor` is tau.
+    """``reconstruct_from_schmidt`` of a d x d complex estimate at
+    ``_cutoff``'s `threshold`, which with `factor` is tau: an estimate
+    ``check_hermitian`` has judged, with the two d x d arrays `work` it left
+    rho_est^dagger in, or the sampler's, which is bitwise Hermitian, with
+    no `work`.
 
-    Where the left basis U is the identity, as for the default input, the
-    rescaling is elementwise: block (i, j) is multiplied by 1/alpha_i, then
-    by 1/alpha_j, the two products the matrix form makes with W = diag(1/alpha).
+    The Choi estimate h is made bitwise Hermitian once, here. Where the left
+    basis U is the identity, as for the default input, the rescaling is one
+    multiply of rho_est + rho_est^dagger (the sampler's estimate, alone) by
+    the symmetric real array w[i, j] = c s_i s_j, s = 1/alpha, with c = 1/2
+    (c = 1), block (i, j) by w[i, j], so h stays bitwise Hermitian.
+    Otherwise h = C + C^dagger with C = (W^dagger tensor I) rho_est (W
+    tensor I) / 2 and W = U diag(1/alpha): C^dagger is two products by
+    W^dagger from the left, one on each side of a conjugate transpose. The
+    other d x d buffer goes to the low-rank factor for its residual.
     """
     n1 = spec.alphas.size
     d = n1 * n2
+    judged = work is not None
+    h, spare = work if judged else (np.empty((d, d), dtype=complex), np.empty((d, d), dtype=complex))
     if np.array_equal(spec.left_unitary, np.eye(n1)):
-        scale = 1.0 / spec.alphas
-        choi = rho_est.reshape(n1, n2, n1, n2) * scale[:, None, None, None]
-        choi *= scale[:, None]
-        choi = choi.reshape(d, d)
+        if judged:
+            np.add(rho_est, h, out=h)
+        # c s_i is exact for c = 1/2, so w[i, j] = (c s_i) s_j is symmetric
+        s = 1.0 / spec.alphas
+        w = ((0.5 if judged else 1.0) * s)[:, None] * s
+        # each real and imaginary part of row block i, column block j times w[i, j]
+        np.multiply(
+            (h if judged else rho_est).view(float).reshape(n1, n2, 2 * d),
+            np.repeat(w, 2 * n2, axis=1)[:, None],
+            out=h.view(float).reshape(n1, n2, 2 * d),
+        )
     else:
-        w = spec.left_unitary / spec.alphas
-        left = (w.conj().T @ rho_est.reshape(n1, -1)).reshape(d, n1, n2)
-        choi = (left.transpose(0, 2, 1) @ w).transpose(0, 2, 1).reshape(d, d)
+        w_dag = spec.left_unitary.conj().T / spec.alphas[:, None]
+        np.matmul(0.5 * w_dag, rho_est.reshape(n1, -1), out=spare.reshape(n1, -1))
+        np.conjugate(spare.T, out=h)
+        np.matmul(w_dag, h.reshape(n1, -1), out=spare.reshape(n1, -1))  # C^dagger
+        np.conjugate(spare.T, out=h)
+        h += spare
 
-    cutoff = _float_cutoff(choi, threshold) if factor else threshold
-    ops, _, negativity_removed = _eigen_operators(choi, n1, n2, cutoff, factor)
+    cutoff = _float_cutoff(h, threshold) if factor else threshold
+    ops, _, negativity_removed = _eigen_operators(h, n1, n2, cutoff, factor, spare)
     return _derived(KrausSet, n1, n2, ops @ spec.right_unitary.conj().T), negativity_removed
 
 

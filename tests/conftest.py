@@ -179,7 +179,7 @@ def judgements(monkeypatch):
 
 def eigh_only(monkeypatch):
     """Refuse the low-rank factor: each step from a Choi matrix to Kraus form runs ``eigh``."""
-    monkeypatch.setattr(channels, "_low_rank_columns", lambda h, threshold: None)
+    monkeypatch.setattr(channels, "_low_rank_columns", lambda h, threshold, spare=None: None)
 
 
 @pytest.fixture
@@ -189,8 +189,8 @@ def low_rank_attempts(monkeypatch):
     accepted = []
     original = channels._low_rank_columns
 
-    def spy(h, threshold):
-        result = original(h, threshold)
+    def spy(h, threshold, spare=None):
+        result = original(h, threshold, spare)
         accepted.append(result is not None)
         return result
 

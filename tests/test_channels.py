@@ -193,6 +193,26 @@ def vec(op):
 
 
 class TestChoiToKraus:
+    @pytest.mark.parametrize("n1,rank", [(2, 1), (3, 2), (8, 2), (4, 16)])
+    def test_hermitian_within_the_bound_not_bitwise(self, n1, rank):
+        # a Choi matrix Hermitian within bound(J) but not bitwise is
+        # symmetrized by choi_to_kraus itself: its operators are, bit for bit,
+        # those of its Hermitian part, their count is the unperturbed one and
+        # the set is trace-orthogonal
+        rng = np.random.default_rng(n1 + rank)
+        truth = random_cptp(n1, n1, rank, seed=rank)
+        j = kraus_to_choi(truth).matrix
+        g = random_complex_matrix(n1 * n1, n1 * n1, rng)
+        perturbed = ChoiMatrix(n1, n1, j + 1e-12 * (g - g.conj().T) / np.abs(g).max())
+        assert not np.array_equal(perturbed.matrix, perturbed.matrix.conj().T)
+        ops = choi_to_kraus(perturbed).operators
+        hermitian_part = ChoiMatrix(n1, n1, (perturbed.matrix + perturbed.matrix.conj().T) / 2)
+        assert all(map(np.array_equal, ops, choi_to_kraus(hermitian_part).operators))
+        assert len(ops) == len(choi_to_kraus(ChoiMatrix(n1, n1, j)).operators) == rank
+        gram = np.einsum("kij,lij->kl", np.conj(ops), ops)
+        assert np.abs(gram - np.diag(gram.diagonal())).max() < 1e-10
+        assert frobenius_distance(kraus_to_choi(KrausSet(n1, n1, ops)).matrix, j) < 1e-10
+
     def test_rank_one_choi_gives_identity(self):
         j = ChoiMatrix(2, 2, 2 * np.outer(PHI, PHI.conj()))
         k = choi_to_kraus(j)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_complex_matrix, random_density, random_hermitian
 from choiforge.channels import ZOO_CHANNEL_NAMES, haar_random_unitary, kraus_to_choi, zoo_channel
@@ -144,6 +146,84 @@ class TestBound:
         m[0, 1] += 2 * bound(m)
         with pytest.raises(NotHermitianError, match="m is not Hermitian"):
             check_hermitian(m, "m")
+
+
+def judged_by_definition(m, tol):
+    """check_hermitian's verdict written out from its definition: (error
+    type, first message, deviation) for a rejected m, (None, limit, None)
+    for an accepted one."""
+    if not np.isfinite(m).all():
+        return ValueError, "m contains non-finite entries", None
+    limit = tol * max(1.0, float(np.abs(m).max(initial=0.0)))
+    deviation = float(np.abs(m - m.conj().T).max(initial=0.0))
+    if deviation > limit:
+        message = f"m is not Hermitian: max |m - m^dag| = {deviation:.3e} > {limit:.3e}"
+        return NotHermitianError, message, deviation
+    return None, limit, None
+
+
+@st.composite
+def judged_matrices(draw):
+    """A Hermitian matrix plus an anti-Hermitian perturbation whose
+    deviation max |m - m^dag| is `factor` times tol * max(1, max |m_ij|),
+    where the cheap test of real and imaginary parts is loosest: entries
+    with |Re| = |Im|. Some have one non-finite entry."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 6))
+    tol = draw(st.sampled_from([TOL, EXACT_TOL]))
+    scale = draw(st.sampled_from([1e-300, 1e-3, 1.0, 1e3, 1e300]))
+    factor = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5]))
+    m = scale * random_hermitian(d, rng)
+    if draw(st.booleans()):  # an entry of modulus about 1 with |Re| = |Im|
+        i, j = rng.integers(d, size=2)
+        c = draw(st.sampled_from([1.0 - 2**-52, 1.0, 1.0 + 2**-52])) / np.sqrt(2)
+        m[i, j], m[j, i] = c * (1 + 1j), c * (1 - 1j)
+        m[i, i] = m[i, i].real
+    k = np.zeros((d, d), dtype=complex)  # anti-Hermitian, |Re| = |Im| off the diagonal
+    for i, j in zip(*np.triu_indices(d, 1)):
+        k[i, j] = rng.uniform(-1, 1) * (1 + 1j)
+        k[j, i] = -np.conj(k[i, j])
+    k[np.diag_indices(d)] = 1j * rng.uniform(-1, 1, d)
+    gap = np.abs(k - k.conj().T).max()
+    if gap:
+        m = m + (factor * tol * max(1.0, float(np.abs(m).max())) / gap) * k
+    bad = draw(st.sampled_from([None, np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 1)]))
+    if bad is not None:
+        m[tuple(rng.integers(d, size=2))] = bad
+    return m, tol
+
+
+class TestHermitianJudge:
+    @given(judged_matrices(), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_judge_matches_its_definition(self, case, with_work):
+        # the verdict, the first message, and the bits of the deviation and
+        # of the returned limit are those of the moduli formula
+        m, tol = case
+        kind, expected, deviation = judged_by_definition(m, tol)
+        work = np.empty((2, *m.shape), dtype=complex) if with_work else None
+        if kind is None:
+            limit = check_hermitian(m, "m", tol, work)
+            assert limit.hex() == expected.hex()
+            assert limit.hex() == bound(m, tol).hex()
+            if with_work:
+                assert np.array_equal(work[0], m.conj().T)
+            return
+        with pytest.raises(kind) as raised:
+            check_hermitian(m, "m", tol, work)
+        assert type(raised.value) is kind
+        assert str(raised.value) == expected
+        if kind is NotHermitianError:
+            assert raised.value.deviation.hex() == deviation.hex()
+
+    @pytest.mark.parametrize("c", [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
+    def test_bound_at_the_unit_modulus(self, c):
+        # an entry with |Re| = |Im| whose modulus is about 1: the part test
+        # cannot decide, and the moduli give the bound
+        m = np.zeros((2, 2), dtype=complex)
+        m[0, 1] = c / np.sqrt(2) * (1 + 1j)
+        assert bound(m).hex() == (TOL * max(1.0, float(np.abs(m).max()))).hex()
+        assert bound(m.real) == TOL  # a real matrix's parts are its moduli
 
 
 class TestFrobeniusDistance:

@@ -143,7 +143,8 @@ def test_stage_timings_writes_a_labelled_table(tmp_path):
     # each number is written once: no probe table, no count beside the list
     assert all("probe" not in table for table in tables.values())
     fields = {
-        "channel", "n1", "d", "shots", "python_calls_per_run", "decompositions", "best_ms", "quartiles_ms"
+        "channel", "n1", "d", "shots", "python_calls_per_run", "decompositions",
+        "minor_faults_per_run", "best_ms", "quartiles_ms",
     }
     assert all(set(row) == fields for table in tables.values() for row in table["rows"])
     assert all("channel" not in table for table in tables.values())
@@ -161,7 +162,17 @@ def test_stage_timings_writes_a_labelled_table(tmp_path):
         assert "simulate_state_tomography" not in rows[channel, "exact"]["best_ms"]
         assert rows[channel, 10**4]["decompositions"] == ["cholesky", "eigh"]
         assert rows[channel, 10**4]["best_ms"]["simulate_state_tomography > cholesky"] > 0
+        # the evaluator output is judged once, a stage of its own: by
+        # reconstruct_from_schmidt in an exact run, by the sampler otherwise
+        exact_paths = set(rows[channel, "exact"]["best_ms"])
+        assert "reconstruct_from_schmidt > check_hermitian" in exact_paths
+        assert "simulate_state_tomography > check_hermitian" in rows[channel, 10**4]["best_ms"]
+        assert not any(path.endswith("check_hermitian") for path in exact_paths - {
+            "reconstruct_from_schmidt > check_hermitian"
+        })
     for row in rows.values():
+        # the page faults of the timed runs, per run: a count, never negative
+        assert type(row["minor_faults_per_run"]) is float and row["minor_faults_per_run"] >= 0
         # a run ends at its Kraus set: J is built only by the document step
         assert row["best_ms"]["kraus_to_choi"] > 0
         assert row["best_ms"]["result_to_doc"] > 0

@@ -692,7 +692,7 @@ class TestLowRankReconstruction:
         assert low_rank_attempts == [False]
 
     def test_finite_shots_never_try_the_factor(self, monkeypatch):
-        def refuse(h, threshold):
+        def refuse(h, threshold, spare=None):
             raise AssertionError("a finite-shot run tried the low-rank factor")
 
         monkeypatch.setattr(channels, "_low_rank_columns", refuse)
@@ -1137,6 +1137,30 @@ class TestRunTomography:
             decompositions.clear()
             run_tomography(OpaqueChannel.from_kraus(truth), config)
             assert decompositions == (["svd"] if shots is EXACT else ["cholesky", "eigh"])
+
+    @pytest.mark.parametrize("n1", [2, 3, 8])
+    @pytest.mark.parametrize("shots", [EXACT, 10**4])
+    @pytest.mark.parametrize("schmidt", [False, True])
+    def test_choi_estimate_is_bitwise_hermitian(self, monkeypatch, n1, shots, schmidt):
+        # the Choi estimate is symmetrized once, where it is made: the
+        # sampler's estimate is bitwise Hermitian, and so is what the eigen
+        # step receives, rescaled with U = I or by the congruence with U != I
+        received = []
+        original = tomography._eigen_operators
+        monkeypatch.setattr(
+            tomography, "_eigen_operators", lambda h, *a: received.append(h.copy()) or original(h, *a)
+        )
+        rng = np.random.default_rng(n1)
+        alphas = np.sqrt(np.arange(1.0, n1 + 1) / np.sum(np.arange(1.0, n1 + 1)))
+        spec = SchmidtInput(alphas, haar_random_unitary(n1, rng), haar_random_unitary(n1, rng))
+        channel = OpaqueChannel.from_kraus(random_cptp(n1, n1, 2, seed=n1))
+        if shots is not EXACT:
+            rho = joint_output_state(channel, prepare_schmidt_input(uniform(n1)))
+            estimate = simulate_state_tomography(rho, shots, seed=3)
+            assert np.array_equal(estimate, estimate.conj().T)
+        run_tomography(channel, TomographyConfig(shots=shots, seed=3, input_kind=spec if schmidt else None))
+        (h,) = received
+        assert np.array_equal(h, h.conj().T)
 
     @pytest.mark.parametrize("shots", [EXACT, 1000])
     @pytest.mark.parametrize("schmidt", [False, True])

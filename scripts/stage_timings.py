@@ -3,10 +3,11 @@
 
 Wraps the module-level names ``run_tomography`` calls (``joint_output_state``,
 ``simulate_state_tomography``, ``reconstruct_from_schmidt`` and its core
-``_schmidt_kraus`` for an estimate already judged, which a finite-shot run
-calls directly), the Hermiticity judgement ``check_hermitian`` that the
-sampler or, in an exact run, ``reconstruct_from_schmidt`` makes of the
-evaluator output, the low-rank factor ``channels._low_rank_columns`` (a
+``_schmidt_kraus``, which picks the cutoff and builds the Choi estimate in
+both shot modes and which a finite-shot run calls directly), the
+Hermiticity judgement ``check_hermitian`` that the sampler or, in an exact
+run, ``reconstruct_from_schmidt`` makes of the evaluator output, the
+low-rank factor ``channels._low_rank_columns`` (a
 name the package lacks fails the script rather than leave the table) and
 numpy's decompositions, then times runs of three channels over a grid of
 n1 and shot budgets with BLAS pinned to one thread:

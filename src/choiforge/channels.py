@@ -240,13 +240,13 @@ def kraus_to_choi(kraus: KrausSet) -> ChoiMatrix:
 
 
 def _low_rank_columns(
-    h: np.ndarray, threshold: float, spare: np.ndarray | None = None
+    h: np.ndarray, threshold: float, spare: np.ndarray
 ) -> tuple[np.ndarray, float] | None:
     """The eigenpairs of a bitwise Hermitian h above `threshold`, as the
     columns sqrt(eigenvalue) * eigenvector of a d x k array, and sigma >=
     ||h - V V^dagger||_F for a factor V; or None where ``np.linalg.eigh``
     must decide. The residual is formed in `spare`, a d x d complex array
-    the caller has no more use for, if one is given.
+    the caller has no more use for.
 
     A diagonal-pivoting Cholesky (Higham, "Analysis of the Cholesky
     decomposition of a semi-definite matrix", 1990) builds V one column at a
@@ -318,7 +318,7 @@ def _eigen_operators(
     output_dim: int,
     threshold: float,
     factor: bool,
-    spare: np.ndarray | None = None,
+    spare: np.ndarray,
 ) -> tuple[np.ndarray, float, float]:
     """The Kraus operators of a Choi matrix, stacked as (k, n2, n1), a lower
     bound on its least eigenvalue, and the negative eigenvalue mass clipped:
@@ -377,7 +377,8 @@ def choi_to_kraus(choi: ChoiMatrix) -> KrausSet:
     h = np.conjugate(m.T)
     h += m
     h *= 0.5  # the bits of (m + m^dagger) / 2, in one d x d array
-    ops, lowest, _ = _eigen_operators(h, choi.input_dim, choi.output_dim, _float_cutoff(h, 0.0), True)
+    cutoff = _float_cutoff(h, 0.0)
+    ops, lowest, _ = _eigen_operators(h, choi.input_dim, choi.output_dim, cutoff, True, np.empty_like(h))
     limit = bound(m)
     if lowest < -limit:
         raise NotCompletelyPositiveError(lowest, limit)

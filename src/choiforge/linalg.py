@@ -100,16 +100,14 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def _part_max(m: np.ndarray) -> float:
-    """The largest max(|Re m_ij|, |Im m_ij|), 0.0 for no entries and NaN if
-    an entry is NaN, in two reductions and no temporary array: max |m_ij|
+    """The largest max(|Re m_ij|, |Im m_ij|) of a non-empty m, NaN if an
+    entry is NaN, in two reductions and no temporary array: max |m_ij|
     itself for a real m, and for a complex one at most that and more than
     max |m_ij| / 1.5, 1.5 being above sqrt 2 by more than the rounding of
     the moduli."""
     parts = m.reshape(-1)
     if m.dtype.kind == "c":
         parts = parts.view(m.real.dtype)
-    if not parts.size:
-        return 0.0
     # a NaN entry makes both reductions NaN, and max() then returns NaN
     return max(float(np.maximum.reduce(parts)), -float(np.minimum.reduce(parts)))
 
@@ -126,8 +124,9 @@ def bound(m: np.ndarray, tol: float = TOL) -> float:
 
 
 def check_hermitian(m: np.ndarray, what: str, tol: float = TOL, work: tuple | None = None) -> float:
-    """Reject a square complex matrix unless it is finite and max |m - m^dagger|
-    <= bound(m, tol); return that bound, for the caller's positivity check on m.
+    """Reject a complex matrix unless it is square, non-empty, finite and
+    max |m - m^dagger| <= bound(m, tol); return that bound, for the caller's
+    positivity check on m.
 
     A non-finite entry of m makes bound(m) non-finite, and only then is m
     scanned for one. m is then read through one conjugate-transposed copy,
@@ -139,6 +138,8 @@ def check_hermitian(m: np.ndarray, what: str, tol: float = TOL, work: tuple | No
     """
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
+    if not m.size:
+        raise ValueError(f"{what} must not be empty, got shape {m.shape}")
     limit = bound(m, tol)
     if not math.isfinite(limit) and not np.isfinite(m).all():
         raise ValueError(f"{what} contains non-finite entries")

@@ -4,10 +4,10 @@ The pipeline: prepare an entangled input on (reference, system), send the
 system half through the unknown channel exactly once, estimate the joint
 output density matrix from simulated projective measurements, rescale, and
 extract canonical Kraus operators from the eigendecomposition above the
-cutoff ``_cutoff`` picks. An exact run of a channel of small Kraus rank
-reads them off a pivoted-Cholesky factor instead, when Weyl's bound proves
-them (``channels._eigen_operators``). The channel is an opaque evaluator;
-nothing here looks at its internals.
+cutoff ``_schmidt_kraus`` picks. An exact run of a channel of small Kraus
+rank reads them off a pivoted-Cholesky factor instead, when Weyl's bound
+proves them (``channels._eigen_operators``). The channel is an opaque
+evaluator; nothing here looks at its internals.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .channels import (
 from .linalg import (
     EXACT_TOL,
     TOL,
-    _as_matrix,
     _as_numeric,
     _eigenvalue_below,
     bound,
@@ -200,7 +199,7 @@ class TomographyConfig:
     None, the default, is the maximally entangled input, which
     ``run_tomography`` builds as the uniform ``SchmidtInput`` for the
     channel's input dimension. ``kraus_threshold`` must be finite and
-    nonnegative; None picks the mode-dependent default (``_cutoff``).
+    nonnegative; None picks the mode-dependent default (``_schmidt_kraus``).
     """
 
     shots: int | None = EXACT
@@ -312,12 +311,14 @@ def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
     outcome frequencies, entry by entry, gives a Hermitian unbiased estimate
     that is generally not positive. ``shots=EXACT`` returns a copy of rho; a
     finite count must be an integer in [1, MAX_SHOTS], where every count is
-    exact in a float64. rho must be Hermitian and PSD to within bound(rho),
-    with trace <= 1 + EXACT_TOL, whatever the shot count; positivity costs
-    one Cholesky certificate (``linalg._eigenvalue_below``), and ``eigvalsh``
-    runs only when it fails.
+    exact in a float64. rho must be a non-empty square matrix, finite,
+    Hermitian and PSD to within bound(rho), with trace <= 1 + EXACT_TOL,
+    whatever the shot count; positivity costs one Cholesky certificate
+    (``linalg._eigenvalue_below``), and ``eigvalsh`` runs only when it fails.
     """
-    rho = _as_matrix(rho, "state")
+    rho = _as_numeric(rho, "state")
+    if rho.ndim != 2:
+        raise ValueError(f"state must be 2-dimensional, got shape {rho.shape}")
     trace = _check_state(rho, check_hermitian(rho, "state"))
     shots = _check_shots(shots)
     seed = _normalize_seed(seed)
@@ -379,24 +380,11 @@ def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
 def default_kraus_threshold(shots: int | None, input_dim: int) -> float | None:
     """Default eigenvalue cutoff: 3 input_dim/sqrt(shots), three times the
     plug-in noise scale and at least 3/sqrt(MAX_SHOTS), and None in EXACT
-    mode, where ``_cutoff`` reads tau off the joint state. ``input_dim`` is
-    an integer of at least 1 (``linalg.is_int``)."""
+    mode, where ``_schmidt_kraus`` reads tau off the joint state.
+    ``input_dim`` is an integer of at least 1 (``linalg.is_int``)."""
     _check_shots(shots)
     input_dim = check_int(input_dim, "input_dim", 1)
     return None if shots is EXACT else 3.0 * input_dim / math.sqrt(shots)
-
-
-def _cutoff(rho, spec: SchmidtInput, threshold: float | None, shots) -> tuple[float, bool]:
-    """The one place a run's Kraus cutoff is chosen, as (number, try the
-    factor): a user's `threshold`, or for finite shots the default, for one
-    ``eigh``; else tau = d eps max|rho_ij| / alpha_min^2 for the exact rule
-    ``channels._float_cutoff``, max|rho_ij| read in O(d) off rho's diagonal."""
-    if threshold is None and shots is not EXACT:
-        threshold = default_kraus_threshold(shots, spec.alphas.size)
-    if threshold is not None:
-        return threshold, False
-    scale = float(np.abs(rho.diagonal()).max()) / float(spec.alphas.min()) ** 2
-    return len(rho) * np.finfo(float).eps * scale, True
 
 
 def reconstruct_from_schmidt(
@@ -411,15 +399,14 @@ def reconstruct_from_schmidt(
     eigenvalues and turns each eigenpair above the cutoff into an operator,
     which times V^dagger is a Kraus operator of the channel. `threshold`
     has no default: a number is a cutoff for one ``eigh``, and None asks
-    for the exact rule max(bound(diag J, EXACT_TOL), tau), tau the float
-    noise of `rho_est` rescaled (``_cutoff``), where a low-rank factor gives
+    for the exact rule of ``_schmidt_kraus``, where a low-rank factor gives
     the eigenpairs if it proves them. Pass ``default_kraus_threshold(shots,
     n1)`` for ``run_tomography``'s cutoff. Returns the Kraus set and the
     clipped mass, 0.0 on the low-rank path. `rho_est` must be finite and is
-    judged Hermitian to within bound(rho_est), not positive; `threshold`
-    must be None or finite and nonnegative (``linalg.is_real``). The Choi
-    estimate is symmetrized exactly, and the operators are frozen
-    (``channels._derived``), neither judged again.
+    judged Hermitian to within bound(rho_est), not positive, by
+    ``check_hermitian``, whose buffers ``_schmidt_kraus`` takes; `threshold`
+    must be None or finite and nonnegative (``linalg.is_real``). The
+    operators are frozen (``channels._derived``), not judged again.
     """
     n2 = check_int(output_dim, "output_dim", 1)
     rho_est = _as_numeric(rho_est, "state")
@@ -429,46 +416,47 @@ def reconstruct_from_schmidt(
     work = (np.empty((d, d), dtype=complex), np.empty((d, d), dtype=complex))
     check_hermitian(rho_est, "state", work=work)
     threshold = _check_threshold(threshold, "threshold")
-    return _schmidt_kraus(rho_est, spec, n2, *_cutoff(rho_est, spec, threshold, EXACT), work)
+    return _schmidt_kraus(rho_est, spec, n2, threshold, EXACT, work)
 
 
 def _schmidt_kraus(
     rho_est: np.ndarray,
     spec: SchmidtInput,
     n2: int,
-    threshold: float,
-    factor: bool,
-    work: tuple | None = None,
+    threshold: float | None,
+    shots: int | None,
+    work: tuple[np.ndarray, np.ndarray],
 ) -> tuple[KrausSet, float]:
-    """``reconstruct_from_schmidt`` of a d x d complex estimate at
-    ``_cutoff``'s `threshold`, which with `factor` is tau: an estimate
-    ``check_hermitian`` has judged, with the two d x d arrays `work` it left
-    rho_est^dagger in, or the sampler's, which is bitwise Hermitian, with
-    no `work`.
+    """``reconstruct_from_schmidt`` of a d x d complex estimate judged
+    Hermitian, in either shot mode: the one place a run's Kraus cutoff is
+    chosen. `work` is two d x d complex arrays, the first holding
+    rho_est^dagger on entry, as ``check_hermitian`` leaves it.
 
-    The Choi estimate h is made bitwise Hermitian once, here. Where the left
-    basis U is the identity, as for the default input, the rescaling is one
-    multiply of rho_est + rho_est^dagger (the sampler's estimate, alone) by
-    the symmetric real array w[i, j] = c s_i s_j, s = 1/alpha, with c = 1/2
-    (c = 1), block (i, j) by w[i, j], so h stays bitwise Hermitian.
-    Otherwise h = C + C^dagger with C = (W^dagger tensor I) rho_est (W
-    tensor I) / 2 and W = U diag(1/alpha): C^dagger is two products by
+    The cutoff is a user's `threshold`, else ``default_kraus_threshold`` for
+    finite `shots`, each for one ``eigh``, else the exact rule
+    ``channels._float_cutoff`` at tau = d eps max|rho_ij| / alpha_min^2,
+    max|rho_ij| read in O(d) off the diagonal, where the low-rank factor is
+    tried first.
+
+    The Choi estimate h is made bitwise Hermitian once, here. Where U = I,
+    as for the default input, h is rho_est + rho_est^dagger times the
+    symmetric real w[i, j] = (s_i / 2) s_j, s = 1/alpha, block (i, j) by
+    w[i, j]. Otherwise h = C + C^dagger with C = (W^dagger tensor I) rho_est
+    (W tensor I) / 2 and W = U diag(1/alpha): C^dagger is two products by
     W^dagger from the left, one on each side of a conjugate transpose. The
-    other d x d buffer goes to the low-rank factor for its residual.
+    other buffer takes the low-rank factor's residual.
     """
     n1 = spec.alphas.size
     d = n1 * n2
-    judged = work is not None
-    h, spare = work if judged else (np.empty((d, d), dtype=complex), np.empty((d, d), dtype=complex))
+    h, spare = work
     if np.array_equal(spec.left_unitary, np.eye(n1)):
-        if judged:
-            np.add(rho_est, h, out=h)
-        # c s_i is exact for c = 1/2, so w[i, j] = (c s_i) s_j is symmetric
+        np.add(rho_est, h, out=h)
+        # s_i / 2 is exact, so w[i, j] = (s_i / 2) s_j is symmetric
         s = 1.0 / spec.alphas
-        w = ((0.5 if judged else 1.0) * s)[:, None] * s
+        w = (0.5 * s)[:, None] * s
         # each real and imaginary part of row block i, column block j times w[i, j]
         np.multiply(
-            (h if judged else rho_est).view(float).reshape(n1, n2, 2 * d),
+            h.view(float).reshape(n1, n2, 2 * d),
             np.repeat(w, 2 * n2, axis=1)[:, None],
             out=h.view(float).reshape(n1, n2, 2 * d),
         )
@@ -480,8 +468,13 @@ def _schmidt_kraus(
         np.conjugate(spare.T, out=h)
         h += spare
 
-    cutoff = _float_cutoff(h, threshold) if factor else threshold
-    ops, _, negativity_removed = _eigen_operators(h, n1, n2, cutoff, factor, spare)
+    if threshold is None and shots is not EXACT:
+        threshold = default_kraus_threshold(shots, n1)
+    factor = threshold is None
+    if factor:
+        scale = float(np.abs(rho_est.diagonal()).max()) / float(spec.alphas.min()) ** 2
+        threshold = _float_cutoff(h, d * np.finfo(float).eps * scale)
+    ops, _, negativity_removed = _eigen_operators(h, n1, n2, threshold, factor, spare)
     return _derived(KrausSet, n1, n2, ops @ spec.right_unitary.conj().T), negativity_removed
 
 
@@ -520,18 +513,21 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
 
     The channel's input_dim must be at least two, the least dimension of a
     Schmidt input; a smaller one is rejected before the input is built.
-    Deterministic for a fixed (seed, shots) pair. ``_cutoff`` resolves the
-    cutoff: ``config.kraus_threshold``, else 3 n1/sqrt(shots) for finite
-    shots, each one ``eigh``, else the exact rule, which tries the low-rank
-    factor. A finite shot count samples the evaluator output with
-    ``simulate_state_tomography``, which judges it (a Cholesky certificate,
-    ``eigvalsh`` only if that fails); its estimate, Hermitian by
-    construction, is not judged again. ``shots=EXACT`` skips the sampler:
-    the evaluator output is the estimate, judged in the sampler's order and
-    with its messages (Hermiticity, positivity, Tr <= 1 + EXACT_TOL), with
-    positivity read off the reconstruction (``_positivity_proved``); only
-    where that proof fails, as for strongly skewed inputs or an indefinite
-    output, does the sampler's certificate run on the output.
+    Deterministic for a fixed (seed, shots) pair. Both shot modes end in
+    ``_schmidt_kraus``, which resolves the cutoff (``config.kraus_threshold``,
+    else 3 n1/sqrt(shots) for finite shots, each one ``eigh``, else the
+    exact rule, which tries the low-rank factor) and builds the Choi
+    estimate from the estimate and its adjoint. A finite shot count samples
+    the evaluator output with ``simulate_state_tomography``, which judges it
+    (a Cholesky certificate, ``eigvalsh`` only if that fails); its estimate
+    is bitwise Hermitian, so a copy of it is its adjoint, and it is not
+    judged again. ``shots=EXACT`` skips the sampler: the evaluator output is
+    the estimate, judged by ``reconstruct_from_schmidt`` in the sampler's
+    order and with its messages (Hermiticity, positivity, Tr <= 1 +
+    EXACT_TOL), with positivity read off the reconstruction
+    (``_positivity_proved``); only where that proof fails, as for strongly
+    skewed inputs or an indefinite output, does the sampler's certificate
+    run on the output.
     """
     n1, n2 = channel.input_dim, channel.output_dim
     if n1 < 2:
@@ -548,8 +544,10 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
         shots_used = 0
     else:
         estimate = simulate_state_tomography(rho_out, config.shots, config.seed)
-        cutoff = _cutoff(estimate, spec, config.kraus_threshold, config.shots)
-        kraus, negativity_removed = _schmidt_kraus(estimate, spec, n2, *cutoff)
+        work = (estimate.copy(), np.empty_like(estimate))  # bitwise Hermitian: its own adjoint
+        kraus, negativity_removed = _schmidt_kraus(
+            estimate, spec, n2, config.kraus_threshold, config.shots, work
+        )
         success_trace = float(np.trace(estimate).real)
         shots_used = config.shots * (n1 * n2) ** 2
     return TomographyResult(kraus, negativity_removed, shots_used, success_trace)

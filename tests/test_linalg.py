@@ -123,6 +123,13 @@ class TestBound:
         with pytest.raises(ValueError, match=r"^m must be square, got shape \(2, 3\)$"):
             check_hermitian(np.zeros((2, 3), dtype=complex), "m")
 
+    def test_check_hermitian_rejects_empty(self):
+        # an empty matrix that is not square is judged as not square
+        with pytest.raises(ValueError, match=r"^m must not be empty, got shape \(0, 0\)$"):
+            check_hermitian(np.zeros((0, 0), dtype=complex), "m")
+        with pytest.raises(ValueError, match=r"^m must be square, got shape \(0, 3\)$"):
+            check_hermitian(np.zeros((0, 3), dtype=complex), "m")
+
     @pytest.mark.parametrize("name", ZOO_CHANNEL_NAMES)
     def test_unit_scale_choi_matrices_get_the_bare_bound(self, name):
         dims = (2,) if name in ("amplitude_damping", "phase_damping") else (2, 3, 4)

@@ -69,13 +69,14 @@ def kraus_bytes(kraus):
     return [op.tobytes() for op in kraus.operators]
 
 
-def staged_run(channel, spec, shots, seed):
+def staged_run(channel, spec, shots, seed, threshold=None):
     """A run from the public stages alone: the joint-state estimate and the
-    Kraus set and clipped mass reconstructed from it at the default cutoff."""
+    Kraus set and clipped mass reconstructed from it at the run's cutoff,
+    `threshold` or else the default."""
     n1 = channel.input_dim
     rho_out = joint_output_state(channel, prepare_schmidt_input(spec))
     estimate = simulate_state_tomography(rho_out, shots, seed)
-    threshold = default_kraus_threshold(shots, n1)
+    threshold = threshold or default_kraus_threshold(shots, n1)
     return estimate, *reconstruct_from_schmidt(estimate, spec, channel.output_dim, threshold)
 
 
@@ -546,6 +547,21 @@ class TestSimulateStateTomography:
         with pytest.raises(ValueError, match="positive integer"):
             simulate_state_tomography(I2 / 2, 0, seed=0)
 
+    @pytest.mark.parametrize(
+        "state,message",
+        [
+            (np.full(4, 0.25), r"^state must be 2-dimensional, got shape \(4,\)$"),
+            (np.diag([0.5, np.nan]), r"^state contains non-finite entries$"),
+            (np.diag([0.5, np.inf]), r"^state contains non-finite entries$"),
+            (np.zeros((2, 3)), r"^state must be square, got shape \(2, 3\)$"),
+            (np.zeros((0, 0)), r"^state must not be empty, got shape \(0, 0\)$"),
+        ],
+    )
+    def test_malformed_state_rejected(self, state, message):
+        for shots in (EXACT, 10):
+            with pytest.raises(ValueError, match=message):
+                simulate_state_tomography(state, shots, seed=0)
+
     def test_shot_count_ceiling(self):
         # up to MAX_SHOTS every count is exact in a float64 and the estimate
         # is finite and unbiased; beyond it the count is rejected, never wrapped
@@ -763,21 +779,23 @@ class TestResult:
         assert result.estimated_choi is choi
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("shots", [EXACT, 1000])
+    @pytest.mark.parametrize("n1", [2, 3, 8])
+    @pytest.mark.parametrize("shots", [EXACT, 1000, 10**4])
     @pytest.mark.parametrize("schmidt", [False, True])
-    def test_public_stages_reproduce_a_run(self, shots, schmidt):
+    @pytest.mark.parametrize("threshold", [None, 0.05])
+    def test_public_stages_reproduce_a_run(self, n1, shots, schmidt, threshold):
         # the joint-state estimate a run reconstructs from is the sampler's
-        # output on the one evaluator call, and the public stages give it back
-        n1 = 3
+        # output on the one evaluator call, and the public stages give it
+        # back, and the Kraus set at the run's cutoff, byte for byte
         rng = np.random.default_rng(8)
         spec = uniform(n1)
         if schmidt:
             alphas = np.sqrt(np.arange(1.0, n1 + 1) / np.sum(np.arange(1.0, n1 + 1)))
             spec = SchmidtInput(alphas, haar_random_unitary(n1, rng), haar_random_unitary(n1, rng))
         channel = OpaqueChannel.from_kraus(random_cptp(n1, n1, 2, 7))
-        config = TomographyConfig(shots=shots, seed=11, input_kind=spec if schmidt else None)
+        config = TomographyConfig(shots, 11, spec if schmidt else None, threshold)
         result = run_tomography(channel, config)
-        estimate, kraus, mass = staged_run(channel, spec, shots, 11)
+        estimate, kraus, mass = staged_run(channel, spec, shots, 11, threshold)
         assert kraus_bytes(result.kraus) == kraus_bytes(kraus)
         assert result.negativity_removed == mass
         assert result.success_trace == float(np.trace(estimate).real)
@@ -863,7 +881,7 @@ class TestProjectToPsd:
 
 class TestThresholdDefaults:
     def test_exact_mode(self):
-        # None asks the reconstruction for the exact rule (tomography._cutoff)
+        # None asks the reconstruction for the exact rule (tomography._schmidt_kraus)
         assert default_kraus_threshold(EXACT, 2) is None
 
     def test_finite_mode_scales_with_noise(self):

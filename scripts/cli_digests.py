@@ -31,11 +31,11 @@ arithmetic overflows float range: Choi matrices ``diag(1e300, ...)``,
 ``diag(-1e300, ...)`` and ``diag(1.5e308, ...)``, whose partial trace alone
 overflows, and a Kraus operator of ``1e200`` entries.
 
-BLAS runs on one thread. The newest ``DIGESTS_<n>.jsonl`` at the root of the
-repository holds this script's output for the package in ``src/``, and the
-suite checks that it still does. Finite-shot documents hash float output,
-so the file is tied to the numpy and BLAS build that wrote it. Run it
-against any checkout's package and diff the outputs:
+BLAS runs on one thread with the Haswell kernel. ``DIGESTS.jsonl`` at the
+root of the repository holds this script's output for the package in
+``src/``, and the suite checks that it still does. Finite-shot documents
+hash float output, so the file is tied to the numpy and BLAS build that
+wrote it. Run it against any checkout's package and diff the outputs:
 
     PYTHONPATH=src python scripts/cli_digests.py > after.jsonl
     PYTHONPATH=../parent/src python scripts/cli_digests.py > before.jsonl
@@ -44,10 +44,13 @@ against any checkout's package and diff the outputs:
 
 import os
 
-# One BLAS thread, set before numpy is imported, so every float is the same
-# from run to run.
+# One BLAS thread and one OpenBLAS kernel, set before numpy is imported, so
+# every float is the same from run to run and on every x86-64 CPU with AVX2:
+# without the pin OpenBLAS picks its kernel by CPU, and an AVX-512 kernel
+# rounds some results differently.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+os.environ["OPENBLAS_CORETYPE"] = "Haswell"
 
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402

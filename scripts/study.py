@@ -25,11 +25,12 @@ not enter it. Each line holds:
 - ``negativity_removed``, the clipped negative eigenvalue mass.
 
 Every statistic is [min, median, max] over the cell's runs, rounded to 4
-significant digits, and BLAS runs on one thread, so two runs of one
-version print the same bytes and ``diff`` of two study files names each
-cell that moved:
+significant digits, and BLAS runs on one thread with the Haswell kernel,
+so two runs of one version print the same bytes and ``diff`` of two study
+files names each cell that moved. ``STUDY.jsonl`` at the root of the
+repository is this version's output:
 
-    PYTHONPATH=src python scripts/study.py > study.jsonl
+    PYTHONPATH=src python scripts/study.py | cmp - STUDY.jsonl
 
 ``--n1`` runs the listed input dimensions instead of the grid's, any n1 >=
 2, in ascending order and each once, with the channels, inputs and shot
@@ -40,10 +41,13 @@ budgets above:
 
 import os
 
-# One BLAS thread, set before numpy is imported, so every float is the same
-# from run to run.
+# One BLAS thread and one OpenBLAS kernel, set before numpy is imported, so
+# every float is the same from run to run and on every x86-64 CPU with AVX2:
+# without the pin OpenBLAS picks its kernel by CPU, and an AVX-512 kernel
+# rounds some results differently.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+os.environ["OPENBLAS_CORETYPE"] = "Haswell"
 
 import argparse  # noqa: E402
 import json  # noqa: E402

@@ -31,7 +31,6 @@ from .tomography import (
     SchmidtInput,
     TomographyConfig,
     TomographyResult,
-    default_kraus_threshold,
     joint_output_state,
     prepare_schmidt_input,
     reconstruct_from_schmidt,
@@ -60,7 +59,6 @@ __all__ = [
     "choi_cp_tp_verdict",
     "choi_distance",
     "choi_to_kraus",
-    "default_kraus_threshold",
     "frobenius_distance",
     "haar_random_unitary",
     "joint_output_state",

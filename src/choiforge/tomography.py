@@ -199,7 +199,8 @@ class TomographyConfig:
     None, the default, is the maximally entangled input, which
     ``run_tomography`` builds as the uniform ``SchmidtInput`` for the
     channel's input dimension. ``kraus_threshold`` must be finite and
-    nonnegative; None picks the mode-dependent default (``_schmidt_kraus``).
+    nonnegative; None picks the cutoff from the shots (``_schmidt_kraus``):
+    3 n1/sqrt(shots) for a finite count, the exact rule for EXACT.
     """
 
     shots: int | None = EXACT
@@ -377,18 +378,8 @@ def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
     return estimate
 
 
-def default_kraus_threshold(shots: int | None, input_dim: int) -> float | None:
-    """Default eigenvalue cutoff: 3 input_dim/sqrt(shots), three times the
-    plug-in noise scale and at least 3/sqrt(MAX_SHOTS), and None in EXACT
-    mode, where ``_schmidt_kraus`` reads tau off the joint state.
-    ``input_dim`` is an integer of at least 1 (``linalg.is_int``)."""
-    _check_shots(shots)
-    input_dim = check_int(input_dim, "input_dim", 1)
-    return None if shots is EXACT else 3.0 * input_dim / math.sqrt(shots)
-
-
 def reconstruct_from_schmidt(
-    rho_est, spec: SchmidtInput, output_dim: int, threshold: float | None
+    rho_est, spec: SchmidtInput, output_dim: int, *, shots: int | None, threshold: float | None = None
 ) -> tuple[KrausSet, float]:
     """Kraus operators from the joint output of a maximum-Schmidt input.
 
@@ -397,16 +388,17 @@ def reconstruct_from_schmidt(
     divided by alpha_i alpha_j. ``channels._eigen_operators``, the one step
     to Kraus form, which ``choi_to_kraus`` takes too, clips its negative
     eigenvalues and turns each eigenpair above the cutoff into an operator,
-    which times V^dagger is a Kraus operator of the channel. `threshold`
-    has no default: a number is a cutoff for one ``eigh``, and None asks
-    for the exact rule of ``_schmidt_kraus``, where a low-rank factor gives
-    the eigenpairs if it proves them. Pass ``default_kraus_threshold(shots,
-    n1)`` for ``run_tomography``'s cutoff. Returns the Kraus set and the
-    clipped mass, 0.0 on the low-rank path. `rho_est` must be finite and is
-    judged Hermitian to within bound(rho_est), not positive, by
-    ``check_hermitian``, whose buffers ``_schmidt_kraus`` takes; `threshold`
-    must be None or finite and nonnegative (``linalg.is_real``). The
-    operators are frozen (``channels._derived``), not judged again.
+    which times V^dagger is a Kraus operator of the channel. The keywords
+    are a run's: `shots` says how `rho_est` was made, a count in
+    [1, MAX_SHOTS] or EXACT (``_check_shots``), and `threshold` is its
+    ``kraus_threshold``, None or finite and nonnegative
+    (``linalg.is_real``). ``_schmidt_kraus`` picks the cutoff from the two,
+    as in a run, so a run's `shots` and `threshold` give back its Kraus set
+    byte for byte. Returns the Kraus set and the clipped mass, 0.0 on the
+    low-rank path. `rho_est` must be finite and is judged Hermitian to
+    within bound(rho_est), not positive, by ``check_hermitian``, whose
+    buffers ``_schmidt_kraus`` takes. The operators are frozen
+    (``channels._derived``), not judged again.
     """
     n2 = check_int(output_dim, "output_dim", 1)
     rho_est = _as_numeric(rho_est, "state")
@@ -416,7 +408,7 @@ def reconstruct_from_schmidt(
     work = (np.empty((d, d), dtype=complex), np.empty((d, d), dtype=complex))
     check_hermitian(rho_est, "state", work=work)
     threshold = _check_threshold(threshold, "threshold")
-    return _schmidt_kraus(rho_est, spec, n2, threshold, EXACT, work)
+    return _schmidt_kraus(rho_est, spec, n2, threshold, _check_shots(shots), work)
 
 
 def _schmidt_kraus(
@@ -432,8 +424,9 @@ def _schmidt_kraus(
     chosen. `work` is two d x d complex arrays, the first holding
     rho_est^dagger on entry, as ``check_hermitian`` leaves it.
 
-    The cutoff is a user's `threshold`, else ``default_kraus_threshold`` for
-    finite `shots`, each for one ``eigh``, else the exact rule
+    The cutoff is a user's `threshold`, else 3 n1/sqrt(shots) for finite
+    `shots`, three times the plug-in noise scale with no floor, each for one
+    ``eigh``, else the exact rule
     ``channels._float_cutoff`` at tau = d eps max|rho_ij| / alpha_min^2,
     max|rho_ij| read in O(d) off the diagonal, where the low-rank factor is
     tried first.
@@ -469,7 +462,7 @@ def _schmidt_kraus(
         h += spare
 
     if threshold is None and shots is not EXACT:
-        threshold = default_kraus_threshold(shots, n1)
+        threshold = 3.0 * n1 / math.sqrt(shots)
     factor = threshold is None
     if factor:
         scale = float(np.abs(rho_est.diagonal()).max()) / float(spec.alphas.min()) ** 2
@@ -514,20 +507,19 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
     The channel's input_dim must be at least two, the least dimension of a
     Schmidt input; a smaller one is rejected before the input is built.
     Deterministic for a fixed (seed, shots) pair. Both shot modes end in
-    ``_schmidt_kraus``, which resolves the cutoff (``config.kraus_threshold``,
-    else 3 n1/sqrt(shots) for finite shots, each one ``eigh``, else the
-    exact rule, which tries the low-rank factor) and builds the Choi
-    estimate from the estimate and its adjoint. A finite shot count samples
-    the evaluator output with ``simulate_state_tomography``, which judges it
-    (a Cholesky certificate, ``eigvalsh`` only if that fails); its estimate
-    is bitwise Hermitian, so a copy of it is its adjoint, and it is not
-    judged again. ``shots=EXACT`` skips the sampler: the evaluator output is
-    the estimate, judged by ``reconstruct_from_schmidt`` in the sampler's
-    order and with its messages (Hermiticity, positivity, Tr <= 1 +
-    EXACT_TOL), with positivity read off the reconstruction
-    (``_positivity_proved``); only where that proof fails, as for strongly
-    skewed inputs or an indefinite output, does the sampler's certificate
-    run on the output.
+    ``_schmidt_kraus``, which picks the cutoff from ``config.kraus_threshold``
+    and the shots, and builds the Choi estimate from the estimate and its
+    adjoint. A finite shot count samples the evaluator output with
+    ``simulate_state_tomography``, which judges it (a Cholesky certificate,
+    ``eigvalsh`` only if that fails); its estimate is bitwise Hermitian, so
+    a copy of it is its adjoint, and it goes to ``_schmidt_kraus`` without
+    a second judgement. ``shots=EXACT`` skips the sampler: the evaluator
+    output is the estimate, which ``reconstruct_from_schmidt`` judges and
+    reconstructs. It is judged in the sampler's order and with its messages
+    (Hermiticity, positivity, Tr <= 1 + EXACT_TOL), with positivity read off
+    the reconstruction (``_positivity_proved``); only where that proof
+    fails, as for strongly skewed inputs or an indefinite output, does the
+    sampler's certificate run on the output.
     """
     n1, n2 = channel.input_dim, channel.output_dim
     if n1 < 2:
@@ -538,7 +530,9 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
 
     rho_out = joint_output_state(channel, prepare_schmidt_input(spec))
     if config.shots is EXACT:
-        kraus, negativity_removed = reconstruct_from_schmidt(rho_out, spec, n2, config.kraus_threshold)
+        kraus, negativity_removed = reconstruct_from_schmidt(
+            rho_out, spec, n2, shots=EXACT, threshold=config.kraus_threshold
+        )
         proved = _positivity_proved(negativity_removed, spec, n1 * n2)
         success_trace = _check_state(rho_out, None if proved else bound(rho_out))
         shots_used = 0

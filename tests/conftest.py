@@ -12,11 +12,6 @@ from choiforge.metrics import choi_distance
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def newest_trail(pattern: str) -> Path:
-    """The committed file matching `pattern` with the highest number after its underscore."""
-    return max(ROOT.glob(pattern), key=lambda path: int(path.stem.split("_")[1]))
-
-
 def random_complex_matrix(rows, cols, rng):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 

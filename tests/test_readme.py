@@ -3,7 +3,7 @@
 import re
 import shlex
 
-from conftest import ROOT, newest_trail
+from conftest import ROOT
 from choiforge.cli import main
 from choiforge.tomography import RECONSTRUCTION_VERSION, SAMPLER_VERSION
 
@@ -38,7 +38,7 @@ def test_cli_examples_exit_0(tmp_path, monkeypatch, capsys):
 
 def test_one_statement_of_the_versions_and_trails():
     # "Result files" names this version's sampler and reconstruction
-    # versions and its newest trails; no other sentence states a version
+    # versions and its two trails; no other sentence states a version
     versions = re.findall(r"`(sampler|reconstruction)`\s+(?:still\s+)?(\d+)", README)
     assert versions == [("sampler", str(SAMPLER_VERSION)), ("reconstruction", str(RECONSTRUCTION_VERSION))]
     assert not re.search(r"(sampler|reconstruction) version is \d", README)
@@ -47,16 +47,17 @@ def test_one_statement_of_the_versions_and_trails():
         README,
     )
     assert sentence
-    assert sentence.groups() == (newest_trail("DIGESTS_*.jsonl").name, newest_trail("STUDY_*.jsonl").name)
+    assert sentence.groups() == ("DIGESTS.jsonl", "STUDY.jsonl")
 
 
 def test_byte_identity_states_what_it_covers():
-    # a d = 256 eigh differs with the BLAS thread count, which the package
-    # does not pin, so every byte-identity promise names the build and the
-    # thread count it holds for
+    # a d = 256 eigh differs with the BLAS thread count, and finite-shot
+    # bytes with the OpenBLAS kernel, neither of which the package pins, so
+    # every byte-identity promise names the build, the thread count and the
+    # kernel it holds for
     text = " ".join(README.split())
     promises = re.findall(r"[^.]*byte-identical[^.]*\.", text)
     assert len(promises) == 2
     for promise in promises:
-        assert "one numpy and BLAS build and one BLAS thread count" in promise, promise
+        assert "one numpy and BLAS build, one BLAS thread count and one BLAS kernel" in promise, promise
     assert "The package pins no threads" in text

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ROOT, newest_trail
+from conftest import ROOT
 from choiforge.channels import ZOO_CHANNEL_NAMES
+
+STUDY, DIGESTS = ROOT / "STUDY.jsonl", ROOT / "DIGESTS.jsonl"
 
 
 def _run(script, *argv):
@@ -62,8 +64,7 @@ def test_study_runs_any_n1_from_2_ascending_once():
     rows = [json.loads(line) for line in result.stdout.splitlines()]
     assert [row["n1"] for row in rows] == [2] * 81 + [5] * 54
     committed = [
-        line for line in newest_trail("STUDY_*.jsonl").read_text().splitlines()
-        if json.loads(line)["n1"] == 2
+        line for line in STUDY.read_text().splitlines() if json.loads(line)["n1"] == 2
     ]
     assert result.stdout.splitlines()[:81] == committed
     refused = _run("study.py", "--n1", "1")
@@ -77,12 +78,11 @@ def test_study_is_byte_identical_and_exact_uniform_rows_recover():
         assert result.returncode == 0, result.stderr
     assert runs[0].stdout == runs[1].stdout
     # the committed study trail is this version's: a change that moves
-    # accuracy commits a new STUDY_<n>.jsonl
-    newest = newest_trail("STUDY_*.jsonl")
+    # accuracy overwrites STUDY.jsonl
     committed = [
-        line for line in newest.read_text().splitlines() if json.loads(line)["n1"] in (2, 3)
+        line for line in STUDY.read_text().splitlines() if json.loads(line)["n1"] in (2, 3)
     ]
-    assert runs[0].stdout.splitlines() == committed, newest.name
+    assert runs[0].stdout.splitlines() == committed
     rows = [json.loads(line) for line in runs[0].stdout.splitlines()]
     cells = [(r["channel"], r["n1"], r["n2"], r["input"], r["shots"]) for r in rows]
     assert len(set(cells)) == len(cells) == 135
@@ -104,11 +104,11 @@ def test_study_is_byte_identical_and_exact_uniform_rows_recover():
 
 
 def test_committed_study_holds_the_readme_accuracy_sentences():
-    # read, not rerun: every exact row of the newest committed study holds
+    # read, not rerun: every exact row of the committed study holds
     # the README sentence named beside its check; a row that fails is a
     # defect in the code, not in the grid
     readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
-    rows = [json.loads(line) for line in newest_trail("STUDY_*.jsonl").read_text().splitlines()]
+    rows = [json.loads(line) for line in STUDY.read_text().splitlines()]
     exact = [row for row in rows if row["shots"] == "exact"]
     inputs = [row["input"] for row in exact]
     assert {label: inputs.count(label) for label in set(inputs)} == {
@@ -212,9 +212,8 @@ def test_cli_digests_cover_every_exit_code():
     # each run builds its corpus in a fresh temporary directory: same digests
     assert runs[0].stdout == runs[1].stdout
     # the committed digest trail is this version's: a change that moves CLI
-    # bytes commits a new DIGESTS_<n>.jsonl, and its diff is the claim
-    newest = newest_trail("DIGESTS_*.jsonl")
-    assert runs[0].stdout == newest.read_text(), newest.name
+    # bytes overwrites DIGESTS.jsonl, and its git diff is the claim
+    assert runs[0].stdout == DIGESTS.read_text()
     lines = [json.loads(line) for line in runs[0].stdout.splitlines()]
     assert len(lines) >= 90
     assert {line["exit"] for line in lines} == {0, 2, 3, 4, 5}

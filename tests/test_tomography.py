@@ -47,7 +47,6 @@ from choiforge.tomography import (
     SchmidtInput,
     TomographyConfig,
     TomographyResult,
-    default_kraus_threshold,
     joint_output_state,
     prepare_schmidt_input,
     reconstruct_from_schmidt,
@@ -71,13 +70,13 @@ def kraus_bytes(kraus):
 
 def staged_run(channel, spec, shots, seed, threshold=None):
     """A run from the public stages alone: the joint-state estimate and the
-    Kraus set and clipped mass reconstructed from it at the run's cutoff,
-    `threshold` or else the default."""
-    n1 = channel.input_dim
+    Kraus set and clipped mass reconstructed from it with the run's shots
+    and `threshold`."""
     rho_out = joint_output_state(channel, prepare_schmidt_input(spec))
     estimate = simulate_state_tomography(rho_out, shots, seed)
-    threshold = threshold or default_kraus_threshold(shots, n1)
-    return estimate, *reconstruct_from_schmidt(estimate, spec, channel.output_dim, threshold)
+    return estimate, *reconstruct_from_schmidt(
+        estimate, spec, channel.output_dim, shots=shots, threshold=threshold
+    )
 
 
 def blockwise_image(apply_fn, bipartite, n1, n2):
@@ -678,7 +677,7 @@ class TestLowRankReconstruction:
         channel = OpaqueChannel.from_kraus(random_cptp(n1, n1, 2, seed=8))
         result = run_tomography(channel, TomographyConfig(input_kind=spec if haar else None))
         output = joint_output_state(channel, prepare_schmidt_input(spec))
-        kraus, mass = reconstruct_from_schmidt(output, spec, n1, default_kraus_threshold(EXACT, n1))
+        kraus, mass = reconstruct_from_schmidt(output, spec, n1, shots=EXACT)
         assert low_rank_attempts == [True, True]
         assert kraus_bytes(result.kraus) == kraus_bytes(kraus)
         assert len(kraus.operators) == 2
@@ -717,22 +716,22 @@ class TestLowRankReconstruction:
         assert result.shots_used == 10**4 * 144**2
 
     def test_finite_shots_at_float_cutoff_give_the_factor_up(self, monkeypatch, low_rank_attempts):
-        # the float-level cutoff tries the factor on the full-rank estimate:
-        # it gives up at the pivot cap and eigh decides, byte for byte as
-        # with the factor refused
+        # the float-level cutoff, asked for with shots=EXACT, tries the
+        # factor on a full-rank finite-shot estimate: it gives up at the
+        # pivot cap and eigh decides, byte for byte as with the factor refused
         channel = OpaqueChannel.from_kraus(random_cptp(8, 8, 2, 8))
         spec = uniform(8)
         output = joint_output_state(channel, prepare_schmidt_input(spec))
         estimate = simulate_state_tomography(output, 10**4, seed=1)
-        kraus, _ = reconstruct_from_schmidt(estimate, spec, 8, None)
+        kraus, _ = reconstruct_from_schmidt(estimate, spec, 8, shots=EXACT)
         assert low_rank_attempts == [False]
         eigh_only(monkeypatch)
-        reference, _ = reconstruct_from_schmidt(estimate, spec, 8, None)
+        reference, _ = reconstruct_from_schmidt(estimate, spec, 8, shots=EXACT)
         assert kraus_bytes(kraus) == kraus_bytes(reference)
 
     @pytest.mark.parametrize("shots", [EXACT, 10**4])
     def test_numeric_cutoff_never_tries_the_factor(self, low_rank_attempts, shots):
-        # only the float-level cutoff, asked for with None, tries the factor;
+        # only the float-level cutoff, asked for with EXACT and None, tries the factor;
         # a number, even 1e-10, is an absolute cutoff for one eigh
         channel = OpaqueChannel.from_kraus(random_cptp(8, 8, 2, 8))
         run_tomography(channel, TomographyConfig(shots=shots, seed=1, kraus_threshold=1e-10))
@@ -838,20 +837,20 @@ class TestProjectToPsd:
 
     def test_psd_input_unchanged(self):
         rho = random_density(4, np.random.default_rng(1))
-        kraus, mass = reconstruct_from_schmidt(rho, uniform(2), 2, threshold=0.0)
+        kraus, mass = reconstruct_from_schmidt(rho, uniform(2), 2, shots=EXACT, threshold=0.0)
         assert mass == 0.0 and math.copysign(1.0, mass) == 1.0
         assert frobenius_distance(kraus_to_choi(kraus).matrix, 2 * rho) < 1e-12
 
     def test_clips_negative_diagonal(self):
         rho = np.diag([0.5, -0.1, 0.4, 0.2])
-        kraus, mass = reconstruct_from_schmidt(rho, uniform(2), 2, threshold=0.0)
+        kraus, mass = reconstruct_from_schmidt(rho, uniform(2), 2, shots=EXACT, threshold=0.0)
         assert mass == pytest.approx(0.2)
         expected = np.diag([1.0, 0.0, 0.8, 0.4])
         assert frobenius_distance(kraus_to_choi(kraus).matrix, expected) < 1e-12
 
     def test_pauli_x_projects_to_plus_state(self):
         # n1 = 2, n2 = 1: the Choi estimate 2 * (X / 2) = X clips to |+><+|
-        kraus, mass = reconstruct_from_schmidt(X / 2, uniform(2), 1, threshold=0.0)
+        kraus, mass = reconstruct_from_schmidt(X / 2, uniform(2), 1, shots=EXACT, threshold=0.0)
         assert mass == pytest.approx(1.0)
         plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
         assert frobenius_distance(kraus_to_choi(kraus).matrix, np.outer(plus, plus.conj())) < 1e-12
@@ -860,7 +859,7 @@ class TestProjectToPsd:
         rng = np.random.default_rng(17)
         g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         rho = (g + g.conj().T) / 2
-        kraus, mass = reconstruct_from_schmidt(rho, uniform(2), 2, threshold=0.0)
+        kraus, mass = reconstruct_from_schmidt(rho, uniform(2), 2, shots=EXACT, threshold=0.0)
         eigs = np.linalg.eigvalsh(2 * rho)
         assert mass == pytest.approx(-np.sum(eigs[eigs < 0]))
         assert np.linalg.eigvalsh(kraus_to_choi(kraus).matrix)[0] >= -1e-12
@@ -868,45 +867,79 @@ class TestProjectToPsd:
     def test_non_hermitian_rejected(self):
         with pytest.raises(NotHermitianError):
             reconstruct_from_schmidt(
-                np.array([[0, 1], [0, 0]], dtype=complex),
-                uniform(2),
-                1,
-                default_kraus_threshold(EXACT, 2),
+                np.array([[0, 1], [0, 0]], dtype=complex), uniform(2), 1, shots=EXACT
             )
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError, match=r"^estimate has shape \(3, 3\), expected \(4, 4\)$"):
-            reconstruct_from_schmidt(np.eye(3) / 3, uniform(2), 2, default_kraus_threshold(EXACT, 2))
+            reconstruct_from_schmidt(np.eye(3) / 3, uniform(2), 2, shots=EXACT)
 
 
-class TestThresholdDefaults:
-    def test_exact_mode(self):
-        # None asks the reconstruction for the exact rule (tomography._schmidt_kraus)
-        assert default_kraus_threshold(EXACT, 2) is None
+class TestPublicCutoff:
+    """``reconstruct_from_schmidt`` picks a run's cutoff from its keywords:
+    `threshold`, else 3 n1/sqrt(shots) for a finite count, else the exact
+    rule (``TestLowRankReconstruction``)."""
 
-    def test_finite_mode_scales_with_noise(self):
-        assert default_kraus_threshold(10**6, 2) == pytest.approx(3 * 2 / 1000.0)
-        assert default_kraus_threshold(10**4, 3) == pytest.approx(3 * 3 / 100.0)
+    @staticmethod
+    def estimate(cutoff):
+        # n1 = 2, n2 = 3: the Choi estimate, twice this joint state, has
+        # eigenvalues 1, cutoff (1 + 1e-3), cutoff (1 - 1e-3) and 0
+        return np.diag([1.0, cutoff * (1 + 1e-3), cutoff * (1 - 1e-3), 0.0, 0.0, 0.0]) / 2
 
-    def test_finite_mode_has_no_floor(self):
-        # the least finite cutoff, 3/sqrt(2**53) ~ 3.3e-8, is far above 1e-10
-        assert default_kraus_threshold(MAX_SHOTS, 1) == 3 / math.sqrt(2**53)
+    @pytest.mark.parametrize("shots", [1000, 10**6, MAX_SHOTS])
+    def test_default_keeps_what_clears_three_n1_over_sqrt_shots(self, shots):
+        cutoff = 3 * 2 / math.sqrt(shots)
+        rho = self.estimate(cutoff)
+        upper, lower = cutoff * (1 + 1e-3), cutoff * (1 - 1e-3)
+        for threshold, kept in ((None, [1.0, upper]), (0, [1.0, upper, lower])):
+            kraus, _ = reconstruct_from_schmidt(rho, uniform(2), 3, shots=shots, threshold=threshold)
+            weights = [np.linalg.norm(op) ** 2 for op in kraus.operators]
+            assert weights == pytest.approx(kept, rel=1e-9), threshold
 
-    def test_reconstruction_needs_a_threshold(self):
-        with pytest.raises(TypeError, match="threshold"):
-            reconstruct_from_schmidt(np.outer(PHI, PHI.conj()), uniform(2), 2)
+    def test_cutoff_at_max_shots_has_no_floor(self, monkeypatch):
+        # the least finite cutoff, 3 n1/sqrt(2**53) ~ 6.7e-8 at n1 = 2, is the
+        # number eigh gets: nothing raises it, and no factor is tried
+        seen = []
+        original = tomography._eigen_operators
 
-    @pytest.mark.parametrize("input_dim", [2.5, True, -3])
-    def test_input_dim_follows_the_integer_rule(self, input_dim):
-        with pytest.raises(ValueError, match="^input_dim must be an integer >= 1"):
-            default_kraus_threshold(10**4, input_dim)
+        def spy(h, n1, n2, threshold, factor, spare):
+            seen.append((threshold, factor))
+            return original(h, n1, n2, threshold, factor, spare)
+
+        monkeypatch.setattr(tomography, "_eigen_operators", spy)
+        reconstruct_from_schmidt(self.estimate(1.0), uniform(2), 3, shots=MAX_SHOTS)
+        assert seen == [(3 * 2 / math.sqrt(2**53), False)]
+
+    def test_shots_is_a_required_keyword(self):
+        rho = np.outer(PHI, PHI.conj())
+        with pytest.raises(TypeError, match="required keyword-only argument: 'shots'"):
+            reconstruct_from_schmidt(rho, uniform(2), 2)
+        with pytest.raises(TypeError, match="required keyword-only argument: 'shots'"):
+            reconstruct_from_schmidt(rho, uniform(2), 2, threshold=0.05)
+        # an old call with a cutoff in fourth place is refused, never read as shots
+        for fourth in (None, 1, 0.05):
+            with pytest.raises(TypeError, match="takes 3 positional arguments but 4 were given"):
+                reconstruct_from_schmidt(rho, uniform(2), 2, fourth)
+
+    @pytest.mark.parametrize(
+        "shots,message",
+        [
+            (True, "shots must be a positive integer or EXACT, got True"),
+            (2.0, "shots must be a positive integer or EXACT, got 2.0"),
+            (0, "shots must be a positive integer or EXACT, got 0"),
+            (MAX_SHOTS + 1, f"shots must be at most MAX_SHOTS = 2**53, got {MAX_SHOTS + 1}"),
+        ],
+        ids=repr,
+    )
+    def test_shots_follow_the_run_rule(self, shots, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reconstruct_from_schmidt(np.outer(PHI, PHI.conj()), uniform(2), 2, shots=shots)
 
 
 class TestReconstructMaxEntangled:
     def test_identity_joint_state(self):
         kraus, _ = reconstruct_from_schmidt(
-            np.outer(PHI, PHI.conj()), uniform(2), 2, default_kraus_threshold(EXACT, 2)
-        )
+            np.outer(PHI, PHI.conj()), uniform(2), 2, shots=EXACT)
         choi = kraus_to_choi(kraus)
         assert frobenius_distance(choi.matrix, 2 * np.outer(PHI, PHI.conj())) < 1e-12
         assert len(kraus.operators) == 1
@@ -914,8 +947,7 @@ class TestReconstructMaxEntangled:
 
     def test_maximally_mixed_joint_state(self):
         kraus, _ = reconstruct_from_schmidt(
-            np.eye(4) / 4, uniform(2), 2, default_kraus_threshold(EXACT, 2)
-        )
+            np.eye(4) / 4, uniform(2), 2, shots=EXACT)
         choi = kraus_to_choi(kraus)
         assert frobenius_distance(choi.matrix, np.eye(4) / 2) < 1e-12
         assert len(kraus.operators) == 4
@@ -925,8 +957,7 @@ class TestReconstructMaxEntangled:
         truth = zoo_channel("amplitude_damping", [0.5])
         rho_out = joint_output_state(OpaqueChannel.from_kraus(truth), PHI)
         kraus, _ = reconstruct_from_schmidt(
-            rho_out, uniform(2), 2, default_kraus_threshold(EXACT, 2)
-        )
+            rho_out, uniform(2), 2, shots=EXACT)
         assert kraus_equivalent(kraus, truth, 1e-9)
 
 
@@ -936,15 +967,14 @@ class TestReconstructSchmidt:
         truth = zoo_channel("amplitude_damping", [0.4])
         rho_out = joint_output_state(OpaqueChannel.from_kraus(truth), PHI)
         kraus, _ = reconstruct_from_schmidt(
-            rho_out, uniform(2), 2, default_kraus_threshold(EXACT, 2)
-        )
+            rho_out, uniform(2), 2, shots=EXACT)
         assert frobenius_distance(kraus_to_choi(kraus).matrix, 2 * rho_out) < 1e-12
 
     def test_identity_channel_skewed_alphas(self):
         ch = OpaqueChannel.from_kraus(KrausSet(2, 2, (I2,)))
         spec = SchmidtInput([0.8, 0.6], I2, I2)
         rho_out = joint_output_state(ch, prepare_schmidt_input(spec))
-        kraus, _ = reconstruct_from_schmidt(rho_out, spec, 2, default_kraus_threshold(EXACT, 2))
+        kraus, _ = reconstruct_from_schmidt(rho_out, spec, 2, shots=EXACT)
         assert len(kraus.operators) == 1
         assert kraus_equivalent(kraus, KrausSet(2, 2, (I2,)), 1e-9)
 
@@ -956,7 +986,7 @@ class TestReconstructSchmidt:
         ch = OpaqueChannel.from_kraus(truth)
         spec = SchmidtInput([0.8, 0.6], u, w)
         rho_out = joint_output_state(ch, prepare_schmidt_input(spec))
-        kraus, _ = reconstruct_from_schmidt(rho_out, spec, 2, default_kraus_threshold(EXACT, 2))
+        kraus, _ = reconstruct_from_schmidt(rho_out, spec, 2, shots=EXACT)
         assert kraus_equivalent(kraus, truth, 1e-8)
 
     def test_tiny_coefficient_raises_conditioning_error(self):
@@ -1015,7 +1045,7 @@ class TestReconstructSchmidt:
         rho_out = joint_output_state(OpaqueChannel.from_kraus(truth), PHI)
         estimate = simulate_state_tomography(rho_out, 1000, seed=0)
         with pytest.raises(ValueError, match="^threshold must be finite and nonnegative"):
-            reconstruct_from_schmidt(estimate, uniform(2), 2, threshold=threshold)
+            reconstruct_from_schmidt(estimate, uniform(2), 2, shots=1000, threshold=threshold)
 
     def test_nonpositive_coefficient_rejected(self):
         # a negative coefficient is also below the conditioning floor; the
@@ -1261,8 +1291,7 @@ class TestRunTomography:
         result = run(out)
         assert result.success_trace == float(np.trace(out).real)
         kraus, mass = reconstruct_from_schmidt(
-            out, spec or uniform(2), 2, default_kraus_threshold(EXACT, 2)
-        )
+            out, spec or uniform(2), 2, shots=EXACT)
         assert kraus_bytes(result.kraus) == kraus_bytes(kraus)
         assert result.negativity_removed == mass
 
@@ -1331,8 +1360,6 @@ class TestRunTomography:
                 TomographyConfig(shots=shots)
             with pytest.raises(ValueError, match="shots"):
                 simulate_state_tomography(I2 / 2, shots, seed=0)
-            with pytest.raises(ValueError, match="shots"):
-                default_kraus_threshold(shots, 2)
         for seed in (True, 2.7, 2.0, "2"):
             with pytest.raises(ValueError, match="seed"):
                 TomographyConfig(seed=seed)
@@ -1340,7 +1367,7 @@ class TestRunTomography:
                 simulate_state_tomography(I2 / 2, 100, seed=seed)
         for bad in (True, 2.0):
             with pytest.raises(ValueError, match="output_dim"):
-                reconstruct_from_schmidt(I2 / 2, uniform(2), bad, default_kraus_threshold(EXACT, 2))
+                reconstruct_from_schmidt(I2 / 2, uniform(2), bad, shots=EXACT)
             with pytest.raises(ValueError, match="input_dim"):
                 OpaqueChannel(bad, 2, lambda m: m)
             with pytest.raises(ValueError, match="output_dim"):

@@ -37,9 +37,11 @@ and its truth file. A finite-shot result is not trace preserving, so there
 the stage times the verdict that rejects it.
 
 One more stage, ``control``, times the same work at every grid point: the
-product of two 64 x 64 complex matrices drawn once from a fixed seed, over
-``--repeats`` calls. One process can run every stage uniformly slower than
-another, and the control shows which one was slow.
+product of two 64 x 64 complex matrices drawn once from a fixed seed, into
+an array made once, so that it touches no fresh page; one call just before
+each timed run, so ``--repeats`` calls interleaved with the runs. One process can run every stage uniformly slower than another, and a
+burst of contention during the runs slows the control beside them, so the
+control shows which one was slow.
 
 Each row names its ``channel`` and also holds ``python_calls_per_run``: the
 Python-level function calls (``sys.setprofile`` "call" events) of one run,
@@ -197,6 +199,7 @@ def compare_fidelity(a, b) -> float | None:
 def time_grid(clock: StageClock, n1_values, repeats: int, calls: dict) -> list[dict]:
     rng = np.random.default_rng(0)
     left, right = rng.standard_normal((2, 64, 64)) + 1j * rng.standard_normal((2, 64, 64))
+    product = np.empty((64, 64), dtype=complex)
     rows = []
     for n1, (name, params) in itertools.product(n1_values, CHANNELS):
         truth, label, channel = grid_channel(name, params, n1)
@@ -205,7 +208,9 @@ def time_grid(clock: StageClock, n1_values, repeats: int, calls: dict) -> list[d
             tomography.run_tomography(channel, config)  # warm-up
             times: dict[str, list[float]] = {}
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            control = []
             for _ in range(repeats):
+                control += times_ms(lambda: np.matmul(left, right, out=product), 1)
                 clock.reset()
                 start = time.perf_counter()
                 result = tomography.run_tomography(channel, config)
@@ -224,7 +229,7 @@ def time_grid(clock: StageClock, n1_values, repeats: int, calls: dict) -> list[d
             text = serialize.dump_document(doc)
             times["load_document"] = times_ms(lambda: serialize.load_document(text), repeats)
             times["process_fidelity"] = times_ms(lambda: compare_fidelity(result.kraus, truth), repeats)
-            times["control"] = times_ms(lambda: left @ right, repeats)
+            times["control"] = control
             rows.append(
                 {
                     "channel": label,

@@ -27,6 +27,7 @@ import numpy as np
 
 from .linalg import (
     EXACT_TOL,
+    _EPS,
     _as_matrix,
     _eigenvalue_below,
     bound,
@@ -266,10 +267,9 @@ def _low_rank_columns(
     V V^dagger is PSD, lambda_min(h) >= -sigma.
     """
     d = len(h)
-    eps = np.finfo(float).eps
     diag = h.diagonal().real.copy()
     p = int(diag.argmax())  # a NaN entry is the argmax, and stops the loop
-    floor = d * eps * max(float(diag[p]), 0.0)
+    floor = d * _EPS * max(float(diag[p]), 0.0)
     rows = np.empty((LOW_RANK_MAX_PIVOTS, d), dtype=complex)  # row k is conj(column k of V)
     k = 0
     while diag[p] > floor:
@@ -287,10 +287,10 @@ def _low_rank_columns(
     residual = np.matmul(v, rows[:k], out=spare)  # V V^dagger
     np.subtract(h, residual, out=residual)
     norm = float(np.sqrt(np.vdot(residual, residual).real))  # ||residual||_F, one pass
-    sigma = norm * (1 + d * d * eps) + 2 * (k + 2) * eps * gram_trace
+    sigma = norm * (1 + d * d * _EPS) + 2 * (k + 2) * _EPS * gram_trace
     u, s, _ = np.linalg.svd(v, full_matrices=False)
     squares = s * s
-    margin = sigma + 4 * d * eps * (gram_trace + sigma)
+    margin = sigma + 4 * d * _EPS * (gram_trace + sigma)
     if not margin < EXACT_TOL or (abs(squares - threshold) <= margin).any():  # NaN gives up
         return None
     kept = int(np.count_nonzero(squares > threshold))  # a prefix: s is descending
@@ -347,11 +347,16 @@ def _eigen_operators(
         scaled, sigma = factored
         lowest, clipped = -sigma, 0.0
     else:
-        w, v = np.linalg.eigh(h)
-        w, v = w[::-1], v[:, ::-1]
-        keep = w > threshold
-        scaled = v[:, keep] * np.sqrt(w[keep])
-        lowest, clipped = float(w[-1]), float(np.sum(-w[w < 0.0]))
+        w, v = np.linalg.eigh(h)  # ascending
+        kept, negative = w.searchsorted(threshold, "right"), w.searchsorted(0.0)
+        # the kept eigenvectors in descending order, each a row of a
+        # C-ordered array whose transpose is `scaled`: the layout the
+        # reshape below and the caller's Kraus products read
+        rows = np.empty((len(w) - kept, len(w)), dtype=complex)
+        scaled = np.multiply(v.T[kept:][::-1], np.sqrt(w[kept:, None][::-1]), out=rows).T
+        # the negative eigenvalues summed from the top down: the order of a
+        # float sum is part of the clipped mass's bits
+        lowest, clipped = float(w[0]), float(np.add.reduce(-w[:negative][::-1]))
     if not scaled.shape[1]:
         return np.zeros((1, output_dim, input_dim), dtype=complex), lowest, clipped
     ops = scaled.T.reshape(-1, input_dim, output_dim).transpose(0, 2, 1)

@@ -15,6 +15,7 @@ import numpy as np
 # The tolerance policy: two bounds, each scaled to the matrix it judges by ``bound``.
 TOL = 1e-8  # Hermiticity, positivity, trace preservation of computed or estimated matrices
 EXACT_TOL = 1e-10  # identities inputs satisfy exactly: U^dag U = I, P^2 = P, Tr rho = 1
+_EPS = float(np.finfo(float).eps)  # read once: np.finfo costs a microsecond a call
 
 
 class NotHermitianError(ValueError):
@@ -158,9 +159,12 @@ def check_hermitian(m: np.ndarray, what: str, tol: float = TOL, work: tuple | No
     return limit
 
 
-def _eigenvalue_below(m: np.ndarray, limit: float) -> float | None:
+def _eigenvalue_below(m: np.ndarray, limit: float, adjoint: np.ndarray | None = None) -> float | None:
     """None if H = (m + m^dagger)/2 of a finite square m has every eigenvalue
     at least -limit; otherwise the least eigenvalue of H, from ``eigvalsh``.
+    `adjoint` is m^dagger where the caller has it, as ``check_hermitian``
+    leaves it in its first buffer, so that m is not transposed again; it is
+    only read.
 
     One Cholesky factorization of A = H + s I, with s = limit - reserve,
     proves the first case. The computed factor R satisfies R^dagger R = A + dA
@@ -173,16 +177,18 @@ def _eigenvalue_below(m: np.ndarray, limit: float) -> float | None:
     factorization fails, so a rejection names the eigenvalue.
     """
     d = len(m)
-    h = (m + m.conj().T) / 2
-    eps = np.finfo(float).eps
-    gamma = 2 * (d + 1) * eps  # Higham's gamma_{d+1} with u = eps/2, doubled for complex arithmetic
-    scale = float(np.abs(h.diagonal()).sum()) + d * limit
-    h.reshape(-1)[:: d + 1] += limit - (gamma + eps) * scale / (1 - gamma)
+    if adjoint is None:
+        adjoint = m.conj().T
+    h = m + adjoint
+    h /= 2
+    gamma = 2 * (d + 1) * _EPS  # Higham's gamma_{d+1} with u = eps/2, doubled for complex arithmetic
+    scale = float(np.add.reduce(np.abs(h.diagonal()))) + d * limit
+    h.reshape(-1)[:: d + 1] += limit - (gamma + _EPS) * scale / (1 - gamma)
     try:
         np.linalg.cholesky(h)
         return None
     except np.linalg.LinAlgError:
-        lowest = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+        lowest = float(np.linalg.eigvalsh((m + adjoint) / 2)[0])
     return lowest if lowest < -limit else None
 
 

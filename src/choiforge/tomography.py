@@ -36,6 +36,7 @@ from .channels import (
 from .linalg import (
     EXACT_TOL,
     TOL,
+    _EPS,
     _as_numeric,
     _eigenvalue_below,
     bound,
@@ -134,6 +135,14 @@ class SchmidtInput:
     coefficients summing to one, both bases unitary, and every coefficient
     at least ``MIN_SCHMIDT_COEFFICIENT`` so that block rescaling stays
     stable. A bad input therefore fails before the channel is used.
+
+    Construction also derives, once, what every run reads of the input
+    besides the fields, each array read-only and none a dataclass field:
+    ``_identity_basis``, whether U is bitwise the identity;
+    ``_block_weights``, w[i, j] = (s_i / 2) s_j with s = 1/alpha, shaped
+    (n, 1, n, 1) to scale a Choi estimate's real view, laid out
+    (n, n2, n, 2 n2), block by block whatever n2 is; and ``_right_adjoint``,
+    V^dagger, which turns the estimate's operators into the channel's.
     """
 
     alphas: np.ndarray
@@ -160,10 +169,17 @@ class SchmidtInput:
                 f"schmidt coefficient below {MIN_SCHMIDT_COEFFICIENT:g}: "
                 "block rescaling would amplify noise unboundedly"
             )
-        a.setflags(write=False)
+        s = 1.0 / a
+        weights = (0.5 * s)[:, None] * s  # s_i / 2 is exact, so w is symmetric
+        adjoint = v.conj()
+        for array in (a, weights, adjoint):
+            array.setflags(write=False)
         object.__setattr__(self, "alphas", a)
         object.__setattr__(self, "left_unitary", u)
         object.__setattr__(self, "right_unitary", v)
+        object.__setattr__(self, "_identity_basis", np.array_equal(u, np.eye(n)))
+        object.__setattr__(self, "_block_weights", weights[:, None, :, None])
+        object.__setattr__(self, "_right_adjoint", adjoint.T)
 
 
 def _check_threshold(threshold, name: str):
@@ -265,15 +281,17 @@ def joint_output_state(channel: OpaqueChannel, input_vector) -> np.ndarray:
     return out
 
 
-def _check_state(rho: np.ndarray, limit: float | None) -> float:
+def _check_state(rho: np.ndarray, limit: float | None, adjoint: np.ndarray | None = None) -> float:
     """Judge a Hermitian joint state: eigenvalues >= -limit, unless `limit`
     is None because the caller has already proved it, then Tr rho <= 1 +
-    EXACT_TOL. Returns the trace; raises ValueError naming the first fault."""
+    EXACT_TOL. `adjoint`, rho^dagger where the caller has it, goes to
+    ``linalg._eigenvalue_below``. Returns the trace; raises ValueError
+    naming the first fault."""
     if limit is not None:
-        lowest = _eigenvalue_below(rho, limit)
+        lowest = _eigenvalue_below(rho, limit, adjoint)
         if lowest is not None:
             raise ValueError(f"state is not positive semidefinite: eigenvalue {lowest:.3e}")
-    trace = float(np.trace(rho).real)
+    trace = float(rho.trace().real)
     if trace > 1.0 + EXACT_TOL:
         raise ValueError(f"state trace {trace} exceeds 1")
     return trace
@@ -320,7 +338,8 @@ def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
     rho = _as_numeric(rho, "state")
     if rho.ndim != 2:
         raise ValueError(f"state must be 2-dimensional, got shape {rho.shape}")
-    trace = _check_state(rho, check_hermitian(rho, "state"))
+    work = (np.empty(rho.shape, dtype=complex), np.empty(rho.shape, dtype=complex))
+    trace = _check_state(rho, check_hermitian(rho, "state", work=work), work[0])
     shots = _check_shots(shots)
     seed = _normalize_seed(seed)
     if shots is EXACT:
@@ -339,20 +358,21 @@ def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
     diag = (rho.diagonal() / trace).real
     pair_mass = (diag[rows] + diag[cols]) / 2
     off = rho.reshape(-1)[upper] / trace
-    below = np.cumsum(diag)
+    below = diag.cumsum()
     probs = np.empty((dim * dim, 3))
     probs[0] = (1.0, 0.0, 0.0)
-    sym = probs[1 : 1 + n_pairs]
-    asym = probs[1 + n_pairs : 1 + 2 * n_pairs]
+    # the symmetric pairs' rows, then the antisymmetric pairs': with
+    # parts = (Re, -Im) of the entries, pair_mass + parts, pair_mass - parts
+    # (a - (-b) is a + b bit for bit) and 1 - 2 pair_mass
+    pairs = probs[1 : 1 + 2 * n_pairs].reshape(2, n_pairs, 3)
+    parts = np.conjugate(off, out=off).view(float).reshape(n_pairs, 2).T
+    np.add(pair_mass, parts, out=pairs[:, :, 0])
+    np.subtract(pair_mass, parts, out=pairs[:, :, 1])
+    pairs[:, :, 2] = 1.0 - 2 * pair_mass
     ladder = probs[1 + 2 * n_pairs :]
-    sym[:, 0] = pair_mass + off.real
-    sym[:, 1] = pair_mass - off.real
-    sym[:, 2] = asym[:, 2] = 1.0 - 2 * pair_mass
-    asym[:, 0] = pair_mass - off.imag
-    asym[:, 1] = pair_mass + off.imag
     ladder[:, 0] = below[:-1]
     ladder[:, 1] = diag[1:]
-    ladder[:, 2] = 1.0 - below[1:]
+    np.subtract(1.0, below[1:], out=ladder[:, 2])
     np.maximum(probs, 0.0, out=probs)
     probs /= (probs[:, 0] + probs[:, 1] + probs[:, 2])[:, None]  # sum(axis=1)'s bits, ~8x faster
 
@@ -371,10 +391,10 @@ def simulate_state_tomography(rho, shots: int | None, seed: int) -> np.ndarray:
 
     ladder_counts = counts[1 + 2 * n_pairs :]
     weights = (ladder_counts[:, 0] - levels * ladder_counts[:, 1]) / (norms * shots)
-    diagonal = np.full(dim, counts[0, 0] / (dim * shots))
-    diagonal[:-1] += np.cumsum(weights[::-1])[::-1]
+    diagonal = flat[:: dim + 1].real  # a view; the imaginary parts stay zero
+    diagonal.fill(counts[0, 0] / (dim * shots))
+    diagonal[:-1] += weights[::-1].cumsum()[::-1]
     diagonal[1:] -= levels * weights
-    flat[:: dim + 1] = diagonal
     return estimate
 
 
@@ -433,26 +453,21 @@ def _schmidt_kraus(
 
     The Choi estimate h is made bitwise Hermitian once, here. Where U = I,
     as for the default input, h is rho_est + rho_est^dagger times the
-    symmetric real w[i, j] = (s_i / 2) s_j, s = 1/alpha, block (i, j) by
-    w[i, j]. Otherwise h = C + C^dagger with C = (W^dagger tensor I) rho_est
-    (W tensor I) / 2 and W = U diag(1/alpha): C^dagger is two products by
-    W^dagger from the left, one on each side of a conjugate transpose. The
-    other buffer takes the low-rank factor's residual.
+    input's symmetric real w[i, j] = (s_i / 2) s_j, s = 1/alpha, block
+    (i, j) by w[i, j] (``SchmidtInput._block_weights``). Otherwise h =
+    C + C^dagger with C = (W^dagger tensor I) rho_est (W tensor I) / 2 and
+    W = U diag(1/alpha): C^dagger is two products by W^dagger from the
+    left, one on each side of a conjugate transpose. The other buffer takes
+    the low-rank factor's residual.
     """
     n1 = spec.alphas.size
     d = n1 * n2
     h, spare = work
-    if np.array_equal(spec.left_unitary, np.eye(n1)):
+    if spec._identity_basis:
         np.add(rho_est, h, out=h)
-        # s_i / 2 is exact, so w[i, j] = (s_i / 2) s_j is symmetric
-        s = 1.0 / spec.alphas
-        w = (0.5 * s)[:, None] * s
         # each real and imaginary part of row block i, column block j times w[i, j]
-        np.multiply(
-            h.view(float).reshape(n1, n2, 2 * d),
-            np.repeat(w, 2 * n2, axis=1)[:, None],
-            out=h.view(float).reshape(n1, n2, 2 * d),
-        )
+        blocks = h.view(float).reshape(n1, n2, n1, 2 * n2)
+        np.multiply(blocks, spec._block_weights, out=blocks)
     else:
         w_dag = spec.left_unitary.conj().T / spec.alphas[:, None]
         np.matmul(0.5 * w_dag, rho_est.reshape(n1, -1), out=spare.reshape(n1, -1))
@@ -466,9 +481,9 @@ def _schmidt_kraus(
     factor = threshold is None
     if factor:
         scale = float(np.abs(rho_est.diagonal()).max()) / float(spec.alphas.min()) ** 2
-        threshold = _float_cutoff(h, d * np.finfo(float).eps * scale)
+        threshold = _float_cutoff(h, d * _EPS * scale)
     ops, _, negativity_removed = _eigen_operators(h, n1, n2, threshold, factor, spare)
-    return _derived(KrausSet, n1, n2, ops @ spec.right_unitary.conj().T), negativity_removed
+    return _derived(KrausSet, n1, n2, ops @ spec._right_adjoint), negativity_removed
 
 
 def _positivity_proved(negativity_removed: float, spec: SchmidtInput, d: int) -> bool:
@@ -491,7 +506,7 @@ def _positivity_proved(negativity_removed: float, spec: SchmidtInput, d: int) ->
     """
     negative = max(negativity_removed, EXACT_TOL)
     a_max, a_min = float(spec.alphas.max()), float(spec.alphas.min())
-    reserve = d * d * np.finfo(float).eps * (a_max / a_min) ** 2
+    reserve = d * d * _EPS * (a_max / a_min) ** 2
     return negative * a_max**2 <= TOL - reserve
 
 
@@ -538,10 +553,11 @@ def run_tomography(channel: OpaqueChannel, config: TomographyConfig) -> Tomograp
         shots_used = 0
     else:
         estimate = simulate_state_tomography(rho_out, config.shots, config.seed)
-        work = (estimate.copy(), np.empty_like(estimate))  # bitwise Hermitian: its own adjoint
+        # bitwise Hermitian: a copy of the estimate is its adjoint
+        work = (estimate.copy(), np.empty(estimate.shape, dtype=complex))
         kraus, negativity_removed = _schmidt_kraus(
             estimate, spec, n2, config.kraus_threshold, config.shots, work
         )
-        success_trace = float(np.trace(estimate).real)
+        success_trace = float(estimate.trace().real)
         shots_used = config.shots * (n1 * n2) ** 2
     return TomographyResult(kraus, negativity_removed, shots_used, success_trace)

@@ -169,6 +169,68 @@ class TestPrepare:
             SchmidtInput([np.nan, 0.6], I2, I2)
 
 
+class TestSchmidtInputDerived:
+    """What a SchmidtInput derives once, at construction, for every run."""
+
+    @pytest.mark.parametrize("shots", [EXACT, 10**4])
+    @pytest.mark.parametrize("n1,n2", [(2, 1), (3, 2), (2, 5), (3, 3)])
+    def test_user_built_uniform_input_gives_the_default_bytes(self, n1, n2, shots):
+        # a user's identity bases take the U = I branch as the cached default
+        # input does, and the block weights scale every n2 alike
+        truth = random_cptp(n1, n2, 2, seed=10 * n1 + n2)
+        channel = OpaqueChannel.from_kraus(truth)
+        default = run_tomography(channel, TomographyConfig(shots=shots, seed=8))
+        user = uniform(n1)
+        assert user is not tomography._max_entangled_input(n1)
+        built = run_tomography(channel, TomographyConfig(shots=shots, seed=8, input_kind=user))
+        assert kraus_bytes(built.kraus) == kraus_bytes(default.kraus)
+        assert built.negativity_removed.hex() == default.negativity_removed.hex()
+        assert built.success_trace.hex() == default.success_trace.hex()
+        if shots is EXACT:
+            error = frobenius_distance(built.estimated_choi.matrix, kraus_to_choi(truth).matrix)
+            assert error < 1e-12
+
+    @pytest.mark.parametrize("n1,n2", [(2, 1), (3, 2), (2, 5), (3, 3)])
+    def test_ramp_weights_scale_each_block(self, n1, n2):
+        # uniform weights are all n1/2 and cannot show a block laid out wrong;
+        # a ramp's weights differ block by block
+        truth = random_cptp(n1, n2, 2, seed=10 * n1 + n2)
+        ramp = np.sqrt(np.arange(1.0, n1 + 1) / np.sum(np.arange(1.0, n1 + 1)))
+        spec = SchmidtInput(ramp, np.eye(n1), np.eye(n1))
+        result = run_tomography(OpaqueChannel.from_kraus(truth), TomographyConfig(input_kind=spec))
+        error = frobenius_distance(result.estimated_choi.matrix, kraus_to_choi(truth).matrix)
+        assert error < 1e-12
+
+    @pytest.mark.parametrize("haar", [False, True])
+    def test_derived_arrays_are_read_only(self, haar):
+        rng = np.random.default_rng(9)
+        alphas = np.sqrt(np.arange(1.0, 4.0) / 6.0)
+        bases = (haar_random_unitary(3, rng), haar_random_unitary(3, rng)) if haar else (np.eye(3), np.eye(3))
+        spec = SchmidtInput(alphas, *bases)
+        s = 1 / spec.alphas
+        assert spec._identity_basis is not haar
+        assert np.array_equal(spec._block_weights.reshape(3, 3), (s / 2)[:, None] * s)
+        assert np.array_equal(spec._right_adjoint, spec.right_unitary.conj().T)
+        for array in (spec.alphas, spec._block_weights, spec._right_adjoint):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 2.0
+        for view in (spec._block_weights, spec._right_adjoint):
+            with pytest.raises(ValueError):
+                view.setflags(write=True)  # a view of a read-only array stays read-only
+
+    def test_identity_flag_is_bitwise(self):
+        swap = np.eye(2)[::-1]
+        near = np.eye(2) + np.diag([2.0**-52, 0.0])
+        assert SchmidtInput([0.8, 0.6], I2, swap)._identity_basis
+        assert not SchmidtInput([0.8, 0.6], swap, I2)._identity_basis
+        assert not SchmidtInput([0.8, 0.6], near, I2)._identity_basis
+
+    def test_derived_values_are_not_fields(self):
+        names = [field.name for field in dataclasses.fields(SchmidtInput)]
+        assert names == ["alphas", "left_unitary", "right_unitary"]
+
+
 class TestJointOutputState:
     def test_identity_channel(self):
         ch = OpaqueChannel.from_kraus(KrausSet(2, 2, (I2,)))

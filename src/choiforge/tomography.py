@@ -138,6 +138,7 @@ class SchmidtInput:
 
     Construction also derives, once, what every run reads of the input
     besides the fields, each array read-only and none a dataclass field:
+    ``_input_vector``, the state itself (``prepare_schmidt_input``);
     ``_identity_basis``, whether U is bitwise the identity;
     ``_block_weights``, w[i, j] = (s_i / 2) s_j with s = 1/alpha, shaped
     (n, 1, n, 1) to scale a Choi estimate's real view, laid out
@@ -172,11 +173,13 @@ class SchmidtInput:
         s = 1.0 / a
         weights = (0.5 * s)[:, None] * s  # s_i / 2 is exact, so w is symmetric
         adjoint = v.conj()
-        for array in (a, weights, adjoint):
+        state = (u * a) @ v.T
+        for array in (a, weights, adjoint, state):
             array.setflags(write=False)
         object.__setattr__(self, "alphas", a)
         object.__setattr__(self, "left_unitary", u)
         object.__setattr__(self, "right_unitary", v)
+        object.__setattr__(self, "_input_vector", state.reshape(-1))
         object.__setattr__(self, "_identity_basis", np.array_equal(u, np.eye(n)))
         object.__setattr__(self, "_block_weights", weights[:, None, :, None])
         object.__setattr__(self, "_right_adjoint", adjoint.T)
@@ -258,8 +261,9 @@ class TomographyResult:
 
 
 def prepare_schmidt_input(spec: SchmidtInput) -> np.ndarray:
-    """Unit vector sum_i alpha_i (U|i>) tensor (V|i>)."""
-    return ((spec.left_unitary * spec.alphas) @ spec.right_unitary.T).reshape(-1)
+    """Unit vector sum_i alpha_i (U|i>) tensor (V|i>), a writable copy of
+    the one the input built when it was made."""
+    return spec._input_vector.copy()
 
 
 def joint_output_state(channel: OpaqueChannel, input_vector) -> np.ndarray:

@@ -211,13 +211,18 @@ class TestSchmidtInputDerived:
         assert spec._identity_basis is not haar
         assert np.array_equal(spec._block_weights.reshape(3, 3), (s / 2)[:, None] * s)
         assert np.array_equal(spec._right_adjoint, spec.right_unitary.conj().T)
-        for array in (spec.alphas, spec._block_weights, spec._right_adjoint):
+        vector = prepare_schmidt_input(spec)
+        assert np.array_equal(vector, spec._input_vector)
+        vector[0] = 2.0  # a caller's copy, writable
+        views = (spec._block_weights, spec._right_adjoint, spec._input_vector)
+        for array in (spec.alphas, *views):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 2.0
-        for view in (spec._block_weights, spec._right_adjoint):
+        for view in views:
             with pytest.raises(ValueError):
                 view.setflags(write=True)  # a view of a read-only array stays read-only
+        assert np.array_equal(prepare_schmidt_input(spec), spec._input_vector)
 
     def test_identity_flag_is_bitwise(self):
         swap = np.eye(2)[::-1]

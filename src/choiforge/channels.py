@@ -347,8 +347,12 @@ def _eigen_operators(
         scaled, sigma = factored
         lowest, clipped = -sigma, 0.0
     else:
-        w, v = np.linalg.eigh(h)  # ascending
-        kept, negative = w.searchsorted(threshold, "right"), w.searchsorted(0.0)
+        w, v = np.linalg.eigh(h)  # ascending, or NaN throughout for a non-finite h
+        lowest = float(w[0])
+        if lowest == lowest:
+            kept, negative = w.searchsorted(threshold, "right"), w.searchsorted(0.0)
+        else:  # no NaN is above the cutoff or below zero
+            kept, negative = len(w), 0
         # the kept eigenvectors in descending order, each a row of a
         # C-ordered array whose transpose is `scaled`: the layout the
         # reshape below and the caller's Kraus products read
@@ -356,7 +360,7 @@ def _eigen_operators(
         scaled = np.multiply(v.T[kept:][::-1], np.sqrt(w[kept:, None][::-1]), out=rows).T
         # the negative eigenvalues summed from the top down: the order of a
         # float sum is part of the clipped mass's bits
-        lowest, clipped = float(w[0]), float(np.add.reduce(-w[:negative][::-1]))
+        clipped = float(np.add.reduce(-w[:negative][::-1]))
     if not scaled.shape[1]:
         return np.zeros((1, output_dim, input_dim), dtype=complex), lowest, clipped
     ops = scaled.T.reshape(-1, input_dim, output_dim).transpose(0, 2, 1)

@@ -12,6 +12,7 @@ from conftest import (
     random_density,
     random_hermitian,
 )
+import choiforge.channels as channels
 from choiforge.channels import (
     LOW_RANK_MAX_PIVOTS,
     ZOO_CHANNEL_NAMES,
@@ -56,6 +57,19 @@ def brute_force_choi(apply_fn, n1, n2):
         for k in range(n1):
             j[i * n2 : (i + 1) * n2, k * n2 : (k + 1) * n2] = apply_fn(unit_matrix(n1, i, k))
     return j
+
+
+def masked_eigen_operators(h, n1, n2, threshold):
+    """The eigh branch of ``channels._eigen_operators`` written with masks
+    over the descending spectrum: the reference for its slices."""
+    w, v = np.linalg.eigh(h)
+    w, v = w[::-1], v[:, ::-1]
+    keep = w > threshold
+    scaled = v[:, keep] * np.sqrt(w[keep])
+    lowest, clipped = float(w[-1]), float(np.sum(-w[w < 0.0]))
+    if not scaled.shape[1]:
+        return np.zeros((1, n2, n1), dtype=complex), lowest, clipped
+    return scaled.T.reshape(-1, n1, n2).transpose(0, 2, 1), lowest, clipped
 
 
 class TestKrausSetType:
@@ -292,6 +306,42 @@ class TestChoiToKraus:
         k = choi_to_kraus(ChoiMatrix(2, 2, np.zeros((4, 4))))
         assert len(k.operators) == 1
         assert np.linalg.norm(k.operators[0]) == 0.0
+
+    @pytest.mark.parametrize("n1,n2", [(1, 1), (2, 1), (2, 2), (3, 3), (4, 4), (2, 5)])
+    def test_eigen_step_matches_masks_over_the_descending_spectrum(self, n1, n2):
+        # the eigh branch of _eigen_operators against masks over the reversed
+        # spectrum, the reference: the same operators, bit for bit and in the
+        # same memory layout (so products by them take the same BLAS path),
+        # the same least eigenvalue and the clipped mass summed in the same
+        # order; the spectra mix negative, tiny and positive eigenvalues,
+        # with more than eight negatives at d = 16, and some cutoffs equal
+        # an eigenvalue
+        d = n1 * n2
+        rng = np.random.default_rng(d + n2)
+        q = haar_random_unitary(d, rng)
+        spectrum = rng.choice([-0.3, -1e-9, 0.0, 0.2, 0.7], size=d, p=[0.5, 0.1, 0.1, 0.1, 0.2])
+        spectrum = spectrum * rng.uniform(0.5, 1.5, size=d)
+        h = (q * spectrum) @ q.conj().T
+        h = (h + h.conj().T) / 2
+        w = np.linalg.eigvalsh(h)
+        v = haar_random_unitary(n1, rng)
+        for threshold in (0.0, 1e-9, float(w[w > 0.0].min(initial=1.0)), float(w[-1]), np.inf):
+            ops, lowest, clipped = channels._eigen_operators(h, n1, n2, threshold, False, np.empty_like(h))
+            want_ops, want_lowest, want_clipped = masked_eigen_operators(h, n1, n2, threshold)
+            assert ops.shape == want_ops.shape and ops.strides == want_ops.strides
+            assert ops.tobytes() == want_ops.tobytes()
+            assert (ops @ v).tobytes() == (want_ops @ v).tobytes()
+            assert (lowest, clipped) == (want_lowest, want_clipped)
+            assert clipped.hex() == want_clipped.hex()
+
+    def test_eigen_step_keeps_nothing_of_a_nan_spectrum(self):
+        # eigh turns an infinite entry into NaN eigenvalues throughout; as
+        # with masks, none is kept or clipped, and one zero operator stands in
+        h = np.eye(4, dtype=complex)
+        h[0, 0] = np.inf
+        ops, lowest, clipped = channels._eigen_operators(h, 2, 2, 0.0, False, np.empty_like(h))
+        assert np.isnan(lowest) and clipped == 0.0
+        assert ops.shape == (1, 2, 2) and not ops.any()
 
 
 class TestLowRankPath:

@@ -39,9 +39,10 @@ the stage times the verdict that rejects it.
 One more stage, ``control``, times the same work at every grid point: the
 product of two 64 x 64 complex matrices drawn once from a fixed seed, into
 an array made once, so that it touches no fresh page; one call just before
-each timed run, so ``--repeats`` calls interleaved with the runs. One process can run every stage uniformly slower than another, and a
-burst of contention during the runs slows the control beside them, so the
-control shows which one was slow.
+each timed run, so ``--repeats`` calls interleaved with the runs. One
+process can run every stage uniformly slower than another, and a burst of
+contention during the runs slows the control beside them, so the control
+shows which one was slow.
 
 Each row names its ``channel`` and also holds ``python_calls_per_run``: the
 Python-level function calls (``sys.setprofile`` "call" events) of one run,

@@ -36,19 +36,24 @@ Kraus set it came from, as ``choiforge compare`` does with a result file
 and its truth file. A finite-shot result is not trace preserving, so there
 the stage times the verdict that rejects it.
 
-One more stage, ``control``, times the same work at every grid point: the
-product of two 64 x 64 complex matrices drawn once from a fixed seed, into
-an array made once, so that it touches no fresh page; one call just before
-each timed run, so ``--repeats`` calls interleaved with the runs. One
-process can run every stage uniformly slower than another, and a burst of
-contention during the runs slows the control beside them, so the control
-shows which one was slow.
+Two more stages time the same work at every grid point, one call each
+just before each timed run, so ``--repeats`` calls interleaved with the
+runs: ``control``, the product of two 64 x 64 complex matrices drawn once
+from a fixed seed, into an array made once, so that it touches no fresh
+page; and ``control_interpreter``, 200 Python-level calls of a numpy
+reduction of eight numbers, the kind of work that bounds a run at small
+n1. One process can run every stage uniformly slower than another, and a
+burst of contention during the runs slows the controls beside them, so the
+controls show which one was slow: a BLAS-bound and an interpreter-bound
+stage need not slow together.
 
 Each row names its ``channel`` and also holds ``python_calls_per_run``: the
 Python-level function calls (``sys.setprofile`` "call" events) of one run,
 counted after a warm-up run and before the timing wrappers are installed,
 so the count repeats exactly; ``decompositions``: the numpy
-decompositions of one run, in call order; and ``minor_faults_per_run``:
+decompositions of one run, in call order, each named with ``_real`` when
+its argument is a real array (``eigh_real`` is the real route of
+``channels._eigen_operators``), as is its stage; and ``minor_faults_per_run``:
 the minor page faults of this process (``getrusage`` ``ru_minflt``) over
 the timed runs, divided by ``--repeats``, which counts the fresh pages the
 runs' arrays touch.
@@ -66,8 +71,8 @@ alternately:
 
 Rows are added to a table only with the settings it was made with.
 Compare two rows of one grid point only when their best ``control`` times
-are within a factor of 1.25 of each other; otherwise rerun the slower
-process.
+are within a factor of 1.25 of each other, and so are their best
+``control_interpreter`` times; otherwise rerun the slower process.
 """
 
 import os
@@ -121,10 +126,13 @@ class StageClock:
 
     def wrap(self, name: str, fn):
         def timed(*args, **kwargs):
-            path = " > ".join([*self._stack, name])
+            label = name
             if name in DECOMPOSITIONS:
-                self.decompositions.append(name)
-            self._stack.append(name)
+                # the route: a decomposition of a real array is "eigh_real", say
+                label += "_real" if args[0].dtype.kind == "f" else ""
+                self.decompositions.append(label)
+            path = " > ".join([*self._stack, label])
+            self._stack.append(label)
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
@@ -197,10 +205,20 @@ def compare_fidelity(a, b) -> float | None:
         return None
 
 
+def interpreter_work(small: np.ndarray) -> float:
+    """The interpreter-bound control: 200 Python-level calls of a small numpy
+    reduction, the kind of work that bounds a run at small n1."""
+    total = 0.0
+    for _ in range(200):
+        total += float(np.add.reduce(small))
+    return total
+
+
 def time_grid(clock: StageClock, n1_values, repeats: int, calls: dict) -> list[dict]:
     rng = np.random.default_rng(0)
     left, right = rng.standard_normal((2, 64, 64)) + 1j * rng.standard_normal((2, 64, 64))
     product = np.empty((64, 64), dtype=complex)
+    small = rng.standard_normal(8)
     rows = []
     for n1, (name, params) in itertools.product(n1_values, CHANNELS):
         truth, label, channel = grid_channel(name, params, n1)
@@ -209,9 +227,10 @@ def time_grid(clock: StageClock, n1_values, repeats: int, calls: dict) -> list[d
             tomography.run_tomography(channel, config)  # warm-up
             times: dict[str, list[float]] = {}
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            control = []
+            control, interpreter = [], []
             for _ in range(repeats):
                 control += times_ms(lambda: np.matmul(left, right, out=product), 1)
+                interpreter += times_ms(lambda: interpreter_work(small), 1)
                 clock.reset()
                 start = time.perf_counter()
                 result = tomography.run_tomography(channel, config)
@@ -231,6 +250,7 @@ def time_grid(clock: StageClock, n1_values, repeats: int, calls: dict) -> list[d
             times["load_document"] = times_ms(lambda: serialize.load_document(text), repeats)
             times["process_fidelity"] = times_ms(lambda: compare_fidelity(result.kraus, truth), repeats)
             times["control"] = control
+            times["control_interpreter"] = interpreter
             rows.append(
                 {
                     "channel": label,

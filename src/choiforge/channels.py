@@ -14,7 +14,9 @@ eigen step (``_eigen_operators``) takes its cutoff as a number and a
 matrix its caller has made bitwise Hermitian. At the
 float-level rule (``_float_cutoff``), where J has small Kraus rank, a
 pivoted-Cholesky factor and its thin SVD give the same eigenpairs for a
-fraction of the cost, and ``eigh`` decides only where they cannot prove it.
+fraction of the cost; where J is real up to float noise, as for
+depolarizing, dephasing and Pauli channels, one real ``eigh`` of Re J
+does. The complex ``eigh`` decides only where neither can prove it.
 """
 
 from __future__ import annotations
@@ -245,9 +247,9 @@ def _low_rank_columns(
 ) -> tuple[np.ndarray, float] | None:
     """The eigenpairs of a bitwise Hermitian h above `threshold`, as the
     columns sqrt(eigenvalue) * eigenvector of a d x k array, and sigma >=
-    ||h - V V^dagger||_F for a factor V; or None where ``np.linalg.eigh``
-    must decide. The residual is formed in `spare`, a d x d complex array
-    the caller has no more use for.
+    ||h - V V^dagger||_F for a factor V; or None where an ``np.linalg.eigh``
+    must decide (``_eigen_operators``). The residual is formed in `spare`, a
+    d x d complex array the caller has no more use for.
 
     A diagonal-pivoting Cholesky (Higham, "Analysis of the Cholesky
     decomposition of a semi-definite matrix", 1990) builds V one column at a
@@ -297,6 +299,35 @@ def _low_rank_columns(
     return u[:, :kept] * s[:kept], sigma
 
 
+def _real_eigh(h: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """The ascending eigenvalues and eigenvectors of Re h from one real
+    ``np.linalg.eigh``, and a margin m with every eigenvalue of h within m of
+    the matching one; or None where the complex ``eigh`` of the bitwise
+    Hermitian h must decide.
+
+    h = Re h + i Im h, and Im h is antisymmetric, so i Im h is Hermitian
+    with ||Im h||_2 <= s = d max|Im h_ij|, read in two reductions of the
+    ``h.imag`` view. By Weyl's bound each eigenvalue of h is within s of the
+    matching one of Re h. The rounding of the real ``eigh`` and of the
+    complex one it stands in for adds 4 d eps (||Re h||_2 + s), as in
+    ``_low_rank_columns``, so m = s + 4 d eps (max|w| + s). When m is below
+    the absolute ``EXACT_TOL`` and no eigenvalue w of Re h lies within m of
+    `threshold`, the eigenvalues above it are those the complex ``eigh``
+    would keep, and lambda_min(h) >= w[0] - m. Otherwise, and wherever s or
+    m is not finite, the result is None.
+    """
+    d = len(h)
+    imag = h.imag  # a strided view, not a copy
+    s = d * max(float(np.maximum.reduce(imag, axis=None)), -float(np.minimum.reduce(imag, axis=None)))
+    if not s < EXACT_TOL:  # NaN gives up
+        return None
+    w, v = np.linalg.eigh(h.real)
+    margin = s + 4 * d * _EPS * (float(np.maximum.reduce(abs(w))) + s)
+    if not margin < EXACT_TOL or (abs(w - threshold) <= margin).any():  # NaN gives up
+        return None
+    return w, v, margin
+
+
 def _float_cutoff(matrix: np.ndarray, noise: float) -> float:
     """The float-level Kraus cutoff of a Choi matrix J, max(bound(diag J,
     EXACT_TOL), tau): bound(J, EXACT_TOL) for a PSD J, raised to tau = `noise`.
@@ -331,24 +362,34 @@ def _eigen_operators(
     the d x d `spare`); an overflow gives it up. When it is accepted,
     the kept rank is the one ``eigh`` would keep, the bound is -sigma, with
     sigma >= ||h - V V^dagger||_F below EXACT_TOL, and nothing is clipped,
-    the float residual being dropped whole. Otherwise one ``np.linalg.eigh``
-    of h gives the bound, its least eigenvalue, and the mass, the sum of its
-    negative eigenvalues' magnitudes. Each eigenvalue above the cutoff gives
-    one operator, its unit eigenvector scaled by sqrt(eigenvalue), in
-    descending order, whose n1 segments of length n2 are the operator's
-    columns; if none is, one zero operator stands in. Judging the matrix is
-    the caller's.
+    the float residual being dropped whole. Where the factor gives up, still
+    with `factor`, one real ``eigh`` of Re h decides when ``_real_eigh``
+    proves it keeps the rank the complex one would: the bound is its least
+    eigenvalue less the margin m < EXACT_TOL that covers i Im h and the
+    rounding, and the mass is summed over its negative eigenvalues; i Im h
+    is dropped whole. Otherwise one ``np.linalg.eigh`` of h gives the bound,
+    its least eigenvalue, and the mass, the sum of its negative eigenvalues'
+    magnitudes. Each eigenvalue above the cutoff gives one operator, its
+    unit eigenvector scaled by sqrt(eigenvalue), in descending order, whose
+    n1 segments of length n2 are the operator's columns; if none is, one
+    zero operator stands in. Judging the matrix is the caller's.
     """
-    factored = None
+    factored = real = None
     if factor:
-        with np.errstate(all="ignore"):  # a non-finite sigma is never accepted
+        with np.errstate(all="ignore"):  # a non-finite sigma or margin is never accepted
             factored = _low_rank_columns(h, threshold, spare)
+            if factored is None:
+                real = _real_eigh(h, threshold)
     if factored is not None:
         scaled, sigma = factored
         lowest, clipped = -sigma, 0.0
     else:
-        w, v = np.linalg.eigh(h)  # ascending, or NaN throughout for a non-finite h
-        lowest = float(w[0])
+        if real is None:
+            w, v = np.linalg.eigh(h)  # ascending, or NaN throughout for a non-finite h
+            margin = 0.0
+        else:
+            w, v, margin = real
+        lowest = float(w[0]) - margin
         if lowest == lowest:
             kept, negative = w.searchsorted(threshold, "right"), w.searchsorted(0.0)
         else:  # no NaN is above the cutoff or below zero
@@ -372,15 +413,19 @@ def choi_to_kraus(choi: ChoiMatrix) -> KrausSet:
 
     One operator per eigenvalue above ``_float_cutoff(J, 0.0)`` by
     ``_eigen_operators``, the one step from a Choi matrix to Kraus form: a
-    low-rank factor when it is accepted, one eigendecomposition otherwise,
+    low-rank factor when it is accepted, else one real eigendecomposition
+    of Re h when it is proved to keep the same rank, else one complex one,
     of h = (J + J^dagger)/2: ``ChoiMatrix`` has judged J Hermitian within
     bound(J), and h is J made bitwise Hermitian. The result is
     trace-orthogonal, Tr(A_k^dagger A_l) = eigenvalue_k * delta_kl, and has at
     most n1*n2 members; eigenvalues in [-bound(J), 0) are dropped as float
-    noise, anything lower raises ``NotCompletelyPositiveError`` with ``eigh``'s
-    least eigenvalue. An accepted factor proves lambda_min(J) >= -sigma with
-    sigma below EXACT_TOL, far inside bound(J), so a non-CP J always reaches
-    ``eigh``. The operators are frozen (``_derived``), not judged again.
+    noise. A lower bound on lambda_min(J) below -bound(J) raises
+    ``NotCompletelyPositiveError`` with that bound: the complex ``eigh``'s
+    least eigenvalue, or the real one's less its margin, below EXACT_TOL.
+    So a J that passes is CP within bound(J) by proof. An accepted factor
+    proves lambda_min(J) >= -sigma with sigma below EXACT_TOL, far inside
+    bound(J), so a non-CP J always reaches an ``eigh``. The operators are
+    frozen (``_derived``), not judged again.
     """
     m = choi.matrix
     h = np.conjugate(m.T)

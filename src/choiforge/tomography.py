@@ -5,8 +5,10 @@ system half through the unknown channel exactly once, estimate the joint
 output density matrix from simulated projective measurements, rescale, and
 extract canonical Kraus operators from the eigendecomposition above the
 cutoff ``_schmidt_kraus`` picks. An exact run of a channel of small Kraus
-rank reads them off a pivoted-Cholesky factor instead, when Weyl's bound
-proves them (``channels._eigen_operators``). The channel is an opaque
+rank reads them off a pivoted-Cholesky factor instead, and one whose Choi
+estimate is real up to float noise off one real eigendecomposition of its
+real part, each when Weyl's bound proves it keeps the rank the complex
+one would (``channels._eigen_operators``). The channel is an opaque
 evaluator; nothing here looks at its internals.
 """
 
@@ -50,7 +52,7 @@ from .linalg import (
 EXACT = None  # shot-budget sentinel: infinite-shot idealization
 MIN_SCHMIDT_COEFFICIENT = 1e-6
 SAMPLER_VERSION = 5  # bumped whenever the fixed-seed sampling stream changes
-RECONSTRUCTION_VERSION = 8  # bumped whenever the bytes tomograph writes for a fixed-seed run change
+RECONSTRUCTION_VERSION = 9  # bumped whenever the bytes tomograph writes for a fixed-seed run change
 MAX_SHOTS = 2**53  # every count below it is exact in a float64
 
 
@@ -243,8 +245,10 @@ class TomographyResult:
     clipped from the Choi estimate, the joint-state estimate rescaled by the
     input's Schmidt coefficients (n1 times the estimate for the maximally
     entangled input), 0.0 where the low-rank factor gave the Kraus set
-    (``channels._eigen_operators``). ``shots_used`` counts state
-    preparations across all ensemble measurements (0 in EXACT mode) and
+    (``channels._eigen_operators``). Where an exact run's real ``eigh`` gave
+    it, they are the eigenvalues of the estimate's real part, each within
+    a margin below EXACT_TOL of the estimate's own. ``shots_used`` counts
+    state preparations across all ensemble measurements (0 in EXACT mode) and
     ``success_trace`` is the trace of the joint-state estimate, below 1 for
     trace-decreasing channels. ``estimated_choi``, J =
     ``kraus_to_choi(kraus)``, is built on first access and kept.
@@ -452,8 +456,8 @@ def _schmidt_kraus(
     `shots`, three times the plug-in noise scale with no floor, each for one
     ``eigh``, else the exact rule
     ``channels._float_cutoff`` at tau = d eps max|rho_ij| / alpha_min^2,
-    max|rho_ij| read in O(d) off the diagonal, where the low-rank factor is
-    tried first.
+    max|rho_ij| read in O(d) off the diagonal, where the low-rank factor and
+    then one real ``eigh`` of Re h are tried first.
 
     The Choi estimate h is made bitwise Hermitian once, here. Where U = I,
     as for the default input, h is rho_est + rho_est^dagger times the
@@ -495,9 +499,12 @@ def _positivity_proved(negativity_removed: float, spec: SchmidtInput, d: int) ->
     lambda_min(rho) >= -bound(rho), from the reconstruction's
     `negativity_removed` alone, without reading rho again.
 
-    m = max(negativity_removed, EXACT_TOL) bounds -lambda_min of the
-    estimate: ``eigh`` clipped that mass, and an accepted low-rank factor
-    clips nothing and proves lambda_min >= -sigma > -EXACT_TOL. The
+    m = negativity_removed + EXACT_TOL bounds -lambda_min of the estimate,
+    whichever route decomposed it: the complex ``eigh`` clipped at least
+    -lambda_min; the real ``eigh`` of the estimate's real part clipped at
+    least -lambda_min of that part, which by Weyl's bound is within its
+    margin, below EXACT_TOL, of the estimate's; and an accepted low-rank
+    factor clips nothing and proves lambda_min >= -sigma > -EXACT_TOL. The
     estimate is the congruence (W^dagger tensor I) rho (W tensor I) with
     W = U diag(1/alpha), so by Ostrowski's theorem a negative lambda_min of
     the estimate is lambda_min(rho) scaled by at least 1/alpha_max^2.
@@ -508,7 +515,7 @@ def _positivity_proved(negativity_removed: float, spec: SchmidtInput, d: int) ->
     -lambda_min(rho) <= TOL, and for M > 1, as c < TOL, it gives
     -lambda_min(rho) <= TOL + c (M - 1) <= TOL M.
     """
-    negative = max(negativity_removed, EXACT_TOL)
+    negative = negativity_removed + EXACT_TOL
     a_max, a_min = float(spec.alphas.max()), float(spec.alphas.min())
     reserve = d * d * _EPS * (a_max / a_min) ** 2
     return negative * a_max**2 <= TOL - reserve

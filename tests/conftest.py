@@ -173,7 +173,8 @@ def judgements(monkeypatch):
 
 
 def eigh_only(monkeypatch):
-    """Refuse the low-rank factor: each step from a Choi matrix to Kraus form runs ``eigh``."""
+    """Refuse the low-rank factor: each step from a Choi matrix to Kraus form
+    runs an ``eigh``, the real one where ``channels._real_eigh`` accepts it."""
     monkeypatch.setattr(channels, "_low_rank_columns", lambda h, threshold, spare=None: None)
 
 
@@ -191,3 +192,24 @@ def low_rank_attempts(monkeypatch):
 
     monkeypatch.setattr(channels, "_low_rank_columns", spy)
     return accepted
+
+
+@pytest.fixture
+def real_eigh_attempts(monkeypatch):
+    """Whether each call of ``channels._real_eigh`` while the test runs was
+    accepted, in call order: True where one real ``eigh`` of Re h decided."""
+    accepted = []
+    original = channels._real_eigh
+
+    def spy(h, threshold):
+        result = original(h, threshold)
+        accepted.append(result is not None)
+        return result
+
+    monkeypatch.setattr(channels, "_real_eigh", spy)
+    return accepted
+
+
+def complex_eigh_only(monkeypatch):
+    """Refuse the real route: where the low-rank factor gives up, the complex ``eigh`` decides."""
+    monkeypatch.setattr(channels, "_real_eigh", lambda h, threshold: None)

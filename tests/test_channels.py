@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import (
     apply_kraus,
     apply_stinespring,
+    complex_eigh_only,
     eigh_only,
     kraus_equivalent,
     random_complex_matrix,
@@ -448,6 +449,109 @@ class TestLowRankPath:
         least = np.linalg.eigh((j + j.conj().T) / 2)[0][0]
         assert least < -0.05
         assert excinfo.value.min_eigenvalue == float(least)
+
+
+class TestRealRoute:
+    """Where the float-level cutoff's low-rank factor gives up and Im h is
+    float noise, one real eigh of Re h decides, when Weyl's bound proves it
+    keeps the rank the complex eigh would keep; otherwise the complex eigh
+    decides, byte for byte as with the real route refused."""
+
+    @staticmethod
+    def coupled_pair(d, diagonal, pair, coupling):
+        """A d x d Choi matrix: `diagonal` on the diagonal but for a last pair
+        of entries `pair`, coupled by i `coupling` and -i `coupling`, which
+        splits them to `pair` -/+ `coupling` in the spectrum of h."""
+        h = np.diag([diagonal] * (d - 2) + [pair, pair]).astype(complex)
+        h[-2, -1], h[-1, -2] = 1j * coupling, -1j * coupling
+        return h
+
+    @pytest.mark.parametrize("n1", [3, 8])
+    def test_depolarizing_choi_takes_the_real_route(
+        self, monkeypatch, low_rank_attempts, real_eigh_attempts, decompositions, n1
+    ):
+        # J = V V^dagger of complex Weyl operators: real up to float noise
+        choi = kraus_to_choi(zoo_channel("depolarizing", [0.3], n1))
+        assert np.abs(choi.matrix.imag).max() > 0
+        kraus = choi_to_kraus(choi)
+        assert (low_rank_attempts, real_eigh_attempts, decompositions) == ([False], [True], ["eigh"])
+        assert len(kraus.operators) == n1**2
+        assert choi_distance(kraus_to_choi(kraus), choi) < 1e-13 * n1**2
+        complex_eigh_only(monkeypatch)
+        reference = choi_to_kraus(choi)
+        assert len(reference.operators) == n1**2
+        weights = [np.vdot(op, op).real for op in kraus.operators]
+        assert weights == pytest.approx([np.vdot(op, op).real for op in reference.operators], rel=1e-12)
+
+    def test_bitwise_real_choi_takes_the_real_route(self, monkeypatch, real_eigh_attempts, decompositions):
+        # full rank 16 is past the pivot cap; the real eigh's operators are
+        # real, and trace-orthogonal, in descending order
+        g = np.random.default_rng(4).standard_normal((16, 16))
+        choi = ChoiMatrix(4, 4, (g @ g.T).astype(complex))
+        kraus = choi_to_kraus(choi)
+        assert (real_eigh_attempts, decompositions) == ([True], ["eigh"])
+        ops = np.array(kraus.operators)
+        assert len(ops) == 16 and not ops.imag.any()
+        weights = np.einsum("kij,kij->k", ops.conj(), ops).real
+        assert np.all(np.diff(weights) <= 0)
+        assert frobenius_distance(kraus_to_choi(kraus).matrix, choi.matrix) < 1e-12 * weights[0]
+        complex_eigh_only(monkeypatch)
+        assert len(choi_to_kraus(choi).operators) == 16
+
+    def test_complex_full_rank_choi_takes_the_complex_eigh(
+        self, monkeypatch, real_eigh_attempts, decompositions
+    ):
+        # Im h is not float noise: s is far above EXACT_TOL, so no real eigh runs
+        choi = ChoiMatrix(4, 4, kraus_to_choi(random_cptp(4, 4, 16, seed=5)).matrix)
+        kraus = choi_to_kraus(choi)
+        assert (real_eigh_attempts, decompositions) == ([False], ["eigh"])
+        complex_eigh_only(monkeypatch)
+        assert [op.tobytes() for op in kraus.operators] == [
+            op.tobytes() for op in choi_to_kraus(choi).operators
+        ]
+
+    def test_eigenvalue_within_the_margin_gives_way(self, monkeypatch, real_eigh_attempts, decompositions):
+        # Re h has a double eigenvalue 3e-12 above the cutoff 1e-10, within
+        # the margin s = 12 * 5e-12; Im h splits it to either side of the
+        # cutoff, so h keeps 11 eigenvalues where Re h would keep 12
+        h = self.coupled_pair(12, 1.0, EXACT_TOL + 3e-12, 5e-12)
+        kraus = choi_to_kraus(ChoiMatrix(3, 4, h))
+        assert (real_eigh_attempts, decompositions) == ([False], ["eigh", "eigh"])
+        assert len(kraus.operators) == np.count_nonzero(np.linalg.eigvalsh(h) > EXACT_TOL) == 11
+        complex_eigh_only(monkeypatch)
+        assert [op.tobytes() for op in kraus.operators] == [
+            op.tobytes() for op in choi_to_kraus(ChoiMatrix(3, 4, h)).operators
+        ]
+
+    def test_imaginary_part_at_the_tolerance_gives_way(self, real_eigh_attempts, decompositions):
+        # s = 16 * 1e-11 is not below EXACT_TOL: the complex eigh decides,
+        # and no real eigh is spent first
+        h = self.coupled_pair(16, 1.0, 0.5, 1e-11)
+        choi_to_kraus(ChoiMatrix(4, 4, h))
+        assert (real_eigh_attempts, decompositions) == ([False], ["eigh"])
+        h[-2, -1], h[-1, -2] = 0.5e-11j, -0.5e-11j  # s = 8e-11
+        choi_to_kraus(ChoiMatrix(4, 4, h))
+        assert real_eigh_attempts == [False, True]
+
+    def test_least_eigenvalue_bound_covers_the_imaginary_part(self, real_eigh_attempts):
+        # Re h has a double eigenvalue 1e-11 above -bound(J) = -1e-8, and
+        # Im h splits it by 2e-11 to below it: the real route's lower bound
+        # w[0] - m, with m >= s, finds J not CP, as the complex eigh does
+        h = self.coupled_pair(3, 1.0, -1e-8 + 1e-11, 2e-11)
+        assert np.linalg.eigvalsh(h)[0] < -1e-8
+        with pytest.raises(NotCompletelyPositiveError) as excinfo:
+            choi_to_kraus(ChoiMatrix(3, 1, h))
+        assert real_eigh_attempts == [True]
+        assert excinfo.value.min_eigenvalue <= np.linalg.eigvalsh(h)[0]
+
+    def test_least_eigenvalue_bound_is_the_real_eigenvalue_less_the_margin(self):
+        h = self.coupled_pair(12, 1.0, 0.5, 2e-12)
+        w, _, margin = channels._real_eigh(h, EXACT_TOL)
+        assert np.abs(w - np.linalg.eigvalsh(h.real)).max() == 0.0
+        assert 12 * 2e-12 <= margin < EXACT_TOL
+        _, lowest, clipped = channels._eigen_operators(h, 3, 4, EXACT_TOL, True, np.empty_like(h))
+        assert (lowest, clipped) == (float(w[0]) - margin, 0.0)
+        assert lowest <= np.linalg.eigvalsh(h)[0]
 
 
 @pytest.mark.parametrize("n1", [2, 3])

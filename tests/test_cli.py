@@ -7,7 +7,7 @@ import pytest
 from conftest import eigh_only
 from choiforge.channels import ChoiMatrix, KrausSet, kraus_to_choi, random_cptp, zoo_channel
 from choiforge.cli import main
-from choiforge.linalg import _MAX_DIMS
+from choiforge.linalg import EXACT_TOL, _MAX_DIMS
 from choiforge.serialize import channel_to_doc, dump_document, parse_experiment_config
 from choiforge.tomography import SAMPLER_VERSION, OpaqueChannel, run_tomography
 
@@ -104,6 +104,24 @@ class TestConvert:
         assert code == 3
         diagnostic = json.loads(err)
         assert diagnostic["min_choi_eigenvalue"] == pytest.approx(-0.1)
+
+    def test_non_cp_real_choi_exits_3_on_the_real_route(self, tmp_path, capsys, real_eigh_attempts):
+        # rank 12 is past the pivot cap, and J is real: one real eigh finds
+        # lambda_min = -0.1 less its margin, and the map is not CP; compare
+        # extracts no Kraus set, and reports the fidelity as undefined
+        g = np.random.default_rng(2).standard_normal((16, 12))
+        j = g @ g.T - 0.1 * np.eye(16)
+        src = write_channel(tmp_path / "bad_choi.json", ChoiMatrix(4, 4, j.astype(complex)))
+        least = np.linalg.eigvalsh(j)[0]
+        for argv in (["convert", src, "--to", "kraus"], ["tomograph", write_doc(
+            tmp_path / "exp.json", experiment_doc(json.loads(Path(src).read_text()))
+        )]):
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (3, "")
+            assert least - EXACT_TOL < json.loads(err)["min_choi_eigenvalue"] <= least
+        assert real_eigh_attempts == [True, True]
+        code, out, _ = run(capsys, ["compare", src, src])
+        assert code == 0 and json.loads(out)["process_fidelity"] is None
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, err = run(capsys, ["convert", str(tmp_path / "nope.json"), "--to", "choi"])

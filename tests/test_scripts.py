@@ -183,8 +183,14 @@ def test_stage_timings_writes_a_labelled_table(tmp_path):
         assert set(row["quartiles_ms"]) == set(row["best_ms"])
         for path, (q1, median, q3) in row["quartiles_ms"].items():
             assert row["best_ms"][path] <= q1 <= median <= q3
-    # every row times the fixed 64 x 64 product that shows a slow process
-    assert all(row["best_ms"]["control"] > 0 for table in tables.values() for row in table["rows"])
+    # every row times the fixed 64 x 64 product and the fixed interpreter-bound
+    # work that show a slow process
+    assert all(
+        row["best_ms"][control] > 0
+        for table in tables.values()
+        for row in table["rows"]
+        for control in ("control", "control_interpreter")
+    )
     # a second invocation adds its grid points to the table and replaces
     # the ones it times again; other settings are refused
     for n1 in ("3", "2"):
@@ -197,6 +203,15 @@ def test_stage_timings_writes_a_labelled_table(tmp_path):
     assert [(row["n1"], row["channel"], row["shots"]) for row in merged["after"]["rows"]] == [
         (n1, row["channel"], row["shots"]) for n1 in (2, 3) for row in tables["after"]["rows"]
     ]
+    # from n1 = 3 depolarizing's rank 9 is past the pivot cap, and its Choi
+    # estimate is real up to float noise: the factor gives up before its SVD,
+    # and one eigh of a real array decides, named as such
+    (depolarizing,) = [
+        row for row in merged["after"]["rows"]
+        if (row["channel"], row["n1"], row["shots"]) == ("depolarizing(0.3)", 3, "exact")
+    ]
+    assert depolarizing["decompositions"] == ["eigh_real"]
+    assert "reconstruct_from_schmidt > _schmidt_kraus > eigh_real" in depolarizing["best_ms"]
     result = _run(
         "stage_timings.py", "--n1", "2", "--repeats", "2", "--label", "after", "--output", str(output)
     )

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     apply_kraus,
     apply_stinespring,
+    complex_eigh_only,
     eigh_only,
     hermitian_operator_basis,
     kraus_equivalent,
@@ -27,6 +28,7 @@ from choiforge.channels import (
     haar_random_unitary,
     kraus_to_choi,
     random_cptp,
+    stinespring_to_choi,
     zoo_channel,
 )
 from choiforge.linalg import EXACT_TOL, TOL, NotHermitianError, bound, frobenius_distance
@@ -805,6 +807,49 @@ class TestLowRankReconstruction:
         assert low_rank_attempts == []
 
 
+class TestRealRouteReconstruction:
+    """An exact run whose Choi estimate is real up to float noise, and past
+    the low-rank factor's reach, is decomposed by one real eigh of Re h
+    (``channels._real_eigh``); the run's positivity proof covers its margin."""
+
+    @pytest.mark.parametrize("n1", [3, 8])
+    def test_exact_depolarizing_run_takes_the_real_route(self, real_eigh_attempts, decompositions, n1):
+        truth = zoo_channel("depolarizing", [0.3], n1)
+        result = run_tomography(OpaqueChannel.from_kraus(truth), TomographyConfig())
+        assert (real_eigh_attempts, decompositions) == ([True], ["eigh"])
+        assert len(result.kraus.operators) == n1**2
+        assert result.negativity_removed == 0.0
+        assert frobenius_distance(result.estimated_choi.matrix, kraus_to_choi(truth).matrix) < 1e-13 * n1**2
+
+    def test_haar_basis_input_takes_the_complex_eigh(self, monkeypatch, real_eigh_attempts, decompositions):
+        # rotated by Haar bases, the estimate of a real Choi matrix is complex
+        rng = np.random.default_rng(3)
+        alphas = np.arange(1.0, 5.0) / np.linalg.norm(np.arange(1.0, 5.0))
+        spec = SchmidtInput(alphas, haar_random_unitary(4, rng), haar_random_unitary(4, rng))
+        channel = OpaqueChannel.from_kraus(zoo_channel("depolarizing", [0.3], 4))
+        result = run_tomography(channel, TomographyConfig(input_kind=spec))
+        assert (real_eigh_attempts, decompositions) == ([False], ["eigh"])
+        complex_eigh_only(monkeypatch)
+        reference = run_tomography(channel, TomographyConfig(input_kind=spec))
+        assert kraus_bytes(result.kraus) == kraus_bytes(reference.kraus)
+
+    def test_positivity_proof_covers_the_imaginary_part(self, real_eigh_attempts):
+        # h = 2 rho has Re h = diag(1, 0.5, 0, -c), just inside the proof
+        # (c/2 below TOL less the reserve), and Im h couples 0 and -c by
+        # 2e-11, which pushes lambda_min(rho) 1e-14 past -bound(rho). The
+        # clipped mass c alone would prove rho positive; with the margin
+        # added the proof fails, and the certificate names the eigenvalue
+        c = 2 * (TOL - 4e-15)
+        h = np.diag([1.0, 0.5, 0.0, -c]).astype(complex)
+        h[2, 3], h[3, 2] = 2e-11j, -2e-11j
+        rho = h / 2
+        assert np.linalg.eigvalsh(rho)[0] < -TOL
+        channel = OpaqueChannel(2, 2, lambda v: rho.copy())
+        with pytest.raises(ValueError, match="positive semidefinite: eigenvalue -1.000e-08"):
+            run_tomography(channel, TomographyConfig())
+        assert real_eigh_attempts == [True]
+
+
 class TestResult:
     """The result is what the run computed: the Kraus set and three numbers.
     J is built from the Kraus set on first access to ``estimated_choi``."""
@@ -896,6 +941,87 @@ def test_exact_run_recovers_rank_at_every_dimension(case):
     assert parsed == doc
     kraus = doc_to_result_kraus(parsed)
     assert [op.tobytes() for op in kraus.operators] == [op.tobytes() for op in result.kraus.operators]
+
+
+def real_kraus_set(n1, n2, rank, rng):
+    """A trace-preserving Kraus set of real operators: a real isometry cut into blocks."""
+    q, _ = np.linalg.qr(rng.standard_normal((n2 * rank, n1)))
+    return KrausSet(n1, n2, tuple(q[k * n2 : (k + 1) * n2] for k in range(rank)))
+
+
+@st.composite
+def exact_path_cases(draw):
+    """(channel, J, true Kraus rank, input, alpha_min) over the inputs the
+    exact path accepts: n1 in 2..8 and n2 in 1..8 with n1*n2 <= 64; complex
+    (``random_cptp``) and real Kraus sets of every rank, 30% of them scaled
+    by c in [0.1, 1] so that they are trace-decreasing; Stinespring models
+    with ancillas of dimension 1-4, mixed ancilla states, and full or
+    partial post-selection; and the uniform input, or Schmidt coefficients
+    down to alpha_min >= 2e-6, in the identity basis or in Haar bases. A
+    real Kraus set of rank above the pivot cap, with an identity-basis
+    input, can take the real route of ``channels._eigen_operators``; the
+    other cases take its other two."""
+    n1 = draw(st.sampled_from(range(2, 9)))  # sampled, not integers: no bias to small sizes
+    kind = draw(st.sampled_from(["complex", "real", "stinespring"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "stinespring":
+        ancilla = draw(st.integers(1, 4))
+        n2 = draw(st.sampled_from([n for n in range(1, 9) if n1 * ancilla % n == 0 and n1 * n <= 64]))
+        traced = n1 * ancilla // n2
+        mixed, kept = draw(st.integers(1, ancilla)), draw(st.integers(1, traced))
+        g = rng.standard_normal((ancilla, mixed)) + 1j * rng.standard_normal((ancilla, mixed))
+        state = g @ g.conj().T
+        post = haar_random_unitary(traced, rng)[:, :kept]
+        model = StinespringModel(
+            n1, ancilla, n2, traced, haar_random_unitary(n1 * ancilla, rng),
+            state / np.trace(state).real, post @ post.conj().T,
+        )
+        channel, choi = OpaqueChannel.from_stinespring(model), stinespring_to_choi(model)
+        rank = min(mixed * kept, n1 * n2)
+    else:
+        n2 = draw(st.sampled_from(range(1, min(8, 64 // n1) + 1)))
+        rank = draw(st.sampled_from(range(-(-n1 // n2), n1 * n2 + 1)))
+        truth = (
+            random_cptp(n1, n2, rank, int(rng.integers(2**32)))
+            if kind == "complex"
+            else real_kraus_set(n1, n2, rank, rng)
+        )
+        if draw(st.integers(0, 9)) < 3:
+            scale = draw(st.floats(0.1, 1.0))
+            truth = KrausSet(n1, n2, tuple(scale * op for op in truth.operators))
+        channel, choi = OpaqueChannel.from_kraus(truth), kraus_to_choi(truth)
+    basis = draw(st.sampled_from(["uniform", "identity", "haar"]))
+    if basis == "uniform":
+        return channel, choi.matrix, rank, None, 1 / math.sqrt(n1)
+    # one coefficient is `least`, and the others, log-uniform in [least, 1],
+    # are scaled to the rest of the unit norm, by at least 1/sqrt(n1)
+    least = math.exp(draw(st.floats(math.log(2e-6 * math.sqrt(n1)), -math.log(n1) / 2)))
+    others = np.exp(rng.uniform(math.log(least), 0.0, n1 - 1))
+    others *= math.sqrt(1 - least**2) / np.linalg.norm(others)
+    alphas = np.insert(others, rng.integers(n1), least)
+    bases = (np.eye(n1), np.eye(n1)) if basis == "identity" else (
+        haar_random_unitary(n1, rng), haar_random_unitary(n1, rng)
+    )
+    return channel, choi.matrix, rank, SchmidtInput(alphas, *bases), float(alphas.min())
+
+
+@given(exact_path_cases())
+@settings(max_examples=200, deadline=None)
+def test_exact_path_keeps_the_true_rank_within_the_bound(case):
+    # ||J_est - J||_F <= 1e-5 bound(J) / alpha_min^2: 12000 runs drawn as
+    # here gave at most 3.8e-7 of bound(J) / alpha_min^2. The kept rank is
+    # the true rank wherever the least true eigenvalue clears the
+    # float-level cutoff max(bound(diag J, EXACT_TOL), tau) by a factor of
+    # 10, with tau = d eps max|J_ij| / alpha_min^2 (``_float_cutoff``); in
+    # those runs every rank was kept from 1.7 times the cutoff up
+    channel, choi, rank, spec, alpha_min = case
+    result = run_tomography(channel, TomographyConfig(input_kind=spec))
+    error = np.linalg.norm(result.estimated_choi.matrix - choi)
+    assert error <= 1e-5 * bound(choi) / alpha_min**2
+    tau = len(choi) * linalg._EPS * np.abs(choi).max() / alpha_min**2
+    cutoff = max(EXACT_TOL * max(1.0, np.abs(choi.diagonal()).max()), tau)
+    if np.linalg.eigvalsh(choi)[-rank] > 10 * cutoff:
+        assert len(result.kraus.operators) == rank
 
 
 class TestProjectToPsd:
